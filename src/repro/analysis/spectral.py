@@ -96,10 +96,12 @@ class SpectralTracker:
     def measure(self, graph) -> float:
         """``1 - lambda_G`` of a live :class:`DynamicMultigraph`.
 
-        Pulls the graph's *incrementally patched* CSR (churn between
-        samples only re-emits the dirty rows) and warm-starts Lanczos
-        from the previous call's eigenvector -- the fast path for the
-        repeated gap measurements of the experiment runner."""
+        Pulls the CSR the graph assembles from its array adjacency
+        (churn between samples only re-emits the dirty rows; the
+        assembly itself is vectorized and memoized until the next
+        change) and warm-starts Lanczos from the previous call's
+        eigenvector -- the fast path for the repeated gap measurements
+        of the experiment runner."""
         order, adjacency = graph.to_sparse_adjacency()
         return self.gap(order, adjacency)
 

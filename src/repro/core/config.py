@@ -46,7 +46,7 @@ class DexConfig:
     #: is untrusted.
     validate_batches: bool = True
     #: scheduler for the batch healing waves: "vector" (lockstep numpy
-    #: over the patched CSR), "scalar" (the per-token reference loop,
+    #: over the graph's array adjacency), "scalar" (the per-token loop,
     #: also the numpy-free fallback) or "auto" (vector for large waves).
     #: Both implement the same draw protocol, so for a fixed seed the
     #: choice never changes results -- only wall-clock.

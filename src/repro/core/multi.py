@@ -17,7 +17,7 @@ specialized fast path of :func:`~repro.net.walks.scheduled_walks`)
 under the Lemma 11 one-token-per-edge-per-round rule.  The wave hop
 itself runs on the engine selected by ``DexConfig.wave_engine`` -- by
 default the lockstep numpy engine, which advances all active tokens of
-a round as vectorized operations over the incrementally patched CSR;
+a round as vectorized operations over the graph's array adjacency;
 the scalar reference produces bit-identical results for a fixed seed
 and serves as the differential oracle.  Rounds are charged as the
 scheduler's *actual* round count (and messages as the total hops), not a
@@ -410,11 +410,7 @@ def partition_delete_batch(
                         guards.setdefault(w, []).append(u)
                     continue
         rejected.append(BatchRejection(index, u, reason))
-    if (
-        check_connectivity
-        and legal
-        and not _remainder_connected(dex, accepted)
-    ):
+    if check_connectivity and legal and not graph.survivors_connected(accepted):
         for u in _restore_for_connectivity(graph, legal):
             accepted.discard(u)
             rejected.append(
@@ -438,64 +434,57 @@ def _restore_for_connectivity(
 ) -> list[NodeId]:
     """The victims to re-admit (reject) so the remainder reconnects.
 
-    Union-find over the survivor graph, then restore sweeps latest-first
-    that only re-admit victims actually *bridging* two or more live
-    components (a victim whose live neighbors all sit in one component
-    cannot help connectivity, so restoring it would reject a perfectly
-    legal request).  When a sweep makes no progress -- components joined
-    only through a chain of victims -- the latest remaining victim is
-    force-restored to expose the chain, which guarantees termination:
-    restoring every victim yields the original, connected graph."""
+    Union-find over the *component quotient* of the survivor graph (the
+    array traversal labels the components; only the victims' neighbours
+    are looked up, so the Python work is proportional to the batch, not
+    to n), then restore sweeps latest-first that only re-admit victims
+    actually *bridging* two or more live components (a victim whose live
+    neighbors all sit in one component cannot help connectivity, so
+    restoring it would reject a perfectly legal request).  When a sweep
+    makes no progress -- components joined only through a chain of
+    victims -- the latest remaining victim is force-restored to expose
+    the chain, which guarantees termination: restoring every victim
+    yields the original, connected graph."""
     victim_set = set(legal)
-    parent: dict[NodeId, NodeId] = {}
-
-    def find(x: NodeId) -> NodeId:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    components = 0
-    for u in graph.nodes():
-        if u not in victim_set:
-            parent[u] = u
-            components += 1
-    for u in list(parent):
-        for w in graph.distinct_neighbors(u):
-            if w in parent:
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[rw] = ru
-                    components -= 1
-
-    def restore(u: NodeId) -> None:
-        nonlocal components
-        parent[u] = u
-        components += 1
-        for w in graph.distinct_neighbors(u):
-            if w in parent:
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[rw] = ru
-                    components -= 1
-
+    neighbors = {u: graph.distinct_neighbors(u) for u in legal}
+    components, label = graph.survivor_components(
+        victim_set,
+        {w for ws in neighbors.values() for w in ws if w not in victim_set},
+    )
+    #: union-find over component labels, then one index per restored victim
+    parent = list(range(components))
+    for u in legal:
+        label[u] = -1  # not (yet) restored
     restored: list[NodeId] = []
+
+    def roots_around(u: NodeId) -> set[int]:
+        roots: set[int] = set()
+        for w in neighbors[u]:
+            x = label[w]
+            if x >= 0:
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]  # path halving
+                roots.add(x)
+        return roots
+
+    def restore(u: NodeId, roots: set[int]) -> None:
+        nonlocal components
+        label[u] = len(parent)
+        parent.append(label[u])
+        for r in roots:
+            parent[r] = label[u]
+        components += 1 - len(roots)
+        restored.append(u)
+
     remaining = list(legal)
     while components > 1 and remaining:
         progressed = False
         keep: list[NodeId] = []
         for u in reversed(remaining):
             if components > 1:
-                roots = {
-                    find(w)
-                    for w in graph.distinct_neighbors(u)
-                    if w in parent
-                }
+                roots = roots_around(u)
                 if len(roots) >= 2:
-                    restore(u)
-                    restored.append(u)
+                    restore(u, roots)
                     progressed = True
                     continue
             keep.append(u)
@@ -503,8 +492,7 @@ def _restore_for_connectivity(
         remaining = keep
         if components > 1 and not progressed and remaining:
             u = remaining.pop()
-            restore(u)
-            restored.append(u)
+            restore(u, roots_around(u))
     return restored
 
 
@@ -657,10 +645,3 @@ def _delete_batch_impl(
         ledger,
         topo_before,
     )
-
-
-def _remainder_connected(dex: "DexNetwork", victims: set[NodeId]) -> bool:
-    """Survivor-subgraph connectivity on the incrementally patched CSR
-    (vectorized frontier BFS), replacing the former pure-Python BFS that
-    dominated batch validation at large n."""
-    return dex.graph.survivors_connected(victims)

@@ -2,7 +2,7 @@
 
 Times the hot paths of the simulator -- bootstrap, the insert/delete
 churn step, random-walk hops, repeated spectral-gap measurements, the
-batch-parallel healing engine and the incremental CSR patch -- at
+batch-parallel healing engine and the incremental CSR refresh -- at
 several network sizes, and merges the results into a machine-readable
 report so successive PRs can compare against a recorded baseline
 instead of folklore.
@@ -439,9 +439,10 @@ def bench_wave(
 def bench_csr(
     n: int, seed: int = 11, reps: int = 20, repeats: int = 3
 ) -> dict[str, float]:
-    """Incremental ``to_sparse_adjacency`` patch vs. from-scratch
-    rebuild under light churn (the repeated spectral-sampling access
-    pattern), best-of-``repeats``."""
+    """``to_sparse_adjacency`` after light churn -- sync of the dirty
+    rows plus CSR assembly -- vs. a from-scratch re-emission of every
+    row (``force_rebuild``): the repeated spectral-sampling access
+    pattern, best-of-``repeats``."""
 
     def once() -> tuple[float, float]:
         net = _build(n, seed)

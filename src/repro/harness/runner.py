@@ -121,7 +121,7 @@ class _Sampler:
             # reuse the previous Lanczos eigenvector.
             gap = overlay.spectral_gap()
         else:
-            # Incrementally patched CSR (dirty rows only, not O(n)).
+            # CSR assembled from the array adjacency (memoized per sync).
             _, adjacency = overlay.graph.to_sparse_adjacency()
             gap = spectral_gap(adjacency)
         result.gap_samples.append((step, gap))

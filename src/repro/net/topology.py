@@ -20,19 +20,248 @@ cached neighbor CDFs that :mod:`repro.net.walks` samples from.
 :meth:`DynamicMultigraph.verify_caches` recomputes everything from the
 adjacency structure and is the oracle the invariant tests run under
 churn.
+
+Every vectorized consumer -- batch deletion's survivor-connectivity
+check, the lockstep wave engine, the spectral sampler's CSR -- reads one
+*array adjacency* (:class:`_RowStore`), kept current row by dirty row.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import TopologyError
 from repro.types import NodeId
+
+#: spare entries a row is given beyond its length when it is (re)placed
+ROW_SLACK = 2
+
+
+def _extended(arr: np.ndarray, size: int, fill: object = None) -> np.ndarray:
+    """``arr`` in a longer array (the tail untouched without ``fill``)."""
+    out = np.empty(size, dtype=arr.dtype)
+    out[: arr.size] = arr
+    if fill is not None:
+        out[arr.size :] = fill
+    return out
+
+
+class _RowStore:
+    """Array adjacency with rows at *stable slots*.
+
+    A live node owns one slot (``slot_of``; a departed node's slot goes
+    to ``free`` for a later joiner), and a slot owns one extent
+    ``start/len/cap`` of the pooled ``nbr``/``cum`` arrays: the row's
+    neighbour *slots* in ascending node-id order and the row-local
+    cumulative multiplicities (``tot`` is the row total), i.e.
+    :meth:`DynamicMultigraph.neighbor_cdf` in array form.
+
+    :meth:`reslot` takes the nodes dirtied since the last call, moves
+    slots from departed nodes to joiners and marks the live ones' rows
+    *stale*; :meth:`refresh` rewrites stale rows before they are read --
+    all of them for a traversal, the visited ones for a wave.  Both cost
+    O(rows) Python plus O(entries) scatter, nothing proportional to the
+    graph.  A row that outgrows its extent is re-appended at the pool
+    tail and the old extent becomes garbage; the pool is compacted once
+    more than half of it is garbage, so storage stays O(nnz) however wide
+    one row gets.  Every multiplicity change dirties both endpoints, so a
+    row that is not stale is current and references live slots only.
+    """
+
+    __slots__ = (
+        "adj", "slot_of", "free", "ids", "dead", "stale", "start", "len", "cap",
+        "tot", "nbr", "cum", "tail", "garbage", "sync_rows", "sync_entries",
+        "pool_compactions", "_csr",
+    )  # fmt: skip
+
+    def __init__(self, adj: dict[NodeId, Counter[NodeId]]) -> None:
+        #: the graph's adjacency dicts, the rows' source of truth
+        self.adj = adj
+        self.slot_of: dict[NodeId, int] = {}
+        self.free: list[int] = []
+        #: per slot: node id, "holds no live node", "row must be emitted
+        #: again before it is read", row extent, row total
+        self.ids = np.empty(0, dtype=np.int64)
+        self.dead = np.empty(0, dtype=bool)
+        self.stale = np.empty(0, dtype=bool)
+        self.start = np.empty(0, dtype=np.int64)
+        self.len = np.empty(0, dtype=np.int64)
+        self.cap = np.empty(0, dtype=np.int64)
+        self.tot = np.empty(0, dtype=np.float64)
+        #: the pool: ``[0, tail)`` is handed out, ``garbage`` of it unowned
+        self.nbr = np.empty(0, dtype=np.int64)
+        self.cum = np.empty(0, dtype=np.int32)
+        self.tail = 0
+        self.garbage = 0
+        self.sync_rows = 0
+        self.sync_entries = 0
+        self.pool_compactions = 0
+        #: assembled ``(order, csr)``, dropped when a row goes stale
+        self._csr: tuple[list[NodeId], sp.csr_matrix] | None = None
+
+    def span(self, slots: np.ndarray) -> np.ndarray:
+        """Pool index of every entry of the rows at ``slots``, row by row."""
+        lens = self.len[slots]
+        ends = np.cumsum(lens)
+        total = int(ends[-1]) if ends.size else 0
+        return np.arange(total) + np.repeat(self.start[slots] - (ends - lens), lens)
+
+    def reslot(self, dirty: Collection[NodeId]) -> None:
+        """Slot bookkeeping for the ``dirty`` nodes, O(dirty): departed
+        nodes give their slot up, joiners take one, and every live one's
+        row is marked stale."""
+        adj, slot_of = self.adj, self.slot_of
+        live = [u for u in dirty if u in adj]
+        gone = [slot_of.pop(u) for u in dirty if u not in adj and u in slot_of]
+        if gone:
+            self.dead[gone] = True
+            self.stale[gone] = False
+            self.garbage += int(self.cap[gone].sum())
+            self.len[gone] = self.cap[gone] = 0
+            self.free.extend(gone)
+        fresh = [u for u in live if u not in slot_of]
+        if fresh:
+            short = len(fresh) - len(self.free)
+            if short > 0:
+                old = self.ids.size
+                size = old + max(short, old, 16)
+                self.free.extend(range(size - 1, old - 1, -1))
+                self.dead = _extended(self.dead, size, True)
+                for name in ("ids", "stale", "start", "len", "cap", "tot"):
+                    setattr(self, name, _extended(getattr(self, name), size, 0))
+            taken = self.free[-len(fresh) :]
+            del self.free[-len(fresh) :]
+            slot_of.update(zip(fresh, taken))
+            self.ids[taken] = fresh
+            self.dead[taken] = False
+        self.stale[[slot_of[u] for u in live]] = True
+        self._csr = None
+
+    def refresh(self, reading: np.ndarray | None = None) -> None:
+        """Re-emit the stale rows among the slots ``reading`` (default:
+        all of them) from the adjacency dicts."""
+        if reading is None:
+            slots = np.flatnonzero(self.stale)
+        else:
+            slots = np.unique(reading[self.stale[reading]])
+        if not slots.size:
+            return
+        self.stale[slots] = False
+        # Python emission, O(rows): neighbours in ascending id order (as
+        # slots) and their running multiplicity sums.
+        lens_l: list[int] = []
+        nbr_l: list[int] = []
+        cum_l: list[int] = []
+        slot = self.slot_of.__getitem__
+        for u in self.ids[slots].tolist():
+            nbrs = self.adj[u]
+            keys = sorted(nbrs)
+            lens_l.append(len(keys))
+            nbr_l.extend(map(slot, keys))
+            cum_l.extend(accumulate(map(nbrs.__getitem__, keys)))
+        lens = np.asarray(lens_l, dtype=np.int64)
+        cum = np.asarray(cum_l, dtype=np.int32)
+        # Placement, O(entries): in place where the row still fits
+        # (giving back an extent it no longer half fills), else at the
+        # tail with the old extent written off.
+        cap = self.cap[slots]
+        slim = cap > 2 * lens + 4 * ROW_SLACK
+        if slim.any():
+            self.garbage += int((cap[slim] - lens[slim] - ROW_SLACK).sum())
+            self.cap[slots[slim]] = lens[slim] + ROW_SLACK
+        grown = lens > cap
+        if grown.any():
+            moved, room = slots[grown], lens[grown] + ROW_SLACK
+            self.garbage += int(cap[grown].sum())
+            need = self.tail + int(room.sum())
+            if need > self.nbr.size:
+                self.nbr = _extended(self.nbr, max(need, 2 * self.nbr.size))
+                self.cum = _extended(self.cum, self.nbr.size)
+            self.start[moved] = self.tail + np.cumsum(room) - room
+            self.cap[moved] = room
+            self.tail = need
+        self.len[slots] = lens
+        dest = self.span(slots)
+        self.nbr[dest] = nbr_l
+        self.cum[dest] = cum
+        self.tot[slots] = 0.0
+        filled = lens > 0
+        self.tot[slots[filled]] = cum[np.cumsum(lens)[filled] - 1]
+        self.sync_rows += slots.size
+        self.sync_entries += len(nbr_l)
+        if 2 * self.garbage > self.tail:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Repack the live rows back to back (each with its slack), in
+        place: O(nnz), paid once per ~nnz/2 entries of garbage."""
+        live = np.flatnonzero(~self.dead)
+        src = self.span(live)
+        nbr, cum = self.nbr[src], self.cum[src]
+        room = self.len[live] + ROW_SLACK
+        self.start[live] = np.cumsum(room) - room
+        self.cap[live] = room
+        self.tail = int(room.sum())
+        dest = self.span(live)
+        self.nbr[dest] = nbr
+        self.cum[dest] = cum
+        self.garbage = 0
+        self.pool_compactions += 1
+
+    def blocked(self, victims: Iterable[NodeId]) -> tuple[np.ndarray, int]:
+        """Visited-mask seed for a survivor traversal (dead slots and the
+        live ``victims`` pre-marked) and the number of survivors."""
+        mask = self.dead.copy()
+        hit = [self.slot_of[u] for u in victims if u in self.slot_of]
+        mask[hit] = True
+        return mask, len(self.slot_of) - len(hit)
+
+    def reach(self, visited: np.ndarray, want: int) -> np.ndarray:
+        """Slots reached by a frontier BFS from the first slot not yet
+        ``visited`` (marked as it goes), stopping once ``want`` slots are
+        in hand.  Sort-free: a level scatters ``True`` over every
+        neighbour of the frontier and the next frontier is whatever the
+        mask gained, so duplicates never need a ``unique``."""
+        frontier = np.asarray([np.argmin(visited)])
+        visited[frontier] = True
+        seen = visited.copy()
+        levels = [frontier]
+        got = 1
+        while got < want:
+            visited[self.nbr[self.span(frontier)]] = True
+            frontier = np.flatnonzero(visited != seen)
+            if not frontier.size:
+                break
+            seen[frontier] = True
+            levels.append(frontier)
+            got += frontier.size
+        return np.concatenate(levels)
+
+    def csr(self) -> tuple[list[NodeId], sp.csr_matrix]:
+        """The id-sorted scipy CSR of the (fresh) rows, memoized until a
+        row goes stale."""
+        if self._csr is None:
+            live = np.flatnonzero(~self.dead)
+            live = live[np.argsort(self.ids[live])]
+            rank = np.empty(self.ids.size, dtype=np.int64)
+            rank[live] = np.arange(live.size)
+            entries = self.span(live)
+            indptr = np.zeros(live.size + 1, dtype=np.int64)
+            np.cumsum(self.len[live], out=indptr[1:])
+            cum = self.cum[entries].astype(np.float64)
+            first = indptr[:-1][self.len[live] > 0]
+            data = np.diff(cum, prepend=0.0)
+            data[first] = cum[first]
+            n = live.size
+            A = sp.csr_matrix((data, rank[self.nbr[entries]], indptr), shape=(n, n))
+            self._csr = (self.ids[live].tolist(), A)
+        return self._csr
 
 
 class DynamicMultigraph:
@@ -50,9 +279,8 @@ class DynamicMultigraph:
         "_version",
         "_stamp",
         "_cdf_cache",
-        "_csr_cache",
-        "_csr_dirty",
-        "_wave_view",
+        "_rows",
+        "_dirty",
         "node_listeners",
     )
 
@@ -74,21 +302,11 @@ class DynamicMultigraph:
         #: hot path, so no iterator indirection)
         self._stamp: int = 0
         self._cdf_cache: dict[NodeId, tuple[int, list[NodeId], list[int], int]] = {}
-        #: cached sparse adjacency: ``(order, order_arr, row-node ids,
-        #: col-node ids, multiplicities, csr matrix)``; patched from
-        #: ``_csr_dirty`` instead of rebuilt (the former O(n) rebuild
-        #: dominated repeated spectral sampling at large n)
-        self._csr_cache: (
-            tuple[list[NodeId], np.ndarray, np.ndarray, np.ndarray, np.ndarray, sp.csr_matrix]
-            | None
-        ) = None
-        #: nodes whose incident rows changed since the cached CSR was
-        #: built (includes joined and departed nodes)
-        self._csr_dirty: set[NodeId] = set()
-        #: memoized sampling view for the lockstep wave engine, keyed by
-        #: identity of the cached CSR matrix (rebuilt only when the CSR
-        #: itself is re-assembled)
-        self._wave_view: tuple[object, tuple] | None = None
+        #: the array adjacency (``None`` until first needed), and the
+        #: nodes -- joined and departed ones included -- whose incident
+        #: rows changed since it last took stock (:meth:`_array_adjacency`)
+        self._rows: _RowStore | None = None
+        self._dirty: set[NodeId] = set()
         #: callbacks ``f(delta)`` fired on node join (+1) / leave (-1);
         #: the coordinator's size counter consumes these deltas
         self.node_listeners: list[Callable[[int], None]] = []
@@ -105,7 +323,7 @@ class DynamicMultigraph:
         self._degree[u] = 0
         self._stamp += 1
         self._version[u] = self._stamp
-        self._csr_dirty.add(u)
+        self._dirty.add(u)
         self.topology_changes += 1
         for listener in self.node_listeners:
             listener(+1)
@@ -156,7 +374,7 @@ class DynamicMultigraph:
         del self._degree[u]
         del self._version[u]
         self._cdf_cache.pop(u, None)
-        self._csr_dirty.add(u)
+        self._dirty.add(u)
 
     def has_node(self, u: NodeId) -> bool:
         return u in self._adj
@@ -185,7 +403,7 @@ class DynamicMultigraph:
     def _touch(self, u: NodeId) -> None:
         self._stamp += 1
         self._version[u] = self._stamp
-        self._csr_dirty.add(u)
+        self._dirty.add(u)
 
     def node_version(self, u: NodeId) -> int:
         """Monotone stamp of ``u``'s incident edge state (cache keys)."""
@@ -225,9 +443,7 @@ class DynamicMultigraph:
         au = self._require(u)
         av = self._require(v)
         if au[v] < mult:
-            raise TopologyError(
-                f"edge ({u}, {v}) has multiplicity {au[v]} < {mult}"
-            )
+            raise TopologyError(f"edge ({u}, {v}) has multiplicity {au[v]} < {mult}")
         self._edge_units -= mult
         if u == v:
             au[u] -= mult
@@ -265,7 +481,7 @@ class DynamicMultigraph:
         deg[old] -= 1
         deg[new] += 1
         version = self._version
-        dirty = self._csr_dirty
+        dirty = self._dirty
         self._stamp += 1
         version[old] = self._stamp
         dirty.add(old)
@@ -327,7 +543,7 @@ class DynamicMultigraph:
             touched_other = True
         stamp = self._stamp
         version = self._version
-        dirty = self._csr_dirty
+        dirty = self._dirty
         stamp += 1
         version[old] = stamp
         dirty.add(old)
@@ -363,7 +579,7 @@ class DynamicMultigraph:
         self._degree[v] += self._degree[u]
         adj = self._adj
         version = self._version
-        dirty = self._csr_dirty
+        dirty = self._dirty
         dict_del = dict.__delitem__
         for w, m in nbrs.items():
             if m <= 0:
@@ -445,13 +661,6 @@ class DynamicMultigraph:
         return neighbors, cumulative, total
 
     @property
-    def csr_dirty_count(self) -> int:
-        """Rows the next CSR patch must re-emit (0 == the cached matrix
-        is current); the wave engine's auto heuristic reads this to
-        decide whether a wave amortizes the patch."""
-        return len(self._csr_dirty)
-
-    @property
     def num_edge_units(self) -> int:
         """Total multiplicity over undirected edges (self-loop weight
         counted once); O(1) from the cached total."""
@@ -479,9 +688,7 @@ class DynamicMultigraph:
         for u, nbrs in self._adj.items():
             degree = sum(m for m in nbrs.values() if m > 0)
             if self._degree.get(u) != degree:
-                raise TopologyError(
-                    f"cached degree {self._degree.get(u)} != {degree} at node {u}"
-                )
+                raise TopologyError(f"cached degree {self._degree.get(u)} != {degree} at node {u}")
             for v, m in nbrs.items():
                 if m <= 0:
                     continue
@@ -491,13 +698,9 @@ class DynamicMultigraph:
                     edge_units += m
                     connections += 1
         if self._edge_units != edge_units:
-            raise TopologyError(
-                f"cached edge units {self._edge_units} != {edge_units}"
-            )
+            raise TopologyError(f"cached edge units {self._edge_units} != {edge_units}")
         if self._connections != connections:
-            raise TopologyError(
-                f"cached connection count {self._connections} != {connections}"
-            )
+            raise TopologyError(f"cached connection count {self._connections} != {connections}")
         for u in self._adj:
             neighbors, cumulative, total = self.neighbor_cdf(u)
             items = sorted((v, m) for v, m in self._adj[u].items() if m > 0)
@@ -540,334 +743,131 @@ class DynamicMultigraph:
         src = next(iter(self._adj))
         return len(self.bfs_distances(src)) == self.num_nodes
 
-    def survivors_connected(self, victims: set[NodeId]) -> bool:
-        """Would the graph stay connected if ``victims`` disappeared?
-
-        Adjacency-delta BFS: clean rows of the *cached* (possibly stale)
-        CSR are expanded vectorized, while rows dirtied since the cache
-        was built -- including joined and departed nodes -- are walked
-        through the live adjacency dicts.  Because every multiplicity
-        change stamps both endpoints dirty, a clean row is guaranteed
-        current and can only reference nodes that still hold a CSR
-        position, so the hybrid traversal is exact without paying the
-        CSR patch for heal-dirtied rows (the former cost of batch
-        deletion validation).  The dirty set is left untouched for the
-        next consumer that genuinely needs the patched matrix."""
-        adj = self._adj
-        n_live = len(adj)
-        if n_live == 0:
-            return False
-        cache = self._csr_cache
-        if cache is None or 2 * len(self._csr_dirty) > n_live:
-            # No usable cache (or the delta would dominate): build once,
-            # then every row is clean and the loop below is pure numpy.
-            self.to_sparse_adjacency()
-            cache = self._csr_cache
-        order_arr, A = cache[1], cache[5]
-        n_csr = order_arr.shape[0]
-        indptr, indices = A.indptr, A.indices
-        dirty_live = [u for u in self._csr_dirty if u in adj]
-        survivors = n_live - sum(1 for v in victims if v in adj)
-        if survivors <= 0:
-            return False
-
-        def positions_of(ids: list[NodeId]) -> np.ndarray:
-            """CSR row positions of the ids that hold one (joined nodes
-            that postdate the cache are dropped)."""
-            arr = np.asarray(ids, dtype=np.int64)
-            p = np.searchsorted(order_arr, arr)
-            ok = (p < n_csr) & (order_arr[np.minimum(p, n_csr - 1)] == arr)
-            return p[ok]
-
-        visited = np.zeros(n_csr, dtype=bool)
-        # Departed nodes keep a stale row; clean rows never reference
-        # them (their departure dirtied every neighbor), so marking them
-        # visited only guards the dirty-row expansions below.
-        departed = [u for u in self._csr_dirty if u not in adj]
-        if departed:
-            visited[positions_of(departed)] = True
-        if victims:
-            visited[positions_of(list(victims))] = True
-        dirty_mask = np.zeros(n_csr, dtype=bool)
-        if dirty_live:
-            dirty_mask[positions_of(dirty_live)] = True
-        dirty_live_set = set(dirty_live)
-        dict_visited: set[NodeId] = set()
-
-        start = next(u for u in self._nodes if u not in victims)
-        count = 1
-        frontier_dirty: list[NodeId] = []
-        if start in dirty_live_set:
-            dict_visited.add(start)
-            frontier_dirty.append(start)
-            visited[positions_of([start])] = True
-            frontier = np.empty(0, dtype=np.int64)
-        else:
-            frontier = positions_of([start])
-            visited[frontier] = True
-
-        while frontier.size or frontier_dirty:
-            next_clean: list[np.ndarray] = []
-            if frontier.size:
-                # vectorized expansion of the clean frontier rows
-                row_starts = indptr[frontier]
-                counts = indptr[frontier + 1] - row_starts
-                total = int(counts.sum())
-                if total:
-                    cum = np.cumsum(counts)
-                    offsets = np.arange(total) + np.repeat(
-                        row_starts - np.concatenate(([0], cum[:-1])), counts
-                    )
-                    nbrs = indices[offsets]
-                    nbrs = np.unique(nbrs[~visited[nbrs]])
-                    if nbrs.size:
-                        visited[nbrs] = True
-                        hit_dirty = dirty_mask[nbrs]
-                        for p in nbrs[hit_dirty].tolist():
-                            u = int(order_arr[p])
-                            dict_visited.add(u)
-                            frontier_dirty.append(u)
-                            count += 1
-                        clean = nbrs[~hit_dirty]
-                        if clean.size:
-                            next_clean.append(clean)
-                            count += int(clean.size)
-            # dict expansion of the dirty frontier rows (live adjacency);
-            # clean neighbors are collected and resolved to positions in
-            # one batched searchsorted per level, not one call per edge
-            clean_candidates: list[NodeId] = []
-            dirty_next: list[NodeId] = []
-            for u in frontier_dirty:
-                for v, m in adj[u].items():
-                    if m <= 0 or v == u or v in victims:
-                        continue
-                    if v in dirty_live_set:
-                        if v not in dict_visited:
-                            dict_visited.add(v)
-                            dirty_next.append(v)
-                            count += 1
-                    else:
-                        clean_candidates.append(v)
-            if dirty_next:
-                visited[positions_of(dirty_next)] = True
-            if clean_candidates:
-                # clean nodes always hold a CSR position (a node without
-                # one postdates the cache, which makes it dirty)
-                cpos = np.unique(
-                    np.searchsorted(
-                        order_arr,
-                        np.asarray(clean_candidates, dtype=np.int64),
-                    )
-                )
-                fresh = cpos[~visited[cpos]]
-                if fresh.size:
-                    visited[fresh] = True
-                    next_clean.append(fresh)
-                    count += int(fresh.size)
-            frontier = (
-                np.concatenate(next_clean) if next_clean
-                else np.empty(0, dtype=np.int64)
-            )
-            frontier_dirty = dirty_next
-        return count == survivors
-
     def max_degree(self) -> int:
         return max(self._degree.values(), default=0)
+
+    # ------------------------------------------------------------------
+    # array adjacency (connectivity, wave engine, spectral sampling)
+    # ------------------------------------------------------------------
+    def _array_adjacency(self, fresh: bool = True, force_rebuild: bool = False) -> _RowStore:
+        """The array adjacency with its slots current and the rows of
+        every node touched since the last call marked stale -- or, with
+        ``fresh``, re-emitted (the first call emits every row)."""
+        rows = self._rows
+        if rows is None or force_rebuild:
+            rows = self._rows = _RowStore(self._adj)
+            rows.reslot(self._adj)
+        elif self._dirty:
+            rows.reslot(self._dirty)
+        self._dirty.clear()
+        if fresh:
+            rows.refresh()
+        return rows
+
+    def csr_wave_view(self) -> _RowStore:
+        """The lockstep wave engine's entry to the array adjacency: slots
+        current, stale rows *not* yet re-emitted -- the engine refreshes
+        each round's token positions, so a wave pays only for the stale
+        rows it visits.  Each row lists its neighbours in ascending id
+        order with row-local cumulative multiplicities, i.e. exactly
+        :meth:`neighbor_cdf`'s arrays, so the vectorized sampler and the
+        scalar reference map the same uniform to the same neighbor."""
+        return self._array_adjacency(fresh=False)
+
+    def survivors_connected(self, victims: Collection[NodeId]) -> bool:
+        """Would the graph stay connected if ``victims`` disappeared?
+        The stale rows are re-emitted, then one sort-free frontier BFS
+        over the array adjacency runs until every survivor is reached."""
+        rows = self._array_adjacency()
+        blocked, survivors = rows.blocked(victims)
+        return survivors > 0 and rows.reach(blocked, survivors).size == survivors
+
+    def survivor_components(
+        self, victims: Collection[NodeId], probe: Iterable[NodeId]
+    ) -> tuple[int, dict[NodeId, int]]:
+        """Connected components of the graph without ``victims``: their
+        number, and the component label of each ``probe`` node (live
+        survivors).  The traversal of :meth:`survivors_connected` run to
+        exhaustion, so the Python work is proportional to the probes."""
+        rows = self._array_adjacency()
+        blocked, survivors = rows.blocked(victims)
+        label = np.full(blocked.size, -1, dtype=np.int64)
+        count = 0
+        while survivors > 0:
+            reached = rows.reach(blocked, survivors)
+            label[reached] = count
+            survivors -= reached.size
+            count += 1
+        return count, {u: int(label[rows.slot_of[u]]) for u in probe}
 
     def to_sparse_adjacency(
         self, force_rebuild: bool = False
     ) -> tuple[list[NodeId], sp.csr_matrix]:
         """``(ordering, A)`` with the multigraph conventions preserved:
         off-diagonal entries are multiplicities, diagonal entries are the
-        stored self-loop weights.
+        stored self-loop weights; rows follow ascending node id.
 
-        The matrix is cached and *patched* between calls: every mutation
-        records its endpoints in a dirty set, and a repeated call drops
-        the dirty rows from the cached coordinate arrays (vectorized) and
-        re-emits only those rows from the adjacency structure.  Because
-        every multiplicity change touches both endpoints, entries whose
-        row node is clean are guaranteed current, so the patch is exact
-        -- :meth:`verify_sparse_cache` audits it against a from-scratch
-        build.  Callers must treat the returned matrix as read-only.
-        """
-        cache = self._csr_cache
-        dirty = self._csr_dirty
-        # A patch walks only the dirty adjacency rows in Python; past
-        # ~half the graph the full rebuild is no slower and resets the
-        # arrays to minimal size.
-        if force_rebuild or cache is None or 2 * len(dirty) > self.num_nodes:
-            return self._csr_rebuild()
-        if not dirty:
-            return cache[0], cache[5]
-        return self._csr_patch()
+        Assembled on demand from the array adjacency (vectorized, O(nnz))
+        and memoized until a row changes.  ``force_rebuild`` discards the
+        array adjacency and re-emits every row first.  Callers must treat
+        the returned matrix as read-only."""
+        return self._array_adjacency(force_rebuild=force_rebuild).csr()
 
-    def _csr_emit_rows(
-        self, nodes: Iterable[NodeId]
-    ) -> tuple[list[NodeId], list[NodeId], list[float]]:
-        """Coordinate triplets for the given nodes' rows, grouped per
-        node and sorted by column id *within* each row (callers pass
-        nodes in ascending order to keep the cached arrays sorted by row
-        node id).  The within-row order matters: it makes each CSR row's
-        cumulative-multiplicity slice identical to the node's
-        :meth:`neighbor_cdf`, so the lockstep wave engine and the scalar
-        sampler map the same uniform draw to the same neighbor."""
-        rid: list[NodeId] = []
-        cid: list[NodeId] = []
-        dat: list[float] = []
-        for u in nodes:
-            nbrs = self._adj.get(u)
-            if nbrs is None:
-                continue  # departed node: its cached entries are dropped
-            for v in sorted(nbrs):
-                m = nbrs[v]
-                if m > 0:
-                    rid.append(u)
-                    cid.append(v)
-                    dat.append(float(m))
-        return rid, cid, dat
-
-    def _csr_finish(
-        self,
-        order: list[NodeId],
-        order_arr: np.ndarray,
-        rid: np.ndarray,
-        cid: np.ndarray,
-        dat: np.ndarray,
-    ) -> tuple[list[NodeId], sp.csr_matrix]:
-        """Assemble the CSR directly from triplets sorted by row node id:
-        node ids map to row positions through a dense lookup table
-        (ids are bounded by the insertion history, so the table is a
-        fancy-index O(1) per entry), and row pointers come from a
-        bincount over row positions -- scipy never has to re-sort or
-        coalesce a COO intermediate.  ``order``/``order_arr`` are the
-        sorted live node ids, computed incrementally by the patch path
-        (merge) and from scratch by the rebuild path."""
-        n = len(order)
-        if n:
-            base = int(order_arr[0])
-            span = int(order_arr[-1]) - base + 1
-            if span <= max(1024, 4 * n):
-                # Dense offset LUT: O(1) per entry.  Offsetting by the
-                # smallest live id keeps the table sized by the id *span*,
-                # not the absolute ids -- a sharded partition based at
-                # i * 2^40 has the same span as an unsharded network.
-                lut = np.empty(span, dtype=np.int64)
-                lut[order_arr - base] = np.arange(n, dtype=np.int64)
-                rows = lut[rid - base]
-                indices = lut[cid - base]
-            else:
-                # Sparse ids (e.g. client-pinned ids far into a shard's
-                # region): binary search instead of a span-sized table.
-                # Exact because every endpoint id is live, hence present
-                # in ``order_arr``.
-                rows = np.searchsorted(order_arr, rid)
-                indices = np.searchsorted(order_arr, cid)
-        else:
-            rows = indices = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        A = sp.csr_matrix((dat, indices, indptr), shape=(n, n))
-        self._csr_cache = (order, order_arr, rid, cid, dat, A)
-        self._csr_dirty.clear()
-        return order, A
-
-    def _csr_rebuild(self) -> tuple[list[NodeId], sp.csr_matrix]:
-        order = sorted(self._adj)
-        rid, cid, dat = self._csr_emit_rows(order)
-        return self._csr_finish(
-            order,
-            np.asarray(order, dtype=np.int64),
-            np.asarray(rid, dtype=np.int64),
-            np.asarray(cid, dtype=np.int64),
-            np.asarray(dat, dtype=np.float64),
-        )
-
-    def _csr_patch(self) -> tuple[list[NodeId], sp.csr_matrix]:
-        _order, order_arr, rid, cid, dat, _A = self._csr_cache
-        dirty = self._csr_dirty
-        dirty_arr = np.fromiter(dirty, count=len(dirty), dtype=np.int64)
-        keep = ~np.isin(rid, dirty_arr)
-        rid, cid, dat = rid[keep], cid[keep], dat[keep]
-        dirty_sorted = sorted(dirty)
-        add_r, add_c, add_d = self._csr_emit_rows(dirty_sorted)
-        if add_r:
-            at = np.searchsorted(rid, add_r)
-            rid = np.insert(rid, at, add_r)
-            cid = np.insert(cid, at, add_c)
-            dat = np.insert(dat, at, add_d)
-        # The ordering is nearly sorted: the retained rows are already in
-        # ascending id order, so instead of re-sorting all live ids
-        # (the former Timsort over the whole key list -- the remaining
-        # O(n log n) term at large n) merge the retained order with the
-        # sorted dirty re-emissions.
-        retained = order_arr[~np.isin(order_arr, dirty_arr)]
-        joined = np.asarray(
-            [u for u in dirty_sorted if u in self._adj], dtype=np.int64
-        )
-        if joined.size:
-            order_arr = np.insert(retained, np.searchsorted(retained, joined), joined)
-        else:
-            order_arr = retained
-        return self._csr_finish(order_arr.tolist(), order_arr, rid, cid, dat)
-
-    def csr_wave_view(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sampling view for the lockstep wave engine:
-        ``(order_arr, indptr, indices, cumbase)`` over the incrementally
-        patched CSR, where ``cumbase`` is the exclusive prefix sum of the
-        multiplicity data (length ``nnz + 1``; ``cumbase[indptr[r]]`` is
-        row ``r``'s base and ``cumbase[indptr[r+1]] - base`` its total).
-
-        Rows are emitted sorted by column id and the id->position lookup
-        is monotone, so ``cumbase`` sliced per row is *numerically
-        identical* to :meth:`neighbor_cdf`'s cumulative array -- the
-        vectorized sampler and the scalar reference map the same uniform
-        to the same neighbor.  Memoized per assembled CSR object."""
-        _order, A = self.to_sparse_adjacency()
-        view = self._wave_view
-        if view is not None and view[0] is A:
-            return view[1]
-        cumbase = np.zeros(A.data.shape[0] + 1, dtype=np.float64)
-        np.cumsum(A.data, out=cumbase[1:])
-        out = (self._csr_cache[1], A.indptr, A.indices, cumbase)
-        self._wave_view = (A, out)
-        return out
+    @property
+    def sync_stats(self) -> dict[str, int]:
+        """Work counters of the array adjacency: rows and entries emitted
+        so far, pool compactions, pool entries handed out to rows."""
+        rows = self._rows or _RowStore(self._adj)
+        return {
+            "sync_rows": rows.sync_rows,
+            "sync_entries": rows.sync_entries,
+            "pool_compactions": rows.pool_compactions,
+            "pool_used": rows.tail,
+        }
 
     def verify_sparse_cache(self) -> None:
-        """Audit the incremental CSR against a from-scratch build (the
-        oracle behind the churn property tests).  A no-op while nothing
-        is cached."""
-        if self._csr_cache is None:
+        """Audit the array adjacency against the adjacency dicts and the
+        assembled CSR against a from-scratch build (the oracle behind the
+        churn property tests).  A no-op before the first use."""
+        if self._rows is None:
             return
         order, A = self.to_sparse_adjacency()
-        expect_order = sorted(self._adj)
-        if order != expect_order:
+        rows = self._rows
+        slot_of = rows.slot_of
+        if slot_of.keys() != self._adj.keys() or rows.stale.any():
+            raise TopologyError("slot map diverged from the live nodes")
+        live = np.fromiter(slot_of.values(), dtype=np.int64, count=len(slot_of))
+        held = np.bincount(live, minlength=rows.ids.size)
+        free = np.bincount(np.asarray(rows.free, dtype=np.int64), minlength=held.size)
+        if (held + free != 1).any() or (rows.dead != (free == 1)).any():
+            raise TopologyError("live slots and free list do not partition the slots")
+        by_start = live[np.argsort(rows.start[live])]
+        by_start = by_start[rows.cap[by_start] > 0]
+        ends = rows.start[by_start] + rows.cap[by_start]
+        if (ends > np.append(rows.start[by_start[1:]], rows.tail)).any():
+            raise TopologyError("row extents overlap or overrun the pool tail")
+        if rows.garbage != rows.tail - int(rows.cap[live].sum()):
+            raise TopologyError("pool garbage count diverged")
+        for u, s in slot_of.items():
+            neighbors, cumulative, total = self.neighbor_cdf(u)
+            lo = int(rows.start[s])
+            row = slice(lo, lo + int(rows.len[s]))
+            if (
+                rows.ids[s] != u
+                or rows.len[s] > rows.cap[s]
+                or rows.ids[rows.nbr[row]].tolist() != neighbors
+                or rows.dead[rows.nbr[row]].any()
+                or rows.cum[row].tolist() != cumulative
+                or rows.tot[s] != total
+            ):
+                raise TopologyError(f"array adjacency row stale at node {u}")
+        if order != sorted(self._adj):
             raise TopologyError("sparse adjacency ordering diverged")
-        index = {u: i for i, u in enumerate(expect_order)}
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for u, nbrs in self._adj.items():
-            i = index[u]
-            for v, m in nbrs.items():
-                if m > 0:
-                    rows.append(i)
-                    cols.append(index[v])
-                    data.append(float(m))
-        n = len(expect_order)
-        B = sp.csr_matrix(
-            (
-                np.asarray(data),
-                (
-                    np.asarray(rows, dtype=np.int64),
-                    np.asarray(cols, dtype=np.int64),
-                ),
-            ),
-            shape=(n, n),
-        )
-        diff = (A - B).tocoo()
-        if diff.nnz and bool(np.any(diff.data != 0)):
-            raise TopologyError(
-                "sparse adjacency cache diverged from from-scratch rebuild"
-            )
+        index = {u: i for i, u in enumerate(order)}
+        r = [index[u] for u, nbrs in self._adj.items() for _ in nbrs]
+        c = [index[v] for nbrs in self._adj.values() for v in nbrs]
+        mults = (m for nbrs in self._adj.values() for m in nbrs.values())
+        d = np.fromiter(mults, dtype=np.float64, count=len(r))
+        B = sp.csr_matrix((d, (r, c)), shape=(len(order), len(order)))
+        if (A != B).nnz:
+            raise TopologyError("sparse adjacency diverged from from-scratch rebuild")

@@ -37,18 +37,14 @@ except ImportError:  # pragma: no cover - the CI image always has numpy
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-#: below this many tokens the numpy setup (CSR view, membership mask)
-#: costs more than it saves; ``engine="auto"`` runs the scalar reference
-#: instead.  Purely a performance knob: both engines implement the same
-#: draw protocol, so the choice never changes results.
-VECTOR_MIN_TOKENS = 24
-
-#: with a *dirty* CSR the vector engine additionally pays an O(nnz)
-#: incremental patch before the first hop, so ``engine="auto"`` demands
-#: the wave's worst-case work (tokens x length) exceed this many hops
-#: per graph node before vectorizing; healing waves of a small batch at
-#: large n correctly stay scalar.
-VECTOR_MIN_WORK_PER_NODE = 4
+#: below this many tokens ``engine="auto"`` runs the scalar reference:
+#: a vector round costs about as much as 50 scalar hops whatever it
+#: moves, so on long walks the engines cross near 128 tokens, and on the
+#: one- or two-hop walks of a Spare-rich network the scalar loop wins
+#: at any size measured (to 2048 tokens).  Purely a performance knob:
+#: both engines implement the same draw protocol, so the choice never
+#: changes results.
+VECTOR_MIN_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -373,56 +369,27 @@ def _wave_vector(
     transcript: list | None,
 ) -> tuple[list[NodeId], list[bool], int, int]:
     """Lockstep numpy implementation of the wave protocol: all active
-    tokens advance per round as vectorized operations over the
-    incrementally patched CSR (:meth:`DynamicMultigraph.csr_wave_view`).
+    tokens advance per round as vectorized operations over the graph's
+    array adjacency (:meth:`DynamicMultigraph.csr_wave_view`), whose
+    stale rows are re-emitted as tokens reach them.  Positions are row
+    *slots*; ids reappear only in the results.
 
-    A proposed hop is a *directed-edge slot* -- the CSR data index the
+    A proposed hop is a *directed-edge slot* -- the pool index the
     weighted draw lands on -- so the Lemma 11 one-token-per-directed-edge
     rule resolves sort-free: a reversed fancy assignment into a
     per-slot claims array leaves each slot holding its *first* claimant
     in active order, and every later claimant blocks.  (No per-round
     reset is needed: a round writes each slot it reads.)"""
     k = len(starts)
-    order_arr, indptr, indices, cumbase = graph.csr_wave_view()
-    n_csr = order_arr.shape[0]
-    starts_arr = np.asarray(starts, dtype=np.int64)
-    pos = np.searchsorted(order_arr, starts_arr)
-    if n_csr == 0 or bool(
-        np.any(pos >= n_csr)
-        or np.any(order_arr[np.minimum(pos, n_csr - 1)] != starts_arr)
-    ):
-        missing = (
-            starts_arr[0]
-            if n_csr == 0
-            else starts_arr[
-                (pos >= n_csr) | (order_arr[np.minimum(pos, n_csr - 1)] != starts_arr)
-            ][0]
-        )
-        raise TopologyError(f"node {missing} does not exist")
-    indices = indices.astype(np.int64, copy=False)
-    indptr = indptr.astype(np.int64, copy=False)
-    # Per-row base/total of the multiplicity prefix sums, and whether
-    # any row is empty (a DEX node never is: degree = 3 * load >= 3, but
-    # the raw multigraph API allows it).
-    rowbase = cumbase[indptr[:-1]]
-    rowtot = cumbase[indptr[1:]] - rowbase
-    has_empty = bool((rowtot == 0.0).any())
-    member_mask = np.zeros(n_csr, dtype=bool)
-    member_ids = np.fromiter(members, dtype=np.int64, count=len(members))  # type: ignore[arg-type]
-    if member_ids.size:
-        mpos = np.searchsorted(order_arr, member_ids)
-        ok = (mpos < n_csr) & (order_arr[np.minimum(mpos, n_csr - 1)] == member_ids)
-        member_mask[mpos[ok]] = True
-    member_any = bool(member_ids.size)
-    excl_pos = np.full(k, -1, dtype=np.int64)
-    any_excl = False
-    for i, avoid in enumerate(excl):
-        if avoid is not None:
-            p = int(np.searchsorted(order_arr, avoid))
-            if p < n_csr and order_arr[p] == avoid:
-                excl_pos[i] = p
-                any_excl = True
-    need_stuck = has_empty or any_excl
+    rows = graph.csr_wave_view()
+    slot_of, ids = rows.slot_of, rows.ids
+    pos = np.asarray([slot_of[s] for s in starts], dtype=np.int64)
+    excl_pos = np.asarray(
+        [-1 if avoid is None else slot_of.get(avoid, -1) for avoid in excl],
+        dtype=np.int64,
+    )
+    any_excl = bool((excl_pos >= 0).any())
+    is_member = members.__contains__
     remaining = np.full(k, length, dtype=np.int64)
     founds = np.zeros(k, dtype=bool)
     total_hops = 0
@@ -431,78 +398,71 @@ def _wave_vector(
     random_unit = gen.random
     #: claims array, one cell per directed-edge slot; written before
     #: read within each round, so it needs no initialization or reset
-    first_claim = np.empty(max(indices.shape[0], 1), dtype=np.int64)
+    first_claim = np.empty(0, dtype=np.int64)
     while active.size:
         rounds += 1
         m = active.size
         at = pos[active]
+        # Rows are read only where tokens stand; a refresh may move rows
+        # or grow the pool, so the arrays are looked up afresh each round.
+        rows.refresh(at)
+        rstart, rlen, rtot, nbr, cum = rows.start, rows.len, rows.tot, rows.nbr, rows.cum
+        if first_claim.size < rows.tail:
+            first_claim = np.empty(rows.tail, dtype=np.int64)
         # Pass 1: this round's uniform block, then every token's
         # weighted proposal in one batched draw -- int(u * total)
-        # truncation and a global searchsorted on the prefix-sum array
-        # (bounds confine each hit to its row, and the row slice equals
-        # neighbor_cdf's cumulative array, so the same uniform maps to
-        # the same neighbor as the scalar bisect).
+        # truncation, then the number of the row's cumulative sums that
+        # do not exceed it (the row is neighbor_cdf's cumulative array,
+        # so this is the scalar engine's bisect_right and the same
+        # uniform maps to the same neighbor).
         u = gen.random(m)
-        base = rowbase[at]
-        np.multiply(u, rowtot[at], out=u)
+        np.multiply(u, rtot[at], out=u)
         np.floor(u, out=u)
-        np.add(u, base, out=u)
-        if need_stuck:
-            stuck = rowtot[at] == 0.0
-            j = np.empty(m, dtype=np.int64)
-            ok = ~stuck
-            j[ok] = np.searchsorted(cumbase, u[ok], side="right") - 1
-            j[stuck] = 0
-        else:
-            stuck = None
-            j = np.searchsorted(cumbase, u, side="right") - 1
-        nxt = indices[j]
+        owner = np.repeat(np.arange(m), rlen[at])
+        below = cum[rows.span(at)] <= u[owner]
+        j = rstart[at] + np.bincount(owner[below], minlength=m)
+        # A token on an empty row (or, below, with every neighbour
+        # excluded) is stuck: it stays put and leaves the wave.  A DEX
+        # node never is empty (degree = 3 * load >= 3), but the raw
+        # multigraph API allows it.
+        stuck = rtot[at] == 0.0
+        j[stuck] = 0
+        nxt = nbr[j]
         # Pass 2: conditional redraws, in active order (rare).
         if any_excl:
-            hit_mask = nxt == excl_pos[active]
-            if stuck is not None:
-                hit_mask &= ~stuck
+            hit_mask = (nxt == excl_pos[active]) & ~stuck
             for slot in np.nonzero(hit_mask)[0].tolist():
-                idx = int(active[slot])
+                here = int(at[slot])
                 res = _filtered_redraw(
-                    graph, int(order_arr[at[slot]]), excl[idx], random_unit
+                    graph, int(ids[here]), excl[int(active[slot])], random_unit
                 )
                 if res is None:
                     stuck[slot] = True
                 else:
-                    p = int(np.searchsorted(order_arr, res))
-                    rs = int(indptr[p_at := int(at[slot])])
-                    re_ = int(indptr[p_at + 1])
-                    nxt[slot] = p
-                    j[slot] = rs + int(np.searchsorted(indices[rs:re_], p))
+                    lo = int(rstart[here])
+                    row = nbr[lo : lo + int(rlen[here])]
+                    nxt[slot] = slot_of[res]
+                    j[slot] = lo + int(np.flatnonzero(row == nxt[slot])[0])
         # Pass 3: sort-free edge claims -- first token in active order
         # wins each directed-edge slot; losers block and retry.
-        claim_mask = nxt != at
-        if stuck is not None:
-            claim_mask &= ~stuck
-        claim_sel = np.nonzero(claim_mask)[0]
+        moved = ~stuck
+        claim_sel = np.nonzero((nxt != at) & moved)[0]
         jcl = j[claim_sel]
         first_claim[jcl[::-1]] = claim_sel[::-1]
         win = first_claim[jcl] == claim_sel
         blocked_slots = claim_sel[~win]
-        if stuck is None:
-            moved = np.ones(m, dtype=bool)
-        else:
-            moved = ~stuck
         moved[blocked_slots] = False
         moved_tokens = active[moved]
         new_pos = nxt[moved]
         pos[moved_tokens] = new_pos
         total_hops += int(moved_tokens.size)
-        if member_any:
-            found_now = member_mask[new_pos]
-            founds[moved_tokens[found_now]] = True
-            walk_mask = moved.copy()
-            walk_mask[moved] = ~found_now
-            walk_tokens = moved_tokens[~found_now]
-        else:
-            walk_mask = moved
-            walk_tokens = moved_tokens
+        found_now = np.fromiter(
+            map(is_member, ids[new_pos].tolist()), dtype=bool, count=new_pos.size
+        )
+        founds[moved_tokens[found_now]] = True
+        walk_mask = moved.copy()
+        walk_mask[moved] = ~found_now
+        walk_tokens = moved_tokens[~found_now]
         remaining[walk_tokens] -= 1
         keep = np.zeros(m, dtype=bool)
         keep[blocked_slots] = True
@@ -511,22 +471,14 @@ def _wave_vector(
         if transcript is not None:
             winners = claim_sel[win]
             transcript.append((
-                tuple(order_arr[pos].tolist()),
+                tuple(ids[pos].tolist()),
                 tuple(sorted(
-                    zip(
-                        order_arr[at[winners]].tolist(),
-                        order_arr[nxt[winners]].tolist(),
-                    )
+                    zip(ids[at[winners]].tolist(), ids[nxt[winners]].tolist())
                 )),
             ))
         if rounds > 1000 * max(1, length):  # pragma: no cover - safety
             raise TopologyError("parallel walks failed to complete")
-    return (
-        order_arr[pos].tolist(),
-        founds.tolist(),
-        total_hops,
-        rounds,
-    )
+    return ids[pos].tolist(), founds.tolist(), total_hops, rounds
 
 
 def run_wave(
@@ -553,14 +505,13 @@ def run_wave(
     * ``"scalar"`` -- the per-token reference loop (and the fallback
       when numpy is absent); the differential-test oracle.
     * ``"vector"`` -- the lockstep numpy engine: all active tokens of a
-      round advance as vectorized CSR operations (`searchsorted` on the
-      prefix-sum of row multiplicities, batched weighted draws), with
-      the Lemma 11 one-token-per-directed-edge rule enforced via
-      vectorized edge-claim arrays.
+      round advance as vectorized operations on the graph's array
+      adjacency (batched weighted draws against the row-local cumulative
+      multiplicities), with the Lemma 11 one-token-per-directed-edge
+      rule enforced via vectorized edge-claim arrays.
     * ``"auto"`` -- vector for waves of at least ``VECTOR_MIN_TOKENS``
-      tokens with a set-like member container, provided the CSR is
-      already clean or the wave's worst-case work amortizes the O(nnz)
-      patch (``VECTOR_MIN_WORK_PER_NODE``); scalar otherwise.
+      tokens (it re-emits only the stale rows its tokens visit, so
+      neither graph size nor earlier churn enters); scalar otherwise.
 
     Randomness: the wave's order is shuffled once with the caller's
     ``rng``, which then seeds a dedicated PCG64 stream; each round both
@@ -598,12 +549,6 @@ def run_wave(
         engine == "auto"
         and HAVE_NUMPY
         and len(starts) >= VECTOR_MIN_TOKENS
-        and isinstance(members, (set, frozenset, dict))
-        and (
-            graph.csr_dirty_count == 0
-            or len(starts) * max(1, length)
-            >= VECTOR_MIN_WORK_PER_NODE * graph.num_nodes
-        )
     )
     if _trace.current().enabled:
         with _trace.span(

@@ -140,8 +140,9 @@ class TestRandomNodeSampler:
 
 
 class TestIncrementalCSR:
-    """The sparse-adjacency cache: patched from the dirty set, audited
-    against a from-scratch build (PR 2)."""
+    """The id-sorted scipy CSR: assembled on demand from the array
+    adjacency a sync keeps current, audited against a from-scratch
+    build."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), ops=st.integers(1, 60))
@@ -185,11 +186,10 @@ class TestIncrementalCSR:
         graph.verify_sparse_cache()
 
     def test_nearly_sorted_order_merge_matches_rebuild(self):
-        """The patch path merges the retained (sorted) ordering with
-        the sorted dirty re-emissions instead of re-sorting every live
-        id; interleaved joins and departures -- including ids that sort
-        between, before, and after the retained ones -- must land in
-        exactly the ordering ``force_rebuild=True`` computes."""
+        """Rows live at slots in join order, not id order; interleaved
+        joins and departures -- including ids that sort between, before,
+        and after the retained ones -- must still assemble into exactly
+        the ordering ``force_rebuild=True`` computes."""
         graph = DynamicMultigraph()
         for u in range(0, 100, 4):  # sparse id space: 0, 4, 8, ...
             graph.add_node(u)
@@ -203,10 +203,11 @@ class TestIncrementalCSR:
             graph.add_node(new)
             graph.add_edge(new, 0)
         graph.drop_node_with_edges(8)
-        assert 0 < 2 * graph.csr_dirty_count <= graph.num_nodes, (
-            "test must exercise the merge patch path, not the rebuild"
-        )
+        emitted = graph.sync_stats["sync_rows"]
         order, patched = graph.to_sparse_adjacency()
+        assert 0 < graph.sync_stats["sync_rows"] - emitted < graph.num_nodes // 2, (
+            "test must exercise an incremental refresh, not a first build"
+        )
         assert order == sorted(graph.nodes())
         order2, rebuilt = graph.to_sparse_adjacency(force_rebuild=True)
         assert order == order2
@@ -227,7 +228,8 @@ class TestIncrementalCSR:
 
 
 class TestSurvivorsConnected:
-    """Vectorized remainder-connectivity (batch deletion validator)."""
+    """Remainder-connectivity on the array adjacency (batch deletion
+    validator)."""
 
     def _oracle(self, graph: DynamicMultigraph, victims: set[int]) -> bool:
         survivors = [u for u in graph.nodes() if u not in victims]
@@ -272,9 +274,11 @@ class TestSurvivorsConnected:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_delta_bfs_on_dirty_cache_matches_oracle(self, seed: int):
-        """The adjacency-delta BFS: a stale CSR plus live-dict expansion
-        of the dirtied rows (joins, departures, edge churn) must agree
-        with the pure-Python oracle *without* patching the cache."""
+        """Sync-then-BFS on a stale array adjacency: after joins,
+        departures (whose slots later joiners reuse) and edge churn, the
+        answer must agree with the pure-Python oracle for victim sets
+        that contain dirty and just-joined nodes -- round after round on
+        the same graph, so every sync starts from the previous one."""
         rng = random.Random(seed)
         graph = DynamicMultigraph()
         n = rng.randrange(6, 24)
@@ -282,23 +286,205 @@ class TestSurvivorsConnected:
             graph.add_node(u)
         for _ in range(rng.randrange(n, 3 * n)):
             graph.add_edge(rng.randrange(n), rng.randrange(n))
-        graph.to_sparse_adjacency()  # freeze a (soon stale) CSR
+        graph.to_sparse_adjacency()  # first sync: every row
         nid = n
-        for _ in range(rng.randrange(1, 6)):
-            c = rng.random()
-            live = list(graph.nodes())
-            if c < 0.35:
-                graph.add_node(nid)
-                graph.add_edge(nid, rng.choice(live))
-                nid += 1
-            elif c < 0.55 and len(live) > 4:
-                graph.drop_node_with_edges(rng.choice(live))
-            else:
-                graph.add_edge(rng.choice(live), rng.choice(live))
-        dirty_before = graph.csr_dirty_count
-        victims = {u for u in graph.nodes() if rng.random() < 0.3}
-        got = graph.survivors_connected(victims)
-        assert got == self._oracle(graph, victims)
-        if 2 * dirty_before <= graph.num_nodes:
-            # the delta traversal must not have paid the patch
-            assert graph.csr_dirty_count == dirty_before
+        for _round in range(4):
+            touched: set[int] = set()
+            for _ in range(rng.randrange(1, 6)):
+                c = rng.random()
+                live = list(graph.nodes())
+                if c < 0.35:
+                    anchor = rng.choice(live)
+                    graph.add_node(nid)
+                    graph.add_edge(nid, anchor)
+                    touched |= {nid, anchor}
+                    nid += 1
+                elif c < 0.55 and len(live) > 4:
+                    gone = rng.choice(live)
+                    touched |= set(graph.distinct_neighbors(gone))
+                    graph.drop_node_with_edges(gone)
+                else:
+                    a, b = rng.choice(live), rng.choice(live)
+                    graph.add_edge(a, b)
+                    touched |= {a, b}
+            touched = {u for u in touched if graph.has_node(u)}
+            victims = {u for u in graph.nodes() if rng.random() < 0.3}
+            victims |= set(rng.sample(sorted(touched), min(2, len(touched))))
+            assert graph.survivors_connected(victims) == self._oracle(graph, victims)
+            graph.verify_sparse_cache()
+
+    def test_departed_slot_is_reused_by_a_later_joiner(self):
+        graph = DynamicMultigraph()
+        for u in range(5):
+            graph.add_node(u)
+        for u in range(4):
+            graph.add_edge(u, u + 1)
+        assert graph.survivors_connected(set())
+        slot = graph.csr_wave_view().slot_of[2]
+        graph.drop_node_with_edges(2)
+        assert not graph.survivors_connected(set())  # 0-1 | 3-4
+        graph.add_node(9)
+        graph.add_edge(9, 1)
+        graph.add_edge(9, 3)
+        assert graph.survivors_connected(set())
+        rows = graph.csr_wave_view()
+        assert rows.slot_of[9] == slot and 2 not in rows.slot_of
+        assert not graph.survivors_connected({9})
+        graph.verify_sparse_cache()
+
+    def test_component_labels(self):
+        graph = DynamicMultigraph()
+        for u in range(8):
+            graph.add_node(u)
+        for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7)]:
+            graph.add_edge(a, b)
+        count, label = graph.survivor_components({2, 6}, probe=[0, 1, 3, 5, 7])
+        assert count == 3
+        assert label[0] == label[1] and label[3] == label[5]
+        assert len({label[0], label[3], label[7]}) == 3
+
+
+def _ring(n: int) -> DynamicMultigraph:
+    graph = DynamicMultigraph()
+    for u in range(n):
+        graph.add_node(u)
+    for u in range(n):
+        graph.add_edge(u, (u + 1) % n)
+        graph.add_edge(u, (u + 7) % n)
+    return graph
+
+
+class TestSyncProportionality:
+    """A sync costs what was touched, not what exists (counted, not
+    timed), and one wide row never widens the others."""
+
+    def test_sync_reemits_exactly_the_touched_rows(self):
+        graph = _ring(400)
+        graph.to_sparse_adjacency()
+        rows = graph.csr_wave_view()
+        before = graph.sync_stats
+        assert before["sync_rows"] == 400 and before["pool_compactions"] == 0
+        arrays = [getattr(rows, name) for name in ("ids", "start", "len", "cap", "nbr", "cum")]
+        touched = [10, 11, 200, 201, 333, 20]
+        graph.remove_edge(10, 11)  # rows shrink: rewritten in place
+        graph.add_edge(200, 201, mult=3)  # same length: rewritten in place
+        graph.add_edge(333, 20)  # rows grow within their slack
+        entries = sum(len(graph.neighbor_multiplicities(u)) for u in touched)
+        assert graph.survivors_connected({0})
+        after = graph.sync_stats
+        assert after["sync_rows"] - before["sync_rows"] == len(touched)
+        assert after["sync_entries"] - before["sync_entries"] == entries
+        # nothing nnz- or n-sized was allocated, repacked or appended to
+        assert after["pool_compactions"] == 0
+        assert after["pool_used"] == before["pool_used"]
+        for name, arr in zip(("ids", "start", "len", "cap", "nbr", "cum"), arrays):
+            assert getattr(rows, name) is arr, name
+        graph.verify_sparse_cache()
+
+    def test_wave_reemits_only_the_stale_rows_it_visits(self):
+        from repro.net.walks import run_wave
+
+        graph = _ring(400)
+        graph.to_sparse_adjacency()
+        for u in range(0, 400, 4):  # 100 touched pairs -> 200 stale rows
+            graph.add_edge(u, u + 1)
+        before = graph.sync_stats["sync_rows"]
+        starts = list(range(30))  # rows 0..29 and whatever they walk onto
+        ends, _founds, hops, _rounds = run_wave(
+            graph, starts, 2, frozenset(), random.Random(3), engine="vector"
+        )
+        emitted = graph.sync_stats["sync_rows"] - before
+        assert hops == 60 and 15 <= emitted <= 30 + hops
+        assert graph.survivors_connected({0})  # ... which emits the rest
+        assert graph.sync_stats["sync_rows"] - before == 200
+        graph.verify_sparse_cache()
+
+    def test_clean_graph_syncs_nothing(self):
+        graph = _ring(50)
+        graph.survivors_connected({3})
+        before = graph.sync_stats
+        graph.survivors_connected({4})
+        graph.csr_wave_view()
+        graph.to_sparse_adjacency()
+        assert graph.sync_stats == before
+
+    def test_fat_row_does_not_widen_the_others(self):
+        n = 400
+        graph = _ring(n)
+        graph.to_sparse_adjacency()
+        rows = graph.csr_wave_view()
+        caps = {u: int(rows.cap[rows.slot_of[u]]) for u in range(n)}
+        for v in range(50, 350):  # node 0 adopts 300 distinct neighbours
+            graph.add_edge(0, v)
+        assert graph.survivors_connected({1})
+        rows = graph.csr_wave_view()
+        assert int(rows.len[rows.slot_of[0]]) >= 300
+        for u in range(n):
+            if u == 0 or 50 <= u < 350:
+                continue  # node 0's own row, and the rows that gained it
+            assert int(rows.cap[rows.slot_of[u]]) == caps[u], u
+        for u in range(50, 350):
+            assert int(rows.cap[rows.slot_of[u]]) <= caps[u] + 1 + 2  # + one entry (+ slack)
+        nnz = sum(len(graph.neighbor_multiplicities(u)) for u in range(n))
+        assert graph.sync_stats["pool_used"] <= 3 * nnz
+        graph.verify_sparse_cache()
+        # ... and when the fat row thins out again the storage follows
+        for v in range(50, 350):
+            graph.remove_edge(0, v)
+        graph.survivors_connected(set())
+        assert int(rows.cap[rows.slot_of[0]]) <= 8
+        graph.verify_sparse_cache()
+
+    def test_pool_is_compacted_when_half_garbage(self):
+        graph = _ring(64)
+        graph.to_sparse_adjacency()
+        rng = random.Random(4)
+        for _ in range(60):  # rows keep outgrowing their extents
+            u = rng.randrange(64)
+            for _ in range(4):
+                graph.add_edge(u, rng.randrange(64))
+            graph.to_sparse_adjacency()
+            nnz = sum(len(graph.neighbor_multiplicities(w)) for w in range(64))
+            assert graph.sync_stats["pool_used"] <= 3 * nnz
+        assert graph.sync_stats["pool_compactions"] >= 1
+        graph.verify_sparse_cache()
+        assert graph.survivors_connected({5}) is True
+
+
+class TestAuditCatchesDrift:
+    """``verify_sparse_cache`` is only worth wiring into the invariant
+    suite if it notices a corrupted array adjacency."""
+
+    def _primed(self) -> DynamicMultigraph:
+        graph = _ring(30)
+        graph.to_sparse_adjacency()
+        graph.drop_node_with_edges(7)  # leaves a free slot behind
+        graph.verify_sparse_cache()
+        return graph
+
+    def test_stale_clean_row(self):
+        graph = self._primed()
+        graph.add_edge(1, 2, mult=2)
+        graph._dirty.discard(1)  # row 1 now wrongly counts as clean
+        with pytest.raises(TopologyError, match="row stale at node 1"):
+            graph.verify_sparse_cache()
+
+    def test_free_slot_still_marked_live(self):
+        graph = self._primed()
+        rows = graph.csr_wave_view()
+        rows.dead[rows.free[0]] = False
+        with pytest.raises(TopologyError, match="partition"):
+            graph.verify_sparse_cache()
+
+    def test_row_referencing_a_free_slot(self):
+        graph = self._primed()
+        rows = graph.csr_wave_view()
+        rows.nbr[int(rows.start[rows.slot_of[3]])] = rows.free[0]
+        with pytest.raises(TopologyError, match="row stale at node 3"):
+            graph.verify_sparse_cache()
+
+    def test_garbage_miscount(self):
+        graph = self._primed()
+        graph.csr_wave_view().garbage += 1
+        with pytest.raises(TopologyError, match="garbage"):
+            graph.verify_sparse_cache()

@@ -277,7 +277,7 @@ class TestWaveEngines:
         from repro.net.walks import run_wave
 
         g = pcycle_graph(53)
-        starts = list(range(53)) * 2  # above VECTOR_MIN_TOKENS
+        starts = list(range(53)) * 5  # above VECTOR_MIN_TOKENS
         members = set(range(0, 53, 9))
         auto = run_wave(g, starts, 20, members, random.Random(3))
         forced = run_wave(g, starts, 20, members, random.Random(3), engine="vector")
