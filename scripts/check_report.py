@@ -132,10 +132,8 @@ def check_shard(args: argparse.Namespace) -> str:
     report = _load(args.report)
     rows = report["service"][args.label]
     serial = rows[f"n{args.size}/serial"]
-    pipelined = rows[f"n{args.size}/pipelined"]
     sharded = rows[f"n{args.size}/shards{args.shards}"]
-    for name, row in (("serial", serial), ("pipelined", pipelined),
-                      ("sharded", sharded)):
+    for name, row in (("serial", serial), ("sharded", sharded)):
         assert row["offered"] > 0, (name, row)
         assert row["events_per_s"] > 0, (name, row)
     # zero hung futures: every request offered at the cluster was answered
@@ -154,7 +152,6 @@ def check_shard(args: argparse.Namespace) -> str:
     assert len(sharded["per_shard_events_per_s"]) == args.shards, sharded
     return (
         f"shard smoke ok: serial {serial['events_per_s']:.0f} ev/s, "
-        f"pipelined {pipelined['events_per_s']:.0f} ev/s, "
         f"{args.shards} shards {sharded['events_per_s']:.0f} ev/s"
     )
 

@@ -13,11 +13,6 @@ Usage::
         --baseline BENCH_perf.json --baseline-label pr8 \
         --smoke /tmp/bench_gate.json --smoke-label gate --size 256
 
-    # gate the gateway soak throughput instead:
-    python scripts/perf_gate.py --soak \
-        --baseline BENCH_perf.json --baseline-label pr8 \
-        --smoke /tmp/bench_service.json --smoke-label ci-service --size 256
-
     # gate the tracing overhead (absolute ceilings, no baseline needed):
     python scripts/perf_gate.py --trace-overhead \
         --smoke /tmp/bench_trace.json --smoke-label ci-obs --size 256
@@ -44,13 +39,6 @@ TOLERANCES: dict[str, tuple[float, str]] = {
     "churn_per_step_ms": (2.5, "lower"),
     "batch_churn_per_node_ms": (2.5, "lower"),
     "wave_hop_us": (2.5, "lower"),
-}
-
-# Gated with ``--soak``: end-to-end gateway throughput from the service
-# section of the report (a saturating closed-loop soak).
-SOAK_TOLERANCES: dict[str, tuple[float, str]] = {
-    "events_per_s": (2.5, "higher"),
-    "ack_p99_ms": (4.0, "lower"),
 }
 
 # Gated with ``--trace-overhead``: absolute ceilings (percent), not
@@ -121,12 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke-label", default="gate")
     parser.add_argument("--size", type=int, default=256)
     parser.add_argument(
-        "--soak",
-        action="store_true",
-        help="gate the service-soak metrics (events/s, ack p99) from the "
-        "'service' section instead of the hot-path microbenchmarks",
-    )
-    parser.add_argument(
         "--trace-overhead",
         action="store_true",
         help="gate the tracing-overhead percentages from the 'tracing' "
@@ -139,25 +121,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.baseline is None:
         parser.error("--baseline is required (except with --trace-overhead)")
 
-    section = "service" if args.soak else "runs"
-    gated = SOAK_TOLERANCES if args.soak else TOLERANCES
     baseline = _row(
         json.loads(args.baseline.read_text()),
         args.baseline_label,
         args.size,
         str(args.baseline),
-        section,
     )
     smoke = _row(
         json.loads(args.smoke.read_text()),
         args.smoke_label,
         args.size,
         str(args.smoke),
-        section,
     )
 
     failures: list[str] = []
-    for metric, (tolerance, direction) in gated.items():
+    for metric, (tolerance, direction) in TOLERANCES.items():
         base = baseline.get(metric)
         if base is None or base <= 0:
             print(f"  {metric}: no baseline recorded, skipped")
@@ -191,10 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(
-        f"perf gate ok (n{args.size}, {section}, "
-        f"baseline {args.baseline_label!r})"
-    )
+    print(f"perf gate ok (n{args.size}, baseline {args.baseline_label!r})")
     return 0
 
 

@@ -115,9 +115,6 @@ def _retry_policy(args):
     )
 
 
-_SERVE_QUEUE_LIMIT_DEFAULT = 4096
-
-
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli serve",
@@ -131,11 +128,9 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--join-fraction", type=float, default=0.6)
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--window-ms", type=float, default=2.0)
-    parser.add_argument("--queue-limit", type=int,
-                        default=_SERVE_QUEUE_LIMIT_DEFAULT)
-    parser.add_argument("--pipeline", action="store_true",
-                        help="overlap flush validation with the previous "
-                        "flush's heal wave (single-gateway mode only)")
+    parser.add_argument("--queue-limit", type=int, default=4096,
+                        help="bound of the ingestion queue (per shard "
+                        "with --shards N)")
     parser.add_argument("--shards", type=int, default=1,
                         help="serve from an N-shard worker cluster behind "
                         "the id-region router instead of one gateway")
@@ -203,7 +198,6 @@ def cmd_serve(argv: list[str]) -> int:
             batch_window_ms=args.window_ms,
             queue_limit=args.queue_limit,
             policy=args.policy,
-            pipeline=args.pipeline,
             deadline_ms=args.deadline_ms,
             seed=args.seed,
             checkpoint_dir=args.checkpoint_dir,
@@ -328,23 +322,6 @@ def _serve_sharded(args) -> int:
               "shard from its checkpoint via the router instead",
               file=sys.stderr)
         return 2
-    if args.pipeline:
-        print("--pipeline applies to the single gateway; shard workers "
-              "are already overlapped across processes", file=sys.stderr)
-        return 2
-    # Overload knobs the worker config does not speak yet are rejected
-    # loudly, not silently downgraded to the fixed defaults.
-    if args.policy != "fixed":
-        print(f"--policy {args.policy} is not supported in cluster mode; "
-              "shard workers run the fixed flush loop (admission "
-              "policies are not yet threaded through to worker configs)",
-              file=sys.stderr)
-        return 2
-    if args.queue_limit != _SERVE_QUEUE_LIMIT_DEFAULT:
-        print("--queue-limit applies to the single gateway's bounded "
-              "queue; shard workers queue at the router and are not "
-              "bounded by this flag", file=sys.stderr)
-        return 2
 
     async def run():
         router = await start_cluster(
@@ -353,6 +330,8 @@ def _serve_sharded(args) -> int:
             seed=args.seed,
             max_batch=args.max_batch,
             window_ms=args.window_ms,
+            queue_limit=args.queue_limit,
+            policy=args.policy,
             checkpoint_root=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             deadline_ms=args.deadline_ms,
@@ -406,6 +385,10 @@ def _serve_sharded(args) -> int:
     table.add_row("offered", stats.offered)
     table.add_row("acked ok", stats.ok)
     table.add_row("rejected", stats.rejected)
+    if stats.backpressure:
+        table.add_row("backpressure", stats.backpressure)
+    if stats.shed:
+        table.add_row("shed", stats.shed)
     table.add_row("events/sec", snap["events_per_s"])
     table.add_row("goodput/sec", snap["goodput_per_s"])
     table.add_row("ack p50 (ms)", snap["ack_p50_ms"])
@@ -440,8 +423,6 @@ def _soak_parser() -> argparse.ArgumentParser:
     parser.add_argument("--clients", type=int, default=256)
     parser.add_argument("--max-batch", type=int, default=128)
     parser.add_argument("--window-ms", type=float, default=2.0)
-    parser.add_argument("--pipeline", action="store_true",
-                        help="run the batched gateway in pipelined mode")
     _add_overload_flags(parser)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--no-baseline", action="store_true",
@@ -500,7 +481,6 @@ def _run_soak(args, results: dict[str, dict], perf) -> int:
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_keep=args.checkpoint_keep,
-            pipeline=args.pipeline,
         )
         results[f"n{n}"] = row
         speedup = (

@@ -53,7 +53,7 @@ rejection, preserving the historical all-or-nothing surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.events import StepReport
 from repro.core.type1 import (
@@ -119,31 +119,20 @@ class BatchOutcome:
 def partition_insert_batch(
     dex: "DexNetwork",
     attachments: Sequence[tuple[NodeId, NodeId]],
-    *,
-    has_node: "Callable[[NodeId], bool] | None" = None,
-    size: int | None = None,
 ) -> tuple[list[tuple[NodeId, NodeId]], list[BatchRejection]]:
     """Partition an insertion batch into the legal attachments and a
     per-entry rejection list, *before* any mutation.  Checks per entry:
     fresh id not already scheduled or present, live attach point, the
     O(1) attach fan-out bound, and the ``eps*n`` batch-size cap (counted
     over *accepted* entries, so illegal entries do not eat the budget).
-
     Every check is **membership-determined**: it needs only "which ids
-    are live" and "how many", never the topology.  ``has_node``/``size``
-    therefore accept an overriding membership view, which is how the
-    pipelined gateway partitions flush k+1 against the *predicted*
-    post-flush-k membership while flush k's token wave is still healing
-    (the engine re-partitions against the real graph at execute time, so
-    a wrong prediction degrades to a per-request rejection, never to a
-    corrupt wave)."""
-    cap = max(1, dex.size if size is None else size)
+    are live" and "how many", never the topology."""
+    cap = max(1, dex.size)
     per_host: dict[NodeId, int] = {}
     scheduled: set[NodeId] = set()
     legal: list[tuple[NodeId, NodeId]] = []
     rejected: list[BatchRejection] = []
-    if has_node is None:
-        has_node = dex.graph.has_node
+    has_node = dex.graph.has_node
     for index, (new_id, attach) in enumerate(attachments):
         if new_id in scheduled:
             reason = f"node id {new_id} repeated in the batch"

@@ -101,11 +101,9 @@ kept)::
                              "shed_total": 9983},
             "final_n": 4311
           },
-          # --- shard sweep (PR 8): serial vs pipelined gateway vs the
-          # sharded cluster at each shard count; the scaling receipt ---
-          "n16384/serial":    {"pipeline": false, "events_per_s": 9120.0, ...},
-          "n16384/pipelined": {"pipeline": true, "events_per_s": 9870.0,
-                               "pipeline_speedup_x": 1.08, ...},
+          # --- shard sweep (PR 8): the single gateway vs the sharded
+          # cluster at each shard count; the scaling receipt ---
+          "n16384/serial":    {"events_per_s": 9120.0, ...},
           "n16384/shards4": {
             "shards": 4, "duration_s": 4.0, "clients": 256,
             "offered": 54000, "completed": 54000,   # == under saturation
@@ -116,7 +114,7 @@ kept)::
                          "expired": 0, "in_flight": 0, "shard_failures": 0},
             "audit_ok": true,            # cluster-wide I1-I8 + ownership
             "total_nodes": 16840,
-            "shard_speedup_x": 0.65      # vs the pipelined single gateway
+            "shard_speedup_x": 0.70      # vs the single gateway's row
           }                              #   (sub-1 on one core: workers
                                          #    need real cores to win)
         }
@@ -173,7 +171,7 @@ CLI::
         --frontier-sizes 4096 --frontier-rates 2000 6000 12000 \\
         --out BENCH_perf.json
 
-    # shard scaling: serial vs pipelined gateway vs N-shard cluster:
+    # shard scaling: single gateway vs N-shard cluster:
     PYTHONPATH=src python -m repro.harness.perf --shard-sweep \\
         --shard-sizes 16384 --shard-counts 2 4 --out BENCH_perf.json
 
@@ -498,7 +496,6 @@ def bench_service_soak(
     checkpoint_dir: "str | None" = None,
     checkpoint_every: int = 32,
     checkpoint_keep: int = 3,
-    pipeline: bool = False,
     warmup_s: float = 0.0,
 ) -> dict:
     """Soak the membership gateway over a fresh n-node network with a
@@ -512,8 +509,7 @@ def bench_service_soak(
     ``checkpoint_dir`` turns on periodic snapshots (every
     ``checkpoint_every`` flushes) plus a final one at drain, so the soak
     doubles as a crash-recovery fixture; the checkpoint columns then
-    land in the row.  ``pipeline=True`` overlaps flush k+1's
-    validation/screening with flush k's heal wave (PR 8)."""
+    land in the row."""
     import asyncio
     import gc
 
@@ -534,7 +530,6 @@ def bench_service_soak(
             batch_window_ms=0.0 if per_request else batch_window_ms,
             queue_limit=queue_limit,
             policy=policy,
-            pipeline=pipeline,
             deadline_ms=deadline_ms,
             seed=seed,
             checkpoint_dir=checkpoint_dir,
@@ -584,7 +579,6 @@ def bench_service_soak(
         "max_batch": 1 if per_request else max_batch,
         "batch_window_ms": 0.0 if per_request else batch_window_ms,
         "policy": policy,
-        "pipeline": pipeline,
         "deadline_ms": deadline_ms,
         "offered": stats.offered,
         "events": snap["events"],
@@ -622,7 +616,6 @@ def bench_service(
     checkpoint_dir: "str | None" = None,
     checkpoint_every: int = 32,
     checkpoint_keep: int = 3,
-    pipeline: bool = False,
     warmup_s: float = 0.0,
 ) -> dict:
     """The soak row for one size: the micro-batched gateway, optionally
@@ -646,7 +639,6 @@ def bench_service(
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         checkpoint_keep=checkpoint_keep,
-        pipeline=pipeline,
         warmup_s=warmup_s,
     )
     if compare_per_request:
@@ -773,13 +765,11 @@ def bench_shard_sweep(
     progress: bool = False,
 ) -> dict:
     """The PR 8 scaling receipt: at one total size ``n``, soak the
-    serial gateway, the pipelined gateway, and the sharded cluster at
-    each shard count.  Rows land under ``n{n}/serial``,
-    ``n{n}/pipelined`` and ``n{n}/shards{S}``; every cluster row gets
-    ``shard_speedup_x`` (cluster / *pipelined* single gateway -- the
-    sharding win is measured against the stronger single-process
-    configuration, not the easy target), and the pipelined row gets
-    ``pipeline_speedup_x`` (pipelined / serial)."""
+    single gateway and the sharded cluster at each shard count.  Rows
+    land under ``n{n}/serial`` and ``n{n}/shards{S}``; every cluster
+    row gets ``shard_speedup_x`` (cluster / single-gateway events per
+    second).  Rows recorded before PR 13 divide by a since-removed
+    ``n{n}/pipelined`` row instead."""
     rows: dict[str, dict] = {}
 
     def note(key: str, row: dict) -> None:
@@ -801,22 +791,6 @@ def bench_shard_sweep(
         warmup_s=warmup_s,
     )
     note(f"n{n}/serial", serial)
-    pipelined = bench_service_soak(
-        n,
-        duration_s=duration_s,
-        max_batch=max_batch,
-        batch_window_ms=batch_window_ms,
-        clients=clients,
-        seed=seed,
-        warmup_s=warmup_s,
-        pipeline=True,
-    )
-    pipelined["pipeline_speedup_x"] = (
-        round(pipelined["events_per_s"] / serial["events_per_s"], 3)
-        if serial["events_per_s"]
-        else 0.0
-    )
-    note(f"n{n}/pipelined", pipelined)
     for shards in shard_counts:
         row = bench_shard_cluster(
             n,
@@ -829,8 +803,8 @@ def bench_shard_sweep(
             warmup_s=warmup_s,
         )
         row["shard_speedup_x"] = (
-            round(row["events_per_s"] / pipelined["events_per_s"], 3)
-            if pipelined["events_per_s"]
+            round(row["events_per_s"] / serial["events_per_s"], 3)
+            if serial["events_per_s"]
             else 0.0
         )
         note(f"n{n}/shards{shards}", row)
@@ -1414,8 +1388,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="closed-loop client coroutines")
     parser.add_argument("--soak-max-batch", type=int, default=DEFAULT_SOAK_BATCH)
     parser.add_argument("--soak-window-ms", type=float, default=DEFAULT_SOAK_WINDOW_MS)
-    parser.add_argument("--soak-pipeline", action="store_true",
-                        help="run the soak gateway in pipelined mode")
     parser.add_argument("--soak-no-baseline", action="store_true",
                         help="skip the per-request (max_batch=1) comparison run")
     parser.add_argument("--soak-policy", default="fixed",
@@ -1440,7 +1412,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="per-request deadline for frontier/soak gateways")
     parser.add_argument("--shard-sweep", action="store_true",
-                        help="soak serial vs pipelined vs N-shard cluster "
+                        help="soak the single gateway vs the N-shard cluster "
                              "at each size (rows under the service key)")
     parser.add_argument("--shard-sizes", type=int, nargs="+", default=[4096],
                         help="total bootstrap nodes per shard-sweep point")
@@ -1609,7 +1581,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 compare_per_request=not args.soak_no_baseline,
                 policy=args.soak_policy,
                 deadline_ms=args.deadline_ms,
-                pipeline=args.soak_pipeline,
                 warmup_s=args.soak_warmup,
             )
             results[f"n{n}"] = row

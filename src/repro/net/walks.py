@@ -427,7 +427,8 @@ def _wave_vector(
         # multigraph API allows it.
         stuck = rtot[at] == 0.0
         j[stuck] = 0
-        nxt = nbr[j]
+        # (an empty pool -- every token on an empty row -- has no slot 0)
+        nxt = nbr[j] if nbr.size else at
         # Pass 2: conditional redraws, in active order (rare).
         if any_excl:
             hit_mask = (nxt == excl_pos[active]) & ~stuck

@@ -5,11 +5,14 @@ backpressure, adaptive overload control (admission policies, request
 deadlines, controlled shedding), client load generators and latency
 metrics.
 
-See :mod:`repro.service.gateway` for the architecture notes and
-:mod:`repro.service.policy` for the overload-control design.
+See :mod:`repro.service.flush` for the one flush implementation the
+gateway and the shard workers share, :mod:`repro.service.gateway` for
+the architecture notes and :mod:`repro.service.policy` for the
+overload-control design.
 """
 
-from repro.service.gateway import Ack, MembershipGateway
+from repro.service.flush import Ack, FlushCore
+from repro.service.gateway import MembershipGateway
 from repro.service.loadgen import (
     LoadStats,
     Population,
@@ -43,6 +46,7 @@ from repro.service.policy import (
 
 __all__ = [
     "Ack",
+    "FlushCore",
     "MembershipGateway",
     "LoadStats",
     "Population",

@@ -15,147 +15,58 @@ the serving layer's whole job is coalescing:
   with the client, not a timeout.
 * **Adaptive micro-batching** -- each flush is kind-segregated (it maps
   to exactly one ``insert_batch`` or ``delete_batch`` wave), led by the
-  oldest queued request.  The batcher gathers that kind *across* the
-  queue, because reordering around the other kind is only observable
-  when two requests name the same node id: a ``leave(x)`` can only race
-  a ``join(x)`` if ``x`` was pinned by the client (a gateway-assigned
-  id is unknown until the join's ack resolves), so any request naming
-  an id that a skipped earlier request also names acts as a barrier and
-  stays queued for a later flush.  The flush fires as soon as the
-  gather reaches ``max_batch`` or the ``batch_window_ms`` timer
-  expires; under saturation the gateway therefore heals
-  ``max_batch``-sized waves, while at low arrival rates a request waits
-  at most one window.  ``batch_window_ms=0`` with ``max_batch=1``
-  degenerates to a per-request gateway -- the baseline the soak
-  benchmark compares against.
-* **Partial-batch outcomes** -- each flush maps to exactly one
-  :func:`~repro.core.multi.insert_batch_partial` /
-  :func:`~repro.core.multi.delete_batch_partial` call, and every
-  client's future resolves with its *individual* :class:`Ack`: healed
-  requests learn their assigned node id; illegal ones (stale attach
-  hint, duplicate leave, victim that would disconnect the remainder)
-  learn the engine's per-request rejection reason while the legal
-  majority of their batch still heals in one wave.
+  oldest queued request and gathered *across* the queue behind same-id
+  barriers.  The flush fires as soon as the gather reaches
+  ``max_batch`` or the ``batch_window_ms`` timer expires; under
+  saturation the gateway therefore heals ``max_batch``-sized waves,
+  while at low arrival rates a request waits at most one window.
+  ``batch_window_ms=0`` with ``max_batch=1`` degenerates to a
+  per-request gateway -- the baseline the soak benchmark compares
+  against.
+* **Partial-batch outcomes** -- every client's future resolves with its
+  *individual* :class:`Ack`: healed requests learn their assigned node
+  id; illegal ones (stale attach hint, duplicate leave, victim that
+  would disconnect the remainder) learn the engine's per-request
+  rejection reason while the legal majority of their batch still heals
+  in one wave.
 
-The heal call itself runs synchronously on the event loop by default --
-the engine is CPU-bound Python over one shared graph, so handing it to
-a thread would serialize on the same state anyway; the batcher yields
-between flushes so clients keep enqueueing while a wave heals.
-
-**Pipelined mode** (``pipeline=True``, PR 8) breaks that serial loop
-into overlapping stages: the heal of flush k runs on a single-worker
-thread executor while the event loop keeps ingesting, *collects* flush
-k+1 (the window wait overlaps the wave instead of following it) and
-runs its **membership-determined validation** against the predicted
-post-flush-k view.  The prediction is exact, not speculative:
-
-* an in-flight *insert* flush only ever adds the ids published at
-  dispatch time (``_view_added``), so "id exists" / "attach point
-  missing" answers for flush k+1 are already decided;
-* an in-flight *delete* flush only ever removes its victims -- those
-  ids form a **doubt set** treated as selection barriers (a request
-  naming or attaching to a doubtful id simply waits one flush), so no
-  request is ever answered from an uncertain fact.
-
-Requests whose rejection is membership-determined (a pinned id that
-already exists, a pinned hint that does not) are answered at stage
-time, one heal earlier than the serial gateway could.  Everything
-topology-dependent -- attach fan-out, the eps*n cap, survivor
-connectivity -- stays with the engine's own re-partition when the
-flush dispatches at the next quiescent point, so a staged flush can
-never corrupt a wave: the worst a stale prediction can do is turn
-into the same per-request rejection the serial gateway would have
-issued.  Checkpoints keep their between-flushes placement (taken only
-while no heal is in flight), deadlines are re-swept at dispatch so a
-request that expired while parked behind a wave is never healed late,
-and an engine exception still fails every flushed, staged and queued
-future before tearing the batcher down.
+**Adapter and core.**  The queue, the selection, the sweeps, the heal
+call and the acks are :class:`~repro.service.flush.FlushCore`, shared
+verbatim with the shard worker.  What lives here is what only an
+asyncio front needs: futures in, the lifecycle
+(``start``/``close``/``drain``/``from_checkpoint``), the ``"raise"``
+overload policy -- and the *waiting*: :meth:`MembershipGateway._collect`
+decides when a flush is due, anchored at the instant collection starts.
+The heal call itself runs synchronously on the event loop -- the engine
+is CPU-bound Python over one shared graph, so handing it to a thread
+would serialize on the same state anyway (an overlapped, thread-backed
+flush loop was measured and removed; see ``benchmarks/README.md``); the
+batcher yields between flushes so clients keep enqueueing while a wave
+heals.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
-import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import GatewayClosed, GatewayOverloaded, SnapshotError
+from repro.errors import GatewayClosed, GatewayOverloaded
 from repro.obs import trace as _trace
+from repro.service import flush as _flush
+from repro.service.flush import Ack, FlushCore, Request
 from repro.service.metrics import ServiceMetrics
-from repro.service.policy import AdmissionPolicy, make_policy
+from repro.service.policy import AdmissionPolicy
 from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.dex import DexNetwork
-    from repro.core.multi import BatchOutcome
+    from repro.obs.registry import MetricsRegistry
+
+__all__ = ["Ack", "MembershipGateway"]
 
 
-@dataclass(frozen=True)
-class Ack:
-    """One client's outcome: the resolution of a ``join``/``leave``."""
-
-    ok: bool
-    kind: str  # "join" | "leave"
-    #: the (assigned) node id the request was about; joins learn their
-    #: id here even when the gateway chose it
-    node: NodeId | None
-    #: rejection reason (``None`` on success) -- the engine's per-request
-    #: reason, or the gateway's backpressure notice
-    reason: str | None
-    #: enqueue-to-resolution seconds as measured by the gateway
-    latency_s: float
-    #: size of the flush that carried the request (0 for requests
-    #: answered at the door, i.e. backpressure)
-    batch_size: int
-
-
-@dataclass(eq=False)  # identity semantics: each request is unique
-class _Request:
-    kind: str
-    node: NodeId | None
-    attach_hint: NodeId | None
-    future: asyncio.Future
-    submitted_at: float
-    #: absolute ``perf_counter`` instant after which the request must be
-    #: answered with a deadline rejection instead of healed (``None`` =
-    #: no deadline)
-    deadline_at: float | None = None
-    #: open ``gateway.request`` span while tracing is enabled, finished
-    #: at resolution (``None`` when tracing is off)
-    span: "_trace.Span | None" = None
-
-
-@dataclass(eq=False)
-class _StagedFlush:
-    """Flush k+1 of the pipeline: gathered and membership-screened
-    while flush k's wave is still healing, dispatched at the next
-    quiescent point."""
-
-    kind: str
-    requests: list[_Request]
-    #: the flush's open ``gateway.flush`` root span (tracing on only)
-    span: "_trace.Span | None" = None
-
-
-@dataclass(eq=False)
-class _InflightFlush:
-    """Flush k while its heal runs on the pipeline executor: the
-    requests it will answer, the concrete node ids it is about, and the
-    executor future carrying ``(BatchOutcome, heal_s)``."""
-
-    kind: str
-    requests: list[_Request]
-    nodes: list[NodeId]
-    future: asyncio.Future
-    #: the flush's open ``gateway.flush`` root span (tracing on only)
-    span: "_trace.Span | None" = None
-
-
-class MembershipGateway:
+class MembershipGateway(FlushCore[Request]):
     """Async facade over one :class:`~repro.core.dex.DexNetwork`.
 
     Use as an async context manager (or call :meth:`start` /
@@ -179,15 +90,13 @@ class MembershipGateway:
     across checkpoint pauses.
     """
 
-    #: reason string of backpressure rejections (tested verbatim)
-    BACKPRESSURE_REASON = "backpressure: ingestion queue full"
-    #: reason of door rejections issued by a degraded admission policy
-    #: (prefixed "backpressure" so clients treat both alike, e.g. retry)
-    DEGRADED_REASON = "backpressure: degraded under sustained saturation"
-    #: reason of requests shed from the queue by the admission policy
-    SHED_REASON = "shed: queue above high-water mark"
-    #: reason of requests whose deadline expired before their flush
-    DEADLINE_REASON = "deadline exceeded before heal"
+    span_prefix = "gateway"
+
+    #: the service-level reason strings (defined once, beside the core)
+    BACKPRESSURE_REASON = _flush.BACKPRESSURE_REASON
+    DEGRADED_REASON = _flush.DEGRADED_REASON
+    SHED_REASON = _flush.SHED_REASON
+    DEADLINE_REASON = _flush.DEADLINE_REASON
 
     def __init__(
         self,
@@ -195,10 +104,9 @@ class MembershipGateway:
         *,
         max_batch: int = 64,
         batch_window_ms: float = 2.0,
-        queue_limit: int = 4096,
+        queue_limit: int = _flush.DEFAULT_QUEUE_LIMIT,
         overload: str = "reject",
         policy: "str | AdmissionPolicy" = "fixed",
-        pipeline: bool = False,
         deadline_ms: float | None = None,
         seed: int | None = None,
         metrics: ServiceMetrics | None = None,
@@ -209,78 +117,29 @@ class MembershipGateway:
         on_checkpoint: Callable[[int, Path], None] | None = None,
         on_ack: Callable[[Ack], None] | None = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms}")
-        if queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         if overload not in ("reject", "raise"):
             raise ValueError(f"unknown overload policy {overload!r}")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
-        if checkpoint_every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-        if checkpoint_keep < 1:
-            raise ValueError(f"checkpoint_keep must be >= 1, got {checkpoint_keep}")
-        self.net = net
-        self.max_batch = max_batch
-        self.batch_window_s = batch_window_ms / 1e3
-        self.queue_limit = queue_limit
-        self.metrics = metrics or ServiceMetrics()
-        self._overload = overload
-        self.policy = make_policy(policy)
-        self.policy.bind(
-            base_window_s=self.batch_window_s,
+        super().__init__(
+            net,
             max_batch=max_batch,
+            window_s=batch_window_ms / 1e3,
             queue_limit=queue_limit,
+            policy=policy,
+            seed=seed,
+            metrics=metrics,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            checkpoint_keep=checkpoint_keep,
+            on_before_checkpoint=on_before_checkpoint,
+            on_checkpoint=on_checkpoint,
+            on_ack=on_ack,
         )
+        self._overload = overload
         self.deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-        #: set on the first request that carries a deadline; keeps the
-        #: per-flush sweep O(1) for deadline-free workloads
-        self._deadlines_active = self.deadline_s is not None
-        self._rng = random.Random(
-            seed if seed is not None else getattr(net.config, "seed", 0)
-        )
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_keep = checkpoint_keep
-        #: fired with the step about to be checkpointed, *before* the
-        #: snapshot is written or published.  A subscriber that must
-        #: stay ahead of durable state (e.g. a write-ahead journal:
-        #: flush + fsync here, so no checkpoint can become durable with
-        #: the journal lagging it) does its work here; raising OSError
-        #: vetoes the checkpoint (counted in ``checkpoint_errors``).
-        self.on_before_checkpoint = on_before_checkpoint
-        self.on_checkpoint = on_checkpoint
-        #: synchronous ack tap, fired the moment an outcome is decided
-        #: (inside the flush, before control returns to the event loop).
-        #: At checkpoint time every ack issued so far is therefore
-        #: visible to the tap -- the property the fault harness's
-        #: journal relies on.  Must not raise.
-        self.on_ack = on_ack
-        self.checkpoints_written = 0
-        self.checkpoint_errors = 0
-        self.last_checkpoint: Path | None = None
-        self._flushes_since_checkpoint = 0
-        self._queue: deque[_Request] = deque()
         self._wake = asyncio.Event()
         self._batcher: asyncio.Task | None = None
-        self._closing = False
-        self._clock = time.perf_counter
-        self._last_flush_end = self._clock()
-        #: pipelined mode: heal on a single-worker thread, overlap the
-        #: next flush's collection + membership screening with the wave
-        self.pipeline = pipeline
-        self._executor: ThreadPoolExecutor | None = None
-        self._inflight: _InflightFlush | None = None
-        #: ids the in-flight insert flush is adding (certain deltas of
-        #: the predicted post-heal membership view)
-        self._view_added: set[NodeId] = set()
-        #: victims of the in-flight delete flush: membership *unknown*
-        #: until the wave resolves -- treated as selection barriers, so
-        #: no staged decision ever rests on a doubtful id
-        self._doubt: set[NodeId] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -288,12 +147,7 @@ class MembershipGateway:
     async def start(self) -> "MembershipGateway":
         if self._batcher is None:
             self._last_flush_end = self._clock()
-            if self.pipeline and self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="dex-heal"
-                )
-            runner = self._run_pipelined() if self.pipeline else self._run()
-            self._batcher = asyncio.ensure_future(runner)
+            self._batcher = asyncio.ensure_future(self._run())
         return self
 
     async def close(self) -> None:
@@ -306,9 +160,6 @@ class MembershipGateway:
                 await self._batcher
         finally:
             self._batcher = None
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
 
     async def drain(self) -> dict:
         """Graceful shutdown: stop accepting new requests, answer
@@ -319,9 +170,7 @@ class MembershipGateway:
         it captures every acknowledged request."""
         pending = len(self._queue)
         await self.close()
-        final = None
-        if self.checkpoint_dir is not None:
-            final = self._checkpoint_guarded()
+        final = self.checkpoint()
         return {
             "pending_answered": pending,
             "final_checkpoint": str(final) if final is not None else None,
@@ -391,177 +240,34 @@ class MembershipGateway:
                 f"{kind} request arrived while the gateway is "
                 f"{'closing' if self._closing else 'not started'}"
             )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        depth = len(self._queue)
-        if depth >= self.queue_limit or not self.policy.admit(depth):
-            # At-the-door rejection: the hard queue limit first, then
-            # the policy's stricter admission (e.g. degrade-to-reject).
-            reason = (
-                self.BACKPRESSURE_REASON
-                if depth >= self.queue_limit
-                else self.DEGRADED_REASON
-            )
-            self.metrics.record_backpressure()
-            if self._overload == "raise":
-                raise GatewayOverloaded(
-                    f"ingestion queue full ({self.queue_limit} pending)"
-                    if depth >= self.queue_limit
-                    else f"admission degraded by policy {self.policy.name!r}"
-                )
-            ack = Ack(
-                ok=False,
-                kind=kind,
-                node=node,
-                reason=reason,
-                latency_s=0.0,
-                batch_size=0,
-            )
-            future.set_result(ack)
-            if self.on_ack is not None:
-                self.on_ack(ack)
-            return future
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
+        if self._overload == "raise":
+            reason = self.door_reason()
+            if reason is not None:
+                raise GatewayOverloaded(
+                    f"{reason} ({len(self._queue)} pending, "
+                    f"policy {self.policy.name!r})"
+                )
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         deadline_s = deadline_ms / 1e3 if deadline_ms is not None else self.deadline_s
-        now = self._clock()
-        deadline_at = now + deadline_s if deadline_s is not None else None
-        if deadline_at is not None:
-            self._deadlines_active = True
-        request = _Request(kind, node, attach_hint, future, now, deadline_at)
-        rec = _trace.current()
-        if rec.enabled:
-            request.span = rec.start("gateway.request", kind=kind, node=node)
-        self._queue.append(request)
-        self.metrics.record_enqueue(len(self._queue))
-        self._shed_excess()
-        self._wake.set()
+        if self.enqueue(Request(kind, node, attach_hint, future), deadline_s):
+            self._wake.set()
         return future
 
+    def _emit(self, request: Request, ack: Ack) -> None:
+        if not request.ticket.done():
+            request.ticket.set_result(ack)
+
+    def _fail(self, request: Request, exc: BaseException) -> None:
+        if not request.ticket.done():
+            request.ticket.set_exception(exc)
+
     # ------------------------------------------------------------------
-    # the batcher
+    # the batcher: waiting here, everything else in the core
     # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def _selection(self) -> list[_Request]:
-        """The next flush, selected non-destructively: up to
-        ``max_batch`` requests of the lead kind (the oldest queued
-        request's), gathered across the queue.  A *skipped* request's
-        pinned node id is a barrier -- later lead-kind requests naming
-        it are skipped too, so per-node operation order is preserved
-        even though kinds interleave.  Single source of truth for both
-        the window decision (:meth:`_gatherable`) and the dequeue
-        (:meth:`_gather`).  In pipelined mode the in-flight delete
-        flush's doubt set also defers any request *naming or attaching
-        to* a doubtful id -- its membership is unknown until the wave
-        resolves, so it must not reach a staged decision."""
-        kind = self._queue[0].kind
-        doubt = self._doubt
-        barriers: set[NodeId] = set()
-        batch: list[_Request] = []
-        for request in self._queue:
-            if (
-                len(batch) < self.max_batch
-                and request.kind == kind
-                and (
-                    request.node is None
-                    or (request.node not in barriers and request.node not in doubt)
-                )
-                and (
-                    request.attach_hint is None
-                    or request.attach_hint not in doubt
-                )
-            ):
-                batch.append(request)
-            elif request.node is not None:
-                barriers.add(request.node)
-        return batch
-
-    def _gatherable(self) -> int:
-        return len(self._selection())
-
-    def _gather(self) -> list[_Request]:
-        batch = self._selection()
-        selected = set(batch)  # _Request hashes by identity
-        self._queue = deque(r for r in self._queue if r not in selected)
-        return batch
-
-    def _finish_request_span(self, request: _Request, ack: Ack) -> None:
-        """Seal the request's open ``gateway.request`` span (no-op with
-        tracing off -- the span is only created while enabled)."""
-        sp = request.span
-        if sp is not None:
-            request.span = None
-            sp.set(ok=ack.ok, reason=ack.reason, batch=ack.batch_size)
-            _trace.current().finish(sp)
-
-    def _answer_dropped(self, request: _Request, reason: str) -> None:
-        """Resolve a request the gateway decided not to heal (shed or
-        deadline-expired) with a rejected ack -- answered, never
-        dropped, same contract as backpressure."""
-        ack = Ack(
-            ok=False,
-            kind=request.kind,
-            node=request.node,
-            reason=reason,
-            latency_s=self._clock() - request.submitted_at,
-            batch_size=0,
-        )
-        if not request.future.done():
-            request.future.set_result(ack)
-        self._finish_request_span(request, ack)
-        if self.on_ack is not None:
-            self.on_ack(ack)
-
-    def _shed_excess(self) -> None:
-        """Answer-and-drop the oldest queued requests the policy wants
-        gone.  Skipped while closing: a draining gateway heals its
-        backlog rather than shedding it (deadlines still apply)."""
-        if self._closing:
-            return
-        count = self.policy.shed_count(len(self._queue))
-        for _ in range(min(count, len(self._queue))):
-            request = self._queue.popleft()
-            self.metrics.record_shed()
-            self._answer_dropped(request, self.SHED_REASON)
-
-    def _next_deadline(self) -> float | None:
-        """The soonest queued deadline, or ``None``."""
-        if not self._deadlines_active:
-            return None
-        deadlines = [
-            r.deadline_at for r in self._queue if r.deadline_at is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def _sweep_deadlines(self) -> None:
-        """Answer every queued request whose deadline has passed with a
-        deadline rejection.  Runs before every flush -- including while
-        closing and right after a checkpoint pause -- so an expired
-        request is never healed late and never left hanging."""
-        if not self._deadlines_active:
-            return
-        now = self._clock()
-        if not any(
-            r.deadline_at is not None and r.deadline_at <= now
-            for r in self._queue
-        ):
-            return
-        survivors: deque[_Request] = deque()
-        for request in self._queue:
-            if request.deadline_at is not None and request.deadline_at <= now:
-                self.metrics.record_timeout()
-                self._answer_dropped(request, self.DEADLINE_REASON)
-            else:
-                survivors.append(request)
-        self._queue = survivors
-
     async def _run(self) -> None:
         while True:
-            self._shed_excess()
-            self._sweep_deadlines()
             if not self._queue:
                 if self._closing:
                     return
@@ -569,109 +275,30 @@ class MembershipGateway:
                 await self._wake.wait()
                 continue
             rec = _trace.current()
-            root = (
-                rec.start("gateway.flush", mode="serial")
-                if rec.enabled
-                else None
-            )
-            if root is not None:
+            root: "_trace.Span | None" = None
+            csp: "_trace.Span | None" = None
+            if rec.enabled:
+                root = rec.start("gateway.flush")
                 csp = rec.start(
                     "gateway.flush.collect",
                     trace_id=root.trace_id,
                     parent_id=root.span_id,
                 )
-                await self._collect()
+            await self._collect()
+            if csp is not None:
                 rec.finish(csp)
-            else:
-                await self._collect()
-            # The window wait (or a checkpoint pause last iteration) may
-            # have expired deadlines: answer them *before* gathering so
-            # an expired request is never healed late.
-            self._sweep_deadlines()
-            if not self._queue:
-                if root is not None:
-                    rec.finish(root.set(empty=True))
-                continue
-            batch = self._gather()
-            if root is not None:
-                root.set(kind=batch[0].kind, batch=len(batch))
-            heal_s = self._flush(batch[0].kind, batch, root=root)
-            if root is not None:
-                rec.finish(root)
-            now = self._clock()
-            interval_s = now - self._last_flush_end
-            self._last_flush_end = now
-            self.policy.observe_flush(
-                depth=len(self._queue),
-                batch_size=len(batch),
-                heal_s=heal_s,
-                interval_s=interval_s,
-            )
-            # Checkpoints sit *between* flushes: the heal call above has
-            # returned, so the network is in a steady state (never
-            # mid-heal, never with a staggered layer in flight).
-            if self.checkpoint_dir is not None:
-                self._flushes_since_checkpoint += 1
-                if self._flushes_since_checkpoint >= self.checkpoint_every:
-                    self._checkpoint_guarded()
+            self.flush_once(root)
             # Yield so awaiting clients resolve and new arrivals land
             # before the next flush decision.
             await asyncio.sleep(0)
 
-    # ------------------------------------------------------------------
-    # the pipelined batcher (pipeline=True)
-    # ------------------------------------------------------------------
-    async def _run_pipelined(self) -> None:
-        """Collection, membership screening and healing as overlapping
-        stages: while flush k's wave runs on the executor, the loop
-        collects and screens flush k+1; the moment k resolves, k+1
-        dispatches.  All serial contracts hold: shed/deadline sweeps
-        before every gather (re-swept at dispatch), checkpoints only at
-        quiescent points, drain answers everything, engine exceptions
-        fail every in-flight, staged and queued future."""
-        staged: _StagedFlush | None = None
-        while True:
-            if staged is not None and self._inflight is None:
-                self._dispatch(staged)
-                staged = None
-                continue
-            if self._inflight is not None:
-                if staged is None:
-                    self._shed_excess()
-                    self._sweep_deadlines()
-                    if self._queue:
-                        await self._collect_overlap(self._inflight.future)
-                        self._sweep_deadlines()
-                        staged = self._stage()
-                await self._complete(staged)
-                continue
-            self._shed_excess()
-            self._sweep_deadlines()
-            if not self._queue:
-                if self._closing:
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            await self._collect()
-            self._sweep_deadlines()
-            staged = self._stage()
-            # Yield so door-answered clients resolve and new arrivals
-            # land before the dispatch decision (mirrors the serial
-            # loop's between-flush yield).
-            await asyncio.sleep(0)
-
-    async def _collect_overlap(self, heal_future: asyncio.Future) -> None:
-        """The collection wait while a wave is in flight.  Unlike
-        :meth:`_collect` it never runs the O(queue) selection scan per
-        enqueue wake -- the flush cannot dispatch before the wave
-        resolves anyway, so scanning eagerly would only steal cycles
-        from the heal thread.  It waits on the cheap ``len(queue)``
-        proxy (a superset of the gatherable count) until the wave
-        resolves, the window expires or the queue plausibly fills a
-        batch, and the single authoritative selection happens in
-        :meth:`_stage` afterwards.  Deadline wakes behave exactly as in
-        :meth:`_collect`."""
+    async def _collect(self) -> None:
+        """Adaptive wait: let the gatherable flush grow until it
+        reaches ``max_batch`` or the policy's window expires.  A closing
+        gateway drains immediately.  A queued deadline that lands inside
+        the window wakes the wait early so the expiring request is
+        answered on time -- a deadline wake is *not* a window expiry;
+        the loop keeps waiting out the remainder."""
         window_s = self.policy.window_s()
         if window_s <= 0 or self._closing:
             return
@@ -679,8 +306,7 @@ class MembershipGateway:
         while (
             not self._closing
             and self._queue
-            and len(self._queue) < self.max_batch
-            and not heal_future.done()
+            and len(self._selection()) < self.max_batch
         ):
             now = self._clock()
             if now >= expires:
@@ -689,229 +315,19 @@ class MembershipGateway:
             soonest = self._next_deadline()
             if soonest is not None and soonest < expires:
                 if soonest <= now:
-                    self._sweep_deadlines()
+                    self.sweep_deadlines()
                     continue
                 timeout = soonest - now
             self._wake.clear()
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout)
             except asyncio.TimeoutError:
-                self._sweep_deadlines()
-
-    def _view_has_node(self, node: NodeId) -> bool:
-        """Membership in the predicted post-heal view: the settled graph
-        plus the in-flight insert flush's certain additions.  Doubtful
-        ids (in-flight delete victims) never get here -- selection bars
-        them -- so every answer is deterministic even mid-wave: an
-        insert flush only ever *adds* ``_view_added``, and a delete
-        flush only ever removes ``_doubt``."""
-        return node in self._view_added or self.net.graph.has_node(node)
-
-    def _stage(self) -> _StagedFlush | None:
-        """Gather the next flush and run its membership-determined
-        screening -- the pipeline's overlap stage.  Returns ``None``
-        when nothing survives (every gathered request was answered at
-        the door here)."""
-        if not self._queue:
-            return None
-        batch = self._gather()
-        if not batch:
-            return None
-        kind = batch[0].kind
-        rec = _trace.current()
-        root = (
-            rec.start("gateway.flush", mode="pipelined", kind=kind)
-            if rec.enabled
-            else None
-        )
-        if root is not None:
-            ssp = rec.start(
-                "gateway.flush.screen",
-                trace_id=root.trace_id,
-                parent_id=root.span_id,
-            )
-            survivors = self._screen(kind, batch)
-            rec.finish(ssp)
-        else:
-            survivors = self._screen(kind, batch)
-        if not survivors:
-            if root is not None:
-                rec.finish(root.set(empty=True))
-            return None
-        return _StagedFlush(kind, survivors, span=root)
-
-    def _screen(self, kind: str, batch: list[_Request]) -> list[_Request]:
-        """Answer the requests whose *rejection* is already decided by
-        membership facts alone -- a pinned id that exists in the view
-        (it will still exist after the in-flight flush), a pinned attach
-        hint or leave victim that does not (nothing in flight can create
-        it).  Reason strings mirror the engine partition's wording
-        verbatim.  Duplicates and everything topology-dependent
-        (fan-out, eps*n, connectivity, stranding) stay with the engine's
-        own re-partition at dispatch -- a duplicate's verdict depends on
-        whether its predecessor is accepted, which only the engine
-        knows."""
-        view_has = self._view_has_node
-        survivors: list[_Request] = []
-        size = len(batch)
-        for request in batch:
-            reason = None
-            if kind == "join":
-                if request.node is not None and view_has(request.node):
-                    reason = f"node id {request.node} already exists"
-                elif request.attach_hint is not None and not view_has(
-                    request.attach_hint
-                ):
-                    reason = f"attach point {request.attach_hint} does not exist"
-            elif not view_has(request.node):
-                reason = f"node {request.node} does not exist"
-            if reason is None:
-                survivors.append(request)
-                continue
-            latency = self._clock() - request.submitted_at
-            self.metrics.record_ack(latency, ok=False)
-            ack = Ack(
-                ok=False,
-                kind=kind,
-                node=request.node,
-                reason=reason,
-                latency_s=latency,
-                batch_size=size,
-            )
-            if not request.future.done():
-                request.future.set_result(ack)
-            self._finish_request_span(request, ack)
-            if self.on_ack is not None:
-                self.on_ack(ack)
-        return survivors
-
-    def _dispatch(self, staged: _StagedFlush) -> bool:
-        """Start the staged flush's heal on the executor.  Runs only at
-        quiescent points (no heal in flight), so payload assembly --
-        fresh-id assignment and attach-hint sampling -- reads the
-        settled graph, and the view deltas for the next staging epoch
-        are published before the wave starts.  Deadlines are re-swept
-        here: the staged batch may have waited out a whole heal plus a
-        checkpoint, and an expired request must never be healed late."""
-        now = self._clock()
-        requests: list[_Request] = []
-        for request in staged.requests:
-            if request.deadline_at is not None and request.deadline_at <= now:
-                self.metrics.record_timeout()
-                self._answer_dropped(request, self.DEADLINE_REASON)
-            else:
-                requests.append(request)
-        if not requests:
-            if staged.span is not None:
-                _trace.current().finish(staged.span.set(empty=True))
-            return False
-        loop = asyncio.get_running_loop()
-        if staged.kind == "join":
-            payload = self._join_payload(requests)
-            nodes = [new_id for new_id, _attach in payload]
-            self._view_added = set(nodes)
-            heal_call = self.net.insert_batch_partial
-        else:
-            payload = [request.node for request in requests]
-            nodes = list(payload)
-            self._doubt = set(payload)
-            heal_call = self.net.delete_batch_partial
-        root = staged.span
-        if root is not None:
-            root.set(batch=len(requests))
-
-        def heal() -> "tuple[BatchOutcome, float]":
-            t0 = self._clock()
-            if root is not None:
-                # ambient span on the executor thread: the engine's
-                # core.* / net.wave spans nest under this heal phase
-                with _trace.span(
-                    "gateway.flush.heal",
-                    trace_id=root.trace_id,
-                    parent_id=root.span_id,
-                ):
-                    outcome = heal_call(payload)
-            else:
-                outcome = heal_call(payload)
-            return outcome, self._clock() - t0
-
-        future = loop.run_in_executor(self._executor, heal)
-        # Wake the collection wait the instant the wave resolves: the
-        # next flush must dispatch immediately, not after a window.
-        future.add_done_callback(lambda _f: self._wake.set())
-        self._inflight = _InflightFlush(
-            staged.kind, requests, nodes, future, span=root
-        )
-        return True
-
-    async def _complete(self, staged: _StagedFlush | None) -> float:
-        """Join the in-flight heal and settle its flush: acks, policy
-        feedback, the between-flush checkpoint.  On an engine failure,
-        fail the flushed requests, the staged batch *and* the queue --
-        exactly the serial guarantee -- then re-raise."""
-        inflight = self._inflight
-        assert inflight is not None
-        try:
-            outcome, heal_s = await inflight.future
-        except BaseException as exc:
-            pending = list(inflight.requests)
-            if staged is not None:
-                pending.extend(staged.requests)
-                if staged.span is not None:
-                    _trace.current().finish(
-                        staged.span.set(error=type(exc).__name__)
-                    )
-            if inflight.span is not None:
-                _trace.current().finish(
-                    inflight.span.set(error=type(exc).__name__)
-                )
-            self._inflight = None
-            self._view_added = set()
-            self._doubt = set()
-            self._fail_pending(pending, exc)
-            raise
-        self._inflight = None
-        self._view_added = set()
-        self._doubt = set()
-        root = inflight.span
-        if root is not None:
-            rec = _trace.current()
-            rsp = rec.start(
-                "gateway.flush.resolve",
-                trace_id=root.trace_id,
-                parent_id=root.span_id,
-            )
-            self._resolve_flush(
-                inflight.kind, inflight.requests, inflight.nodes, outcome, heal_s
-            )
-            rec.finish(rsp)
-            rec.finish(root)
-        else:
-            self._resolve_flush(
-                inflight.kind, inflight.requests, inflight.nodes, outcome, heal_s
-            )
-        now = self._clock()
-        interval_s = now - self._last_flush_end
-        self._last_flush_end = now
-        self.policy.observe_flush(
-            depth=len(self._queue),
-            batch_size=len(inflight.requests),
-            heal_s=heal_s,
-            interval_s=interval_s,
-        )
-        # Quiescent point: the wave above has resolved and the next one
-        # has not dispatched -- the only place the pipelined batcher may
-        # checkpoint.
-        if self.checkpoint_dir is not None:
-            self._flushes_since_checkpoint += 1
-            if self._flushes_since_checkpoint >= self.checkpoint_every:
-                self._checkpoint_guarded()
-        return heal_s
+                self.sweep_deadlines()
 
     # ------------------------------------------------------------------
     # exposition
     # ------------------------------------------------------------------
-    def publish_registry(self):
+    def publish_registry(self) -> "MetricsRegistry":
         """Sync the gateway's whole observable state -- service
         counters, admission-policy state, checkpoint/queue gauges --
         into the metrics registry and return it (the ``serve
@@ -934,208 +350,3 @@ class MembershipGateway:
                     f"dex.policy.{key}", f"admission policy state: {key}"
                 ).set(value)
         return registry
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def checkpoint_now(self) -> Path:
-        """Write one checkpoint synchronously (callers outside the
-        batcher must know the engine is idle -- the batcher itself only
-        calls this between flushes).  Prunes to ``checkpoint_keep`` and
-        fires ``on_checkpoint`` *after* the snapshot is durable, so a
-        subscriber's bookkeeping (e.g. the fault harness's ack journal)
-        is always covered by an on-disk checkpoint."""
-        if self.checkpoint_dir is None:
-            raise SnapshotError("gateway has no checkpoint_dir configured")
-        from repro.persist.snapshot import prune_checkpoints, save_snapshot
-
-        if self.on_before_checkpoint is not None:
-            self.on_before_checkpoint(self.net.step_count)
-        path = save_snapshot(self.net, self.checkpoint_dir)
-        prune_checkpoints(self.checkpoint_dir, self.checkpoint_keep)
-        self.checkpoints_written += 1
-        self.last_checkpoint = path
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(self.net.step_count, path)
-        return path
-
-    def _checkpoint_guarded(self) -> Path | None:
-        """A checkpoint attempt that cannot take the service down: a
-        full disk or a snapshot refusal is counted and logged onto the
-        gateway (``checkpoint_errors``), but the batcher keeps answering
-        clients -- losing durability is strictly better than hanging
-        every queued future."""
-        self._flushes_since_checkpoint = 0
-        try:
-            return self.checkpoint_now()
-        except (SnapshotError, OSError):
-            self.checkpoint_errors += 1
-            return None
-
-    async def _collect(self, stop_early: asyncio.Future | None = None) -> None:
-        """Adaptive wait: let the gatherable flush grow until it
-        reaches ``max_batch`` or the policy's window expires.  A closing
-        gateway drains immediately.  A queued deadline that lands inside
-        the window wakes the wait early so the expiring request is
-        answered on time -- a deadline wake is *not* a window expiry;
-        the loop keeps waiting out the remainder.  ``stop_early`` (the
-        in-flight heal future, pipelined mode) cuts the window short the
-        moment the wave resolves: the executor must never idle out the
-        remainder of a batching window."""
-        window_s = self.policy.window_s()
-        if window_s <= 0 or self._closing:
-            return
-        expires = self._clock() + window_s
-        while (
-            not self._closing
-            and self._queue
-            and self._gatherable() < self.max_batch
-            and not (stop_early is not None and stop_early.done())
-        ):
-            now = self._clock()
-            if now >= expires:
-                return
-            timeout = expires - now
-            soonest = self._next_deadline()
-            if soonest is not None and soonest < expires:
-                if soonest <= now:
-                    self._sweep_deadlines()
-                    continue
-                timeout = soonest - now
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                self._sweep_deadlines()
-
-    def _flush(
-        self,
-        kind: str,
-        requests: list[_Request],
-        root: "_trace.Span | None" = None,
-    ) -> float:
-        """One micro-batch -> one partial-batch heal call -> one
-        individual outcome per caller.  Returns the heal wall-clock
-        seconds (the policy's utilization signal).  ``root`` (tracing
-        on) parents the ``gateway.flush.heal`` / ``.resolve`` phase
-        spans; the ambient heal span in turn parents the engine's
-        ``core.*`` / ``net.wave`` spans."""
-        try:
-            if kind == "join":
-                payload: list = self._join_payload(requests)
-                nodes = [new_id for new_id, _attach in payload]
-                heal_call: Callable = self.net.insert_batch_partial
-            else:
-                payload = [request.node for request in requests]
-                nodes = list(payload)
-                heal_call = self.net.delete_batch_partial
-            t0 = self._clock()
-            if root is not None:
-                with _trace.span(
-                    "gateway.flush.heal",
-                    trace_id=root.trace_id,
-                    parent_id=root.span_id,
-                ):
-                    outcome = heal_call(payload)
-            else:
-                outcome = heal_call(payload)
-            heal_s = self._clock() - t0
-        except BaseException as exc:
-            # An engine failure (e.g. RecoveryError) is not a per-request
-            # rejection: surface it to every waiting caller -- the
-            # flushed batch AND everything still queued (the batcher
-            # dies with this raise, so a queued future would otherwise
-            # never resolve and its client would hang forever) -- and to
-            # the gateway owner instead of masking it as an outcome.
-            self._fail_pending(requests, exc)
-            raise
-        if root is not None:
-            with _trace.span(
-                "gateway.flush.resolve",
-                trace_id=root.trace_id,
-                parent_id=root.span_id,
-            ):
-                self._resolve_flush(kind, requests, nodes, outcome, heal_s)
-        else:
-            self._resolve_flush(kind, requests, nodes, outcome, heal_s)
-        return heal_s
-
-    def _fail_pending(self, requests: list[_Request], exc: BaseException) -> None:
-        """Engine-failure path: fail the given requests and every queued
-        future, then leave the gateway closing -- no client ever hangs
-        on a batcher that died."""
-        self._closing = True
-        rec = _trace.current()
-        for request in requests:
-            if not request.future.done():
-                request.future.set_exception(exc)
-            if request.span is not None:
-                rec.finish(request.span.set(error=type(exc).__name__))
-                request.span = None
-        while self._queue:
-            queued = self._queue.popleft()
-            if not queued.future.done():
-                queued.future.set_exception(exc)
-            if queued.span is not None:
-                rec.finish(queued.span.set(error=type(exc).__name__))
-                queued.span = None
-
-    def _resolve_flush(
-        self,
-        kind: str,
-        requests: list[_Request],
-        nodes: list[NodeId],
-        outcome: "BatchOutcome",
-        heal_s: float,
-    ) -> None:
-        """Turn one :class:`BatchOutcome` into one individual ack per
-        flushed request (shared by the serial and pipelined paths)."""
-        reasons = {r.index: r.reason for r in outcome.rejected}
-        now = self._clock()
-        batch_size = len(requests)
-        for index, request in enumerate(requests):
-            reason = reasons.get(index)
-            latency = now - request.submitted_at
-            self.metrics.record_ack(latency, ok=reason is None)
-            ack = Ack(
-                ok=reason is None,
-                kind=kind,
-                node=nodes[index],
-                reason=reason,
-                latency_s=latency,
-                batch_size=batch_size,
-            )
-            request.future.set_result(ack)
-            self._finish_request_span(request, ack)
-            if self.on_ack is not None:
-                self.on_ack(ack)
-        self.metrics.record_flush(
-            kind, batch_size, len(outcome.accepted), len(outcome.rejected), heal_s
-        )
-
-    def _join_payload(
-        self, requests: list[_Request]
-    ) -> list[tuple[NodeId, NodeId]]:
-        """Concrete ``(new_id, attach_to)`` pairs: pinned ids kept,
-        fresh consecutive ids otherwise; missing attach hints filled
-        with uniform live samples from the gateway's own rng (stale
-        pinned hints are left for the engine to reject per-request)."""
-        explicit = {r.node for r in requests if r.node is not None}
-        has_node = self.net.graph.has_node
-        pairs: list[tuple[NodeId, NodeId]] = []
-        nid: NodeId | None = None
-        for request in requests:
-            if request.node is not None:
-                new_id = request.node
-            else:
-                nid = self.net.fresh_id() if nid is None else nid + 1
-                while nid in explicit or has_node(nid):
-                    nid += 1
-                new_id = nid
-            attach = (
-                request.attach_hint
-                if request.attach_hint is not None
-                else self.net.sample_node(self._rng)
-            )
-            pairs.append((new_id, attach))
-        return pairs

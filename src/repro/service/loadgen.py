@@ -45,15 +45,25 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from repro.service.flush import (
+    BACKPRESSURE_REASON,
+    DEADLINE_REASON,
+    SHED_REASON,
+    reason_class,
+)
 from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.gateway import Ack, MembershipGateway
 
+_BACKPRESSURE = reason_class(BACKPRESSURE_REASON)
+_SHED = reason_class(SHED_REASON)
+_DEADLINE = reason_class(DEADLINE_REASON)
+
 #: rejection-reason prefixes a retrying client treats as transient
 #: load shedding (worth backing off and retrying) rather than a verdict
 #: about the request itself
-RETRYABLE_PREFIXES = ("backpressure", "shed")
+RETRYABLE_PREFIXES = (_BACKPRESSURE, _SHED)
 
 
 @dataclass(frozen=True)
@@ -118,11 +128,11 @@ class LoadStats:
         self.rejected += 1
         reason = ack.reason or "unknown"
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
-        if reason.startswith("backpressure"):
+        if reason.startswith(_BACKPRESSURE):
             self.backpressure += 1
-        elif reason.startswith("shed"):
+        elif reason.startswith(_SHED):
             self.shed += 1
-        elif reason.startswith("deadline"):
+        elif reason.startswith(_DEADLINE):
             self.deadline_timeouts += 1
 
     def merge(self, other: "LoadStats") -> None:

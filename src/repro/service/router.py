@@ -45,10 +45,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import GatewayClosed, ShardError
 from repro.obs import trace as _trace
-from repro.service.gateway import Ack
+from repro.service.flush import DEADLINE_REASON, DEFAULT_QUEUE_LIMIT, Ack
 from repro.service.metrics import ServiceMetrics, aggregate_snapshots
 from repro.service.shard import (
-    DEADLINE_REASON,
     MSG_ACKS,
     MSG_CONTROL,
     MSG_CTL_REPLY,
@@ -99,16 +98,11 @@ class InlineShardHandle:
         if kind == MSG_REQUESTS:
             for req in payload:
                 self.server.submit(*req)
-            while self.server.flush_due():
-                acks = self.server.flush()
-                if acks:
-                    self._replies.put((MSG_ACKS, acks))
+            self.pump()
         elif kind == MSG_CONTROL:
             op, args = payload
             if op == "drain":
-                acks = self.server.drain()
-                if acks:
-                    self._replies.put((MSG_ACKS, acks))
+                self._reply_acks(self.server.drain())
                 self._replies.put((MSG_DRAINED, self.server.stats()))
                 self._alive = False
                 self._replies.put(_EOF)
@@ -118,11 +112,16 @@ class InlineShardHandle:
                 self._replies.put((MSG_CTL_REPLY, _handle_control(self.server, op, args)))
 
     def pump(self) -> None:
-        """Run due flushes/sweeps outside a ``send`` -- how tests make
-        time-driven behavior (deadlines, TTL expiry) observable."""
+        """Run due flushes/sweeps and ship whatever was answered (door
+        rejections included).  Also called outside a ``send`` -- how
+        tests make time-driven behavior (deadlines, TTL expiry)
+        observable."""
         acks = self.server.sweep()
         while self.server.flush_due():
             acks.extend(self.server.flush())
+        self._reply_acks(acks)
+
+    def _reply_acks(self, acks: list[dict]) -> None:
         if acks:
             self._replies.put((MSG_ACKS, acks))
 
@@ -404,13 +403,7 @@ class ShardRouter:
         self.shard_failures += 1
         reason = f"shard {index} unavailable ({why})"
         for rid in [r for r, p in self._pending.items() if p.shard == index]:
-            pending = self._pending.pop(rid)
-            if not pending.future.done():
-                latency = self._clock() - pending.submitted_at
-                self.metrics.record_ack(latency, ok=False)
-                ack = Ack(False, pending.kind, pending.node, reason, latency, 0)
-                pending.future.set_result(ack)
-                self._finish_pending_span(pending, ack)
+            self._answer_pending(self._pending.pop(rid), reason)
         for rid in [
             r for r, c in self._pending_ctl.items() if c.shard == index
         ]:
@@ -488,20 +481,7 @@ class ShardRouter:
         # Shutdown answers everything: anything still pending raced the
         # drain and is resolved here rather than left hanging.
         for rid in list(self._pending):
-            pending = self._pending.pop(rid)
-            if not pending.future.done():
-                latency = self._clock() - pending.submitted_at
-                self.metrics.record_ack(latency, ok=False)
-                ack = Ack(
-                    False,
-                    pending.kind,
-                    pending.node,
-                    "gateway closed before heal",
-                    latency,
-                    0,
-                )
-                pending.future.set_result(ack)
-                self._finish_pending_span(pending, ack)
+            self._answer_pending(self._pending.pop(rid), "gateway closed before heal")
         for rid in list(self._pending_ctl):
             entry = self._pending_ctl.pop(rid)
             if not entry.future.done():
@@ -642,6 +622,18 @@ class ShardRouter:
         )
         return future
 
+    def _answer_pending(self, pending: _Pending, reason: str) -> None:
+        """Resolve an in-flight request router-side -- its shard will
+        not (down, drained) or not in time (deadline) -- with a
+        rejected ack no flush carried."""
+        if pending.future.done():
+            return
+        latency = self._clock() - pending.submitted_at
+        self.metrics.record_ack(latency, ok=False)
+        ack = Ack(False, pending.kind, pending.node, reason, latency, 0)
+        pending.future.set_result(ack)
+        self._finish_pending_span(pending, ack)
+
     def _finish_pending_span(self, pending: _Pending, ack: Ack) -> None:
         sp = pending.span
         if sp is not None:
@@ -708,20 +700,9 @@ class ShardRouter:
             ]
             for rid in expired:
                 pending = self._pending.pop(rid)
-                if pending.future.done():
-                    continue
-                self.metrics.record_timeout()
-                self.metrics.record_ack(now - pending.submitted_at, ok=False)
-                ack = Ack(
-                    False,
-                    pending.kind,
-                    pending.node,
-                    DEADLINE_REASON,
-                    now - pending.submitted_at,
-                    0,
-                )
-                pending.future.set_result(ack)
-                self._finish_pending_span(pending, ack)
+                if not pending.future.done():
+                    self.metrics.record_timeout()
+                    self._answer_pending(pending, DEADLINE_REASON)
             expired_ctl = [
                 rid
                 for rid, c in self._pending_ctl.items()
@@ -1092,6 +1073,8 @@ def make_worker_cfgs(
     seed: int = 0,
     max_batch: int = 64,
     window_ms: float = 2.0,
+    queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    policy: str = "fixed",
     checkpoint_root: str | Path | None = None,
     checkpoint_every: int = 32,
     checkpoint_keep: int = 3,
@@ -1099,7 +1082,9 @@ def make_worker_cfgs(
 ) -> list[dict]:
     """Split ``total_n`` bootstrap nodes across ``shards`` worker
     configs (remainder to the low shards), each with its own seed
-    stream, id region and checkpoint directory."""
+    stream, id region and checkpoint directory.  ``queue_limit`` and
+    the admission ``policy`` name apply per shard: a shard's door
+    rejections and sheds travel back as ordinary rejected acks."""
     if shards < 1:
         raise ShardError(f"need at least one shard, got {shards}")
     base, rem = divmod(total_n, shards)
@@ -1124,6 +1109,8 @@ def make_worker_cfgs(
                 "seed": seed + 1000 * index,
                 "max_batch": max_batch,
                 "window_ms": window_ms,
+                "queue_limit": queue_limit,
+                "policy": policy,
                 "checkpoint_dir": (
                     str(Path(checkpoint_root) / f"shard-{index}")
                     if checkpoint_root is not None
@@ -1144,6 +1131,8 @@ async def start_cluster(
     seed: int = 0,
     max_batch: int = 64,
     window_ms: float = 2.0,
+    queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    policy: str = "fixed",
     checkpoint_root: str | Path | None = None,
     checkpoint_every: int = 32,
     deadline_ms: float | None = None,
@@ -1158,6 +1147,8 @@ async def start_cluster(
         seed=seed,
         max_batch=max_batch,
         window_ms=window_ms,
+        queue_limit=queue_limit,
+        policy=policy,
         checkpoint_root=checkpoint_root,
         checkpoint_every=checkpoint_every,
         config_overrides=config_overrides,

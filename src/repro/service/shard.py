@@ -11,9 +11,15 @@ region.  Ownership is therefore a pure function of the id
 (:meth:`ShardMap.owner`), the property the router's hashing relies on.
 
 A :class:`ShardServer` is deliberately *synchronous*: one thread, one
-network, a plain flush loop -- the event-loop machinery lives in the
-router process, and a lean worker keeps the per-event overhead of the
-sharded path close to the engine cost.  It is driven two ways:
+network, and the same :class:`~repro.service.flush.FlushCore` the
+gateway runs (queue, selection, admission policy, deadline sweep, heal
+call, acks, checkpoints) -- the event-loop machinery lives in the router
+process, and a lean worker keeps the per-event overhead of the sharded
+path close to the engine cost.  This module adds what is shard-specific:
+the reservation/pin table and its pre-heal screen, commit consumption,
+the region audit, the control verbs and the pipe loop -- and the
+*waiting* (:meth:`ShardServer.poll_timeout`, anchored on the oldest
+request's receipt).  It is driven two ways:
 
 * in-process (tests, :class:`~repro.service.router.InlineShardHandle`):
   call :meth:`submit` / :meth:`flush` / the control verbs directly, with
@@ -51,13 +57,19 @@ timer.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import ShardError, SnapshotError
+from repro.errors import ShardError
 from repro.obs import trace as _trace
+from repro.service.flush import (
+    DEADLINE_REASON,  # noqa: F401  (re-export: tests and older callers read it here)
+    DEFAULT_QUEUE_LIMIT,
+    Ack,
+    FlushCore,
+    Request,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.types import NodeId
 
@@ -83,7 +95,6 @@ MSG_FATAL = "fatal"
 #: reason strings of shard-level rejections (tested verbatim)
 RESERVED_REASON = "reserved by an in-flight handoff"
 PINNED_REASON = "pinned by an in-flight handoff"
-DEADLINE_REASON = "deadline exceeded before heal"
 
 
 class ShardMap:
@@ -123,28 +134,22 @@ class ShardMap:
 
 
 @dataclass(eq=False)
-class _ShardRequest:
-    rid: int
-    kind: str  # "join" | "leave"
-    node: NodeId | None
-    attach_hint: NodeId | None
-    received_at: float
-    deadline_at: float | None
+class _ShardRequest(Request):
+    """A core request whose ``ticket`` is the router's request id."""
+
     #: set on commit joins: resolving this request (either way) consumes
     #: the reservation it rode in on
     commit: bool = False
-    #: ``(trace_id, parent_span_id)`` shipped over the pipe protocol so
-    #: a cross-shard journey renders as one trace (``None`` = untraced)
-    trace: tuple[str, str] | None = None
-    #: the open ``shard.request`` span while tracing is enabled
-    span: "_trace.Span | None" = None
 
 
-class ShardServer:
-    """One shard: a region-owning network partition, a synchronous
-    micro-batching flush loop, a TTL'd reservation/pin table, and
-    per-shard checkpoints.  Everything the worker process does is a
+class ShardServer(FlushCore[_ShardRequest]):
+    """One shard: a region-owning network partition behind the shared
+    flush core, plus what only a shard has -- the TTL'd reservation/pin
+    table and its screening, the region audit, and acks serialised to
+    rid-correlated pipe dicts.  Everything the worker process does is a
     method here, so tests drive shards in-process with a fake clock."""
+
+    span_prefix = "shard"
 
     def __init__(
         self,
@@ -161,28 +166,25 @@ class ShardServer:
         clock: Callable[[], float] = time.perf_counter,
         metrics: ServiceMetrics | None = None,
     ) -> None:
-        import random
-
+        super().__init__(
+            net,
+            max_batch=max_batch,
+            window_s=window_ms / 1e3,
+            seed=seed,
+            clock=clock,
+            metrics=metrics,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            checkpoint_keep=checkpoint_keep,
+        )
         self.index = index
-        self.net = net
         self.shard_map = shard_map
         self.region = shard_map.region(index)
-        self.max_batch = max_batch
-        self.window_s = window_ms / 1e3
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_keep = checkpoint_keep
-        self.checkpoints_written = 0
-        self.checkpoint_errors = 0
-        self._flushes_since_checkpoint = 0
-        self._clock = clock
-        self.metrics = metrics or ServiceMetrics(clock=clock)
-        self._rng = random.Random(
-            seed if seed is not None else getattr(net.config, "seed", 0)
-        )
-        self._queue: deque[_ShardRequest] = deque()
-        #: pinned id -> (reserving rid, expiry instant)
+        self._span_attrs = {"shard": index}
+        #: pinned id -> (reserving rid, expiry instant); fresh-id minting
+        #: skips these (a reservation holds the id for its handoff)
         self.reservations: dict[NodeId, tuple[int, float]] = {}
+        self._reserved = self.reservations
         #: protected attach hints -> {pinning rid -> expiry instant}.
         #: Keyed per handoff so two concurrent handoffs sharing one
         #: attach hint each hold their own pin: one side's unpin (or
@@ -190,14 +192,12 @@ class ShardServer:
         self.pins: dict[NodeId, dict[int, float]] = {}
         self.reservations_expired = 0
         self.handoffs_committed = 0
+        #: answered since the last :meth:`take_acks`, in pipe form
+        self._acks: list[dict] = []
 
     # ------------------------------------------------------------------
-    # intake
+    # intake / answers
     # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def submit(
         self,
         rid: int,
@@ -208,42 +208,40 @@ class ShardServer:
         commit: bool = False,
         trace: tuple[str, str] | None = None,
     ) -> None:
-        """Queue one request.  ``deadline_s`` is *remaining* seconds at
-        send time -- wall clocks are not comparable across processes, so
-        the worker re-anchors the deadline on its own clock at receipt.
-        ``trace`` is the router's ``(trace_id, parent_span_id)`` pair:
-        the shard's spans for this request continue that trace, so a
-        cross-shard join is one coherent timeline."""
-        now = self._clock()
-        deadline_at = now + deadline_s if deadline_s is not None else None
-        request = _ShardRequest(
-            rid, kind, node, attach_hint, now, deadline_at, commit, trace
+        """Queue one request (or answer it at the door).  ``deadline_s``
+        is *remaining* seconds at send time -- wall clocks are not
+        comparable across processes, so the worker re-anchors the
+        deadline on its own clock at receipt.  ``trace`` is the router's
+        ``(trace_id, parent_span_id)`` pair: the shard's spans for this
+        request continue that trace, so a cross-shard join is one
+        coherent timeline."""
+        self.enqueue(
+            _ShardRequest(kind, node, attach_hint, rid, trace=trace, commit=commit),
+            deadline_s,
         )
-        rec = _trace.current()
-        if rec.enabled:
-            tid, pid = trace if trace is not None else (None, None)
-            request.span = rec.start(
-                "shard.request",
-                trace_id=tid,
-                parent_id=pid,
-                shard=self.index,
-                kind=kind,
-            )
-        self._queue.append(request)
-        self.metrics.record_enqueue(len(self._queue))
+
+    def _emit(self, request: _ShardRequest, ack: Ack) -> None:
+        self._acks.append({"rid": request.ticket, **vars(ack)})
+
+    def take_acks(self) -> list[dict]:
+        """The rid-correlated ack dicts of everything answered since the
+        last call -- flushed, swept, shed or refused at the door."""
+        acks, self._acks = self._acks, []
+        return acks
 
     # ------------------------------------------------------------------
-    # the flush loop
+    # the flush loop: waiting here, everything else in the core
     # ------------------------------------------------------------------
     def poll_timeout(self, now: float | None = None) -> float | None:
         """Seconds until the next flush is due (0 when due now), or
-        ``None`` when idle -- the worker's pipe-poll timeout."""
+        ``None`` when idle -- the worker's pipe-poll timeout.  The
+        window is anchored on the oldest request's receipt."""
         if not self._queue:
             return None
         if len(self._queue) >= self.max_batch:
             return 0.0
         now = self._clock() if now is None else now
-        due_at = self._queue[0].received_at + self.window_s
+        due_at = self._queue[0].submitted_at + self.policy.window_s()
         deadline = self._next_deadline()
         if deadline is not None and deadline < due_at:
             due_at = deadline
@@ -253,33 +251,10 @@ class ShardServer:
         timeout = self.poll_timeout(now)
         return timeout is not None and timeout <= 0.0
 
-    def _next_deadline(self) -> float | None:
-        deadlines = [
-            r.deadline_at for r in self._queue if r.deadline_at is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def _selection(self) -> list[_ShardRequest]:
-        """Kind-segregated gather with the gateway's same-node-id
-        barrier rule (see ``MembershipGateway._selection``)."""
-        kind = self._queue[0].kind
-        barriers: set[NodeId] = set()
-        batch: list[_ShardRequest] = []
-        for request in self._queue:
-            if (
-                len(batch) < self.max_batch
-                and request.kind == kind
-                and (request.node is None or request.node not in barriers)
-            ):
-                batch.append(request)
-            elif request.node is not None:
-                barriers.add(request.node)
-        return batch
-
-    def sweep(self, now: float | None = None) -> list[dict]:
-        """Expire reservations, pins and queued deadlines.  Runs at
-        every flush (and on demand); returns the deadline acks."""
-        now = self._clock() if now is None else now
+    def _expire_holds(self) -> None:
+        """Drop reservations and pins past their TTL.  Runs at every
+        flush and sweep, so expiry needs no extra timer."""
+        now = self._clock()
         expired = [
             node
             for node, (_rid, expires) in self.reservations.items()
@@ -293,141 +268,36 @@ class ShardServer:
                 del holders[rid]
             if not holders:
                 del self.pins[node]
-        acks: list[dict] = []
-        if any(
-            r.deadline_at is not None and r.deadline_at <= now
-            for r in self._queue
-        ):
-            survivors: deque[_ShardRequest] = deque()
-            for request in self._queue:
-                if request.deadline_at is not None and request.deadline_at <= now:
-                    self.metrics.record_timeout()
-                    acks.append(self._ack(request, ok=False, reason=DEADLINE_REASON))
-                else:
-                    survivors.append(request)
-            self._queue = survivors
-        return acks
+
+    def sweep(self) -> list[dict]:
+        """Expire reservations, pins and queued deadlines on demand;
+        returns the acks answered so far."""
+        self._expire_holds()
+        self.sweep_deadlines()
+        return self.take_acks()
 
     def flush(self) -> list[dict]:
-        """One micro-batch through the partial-batch engine; returns the
-        ack dicts (rid-correlated) for everything answered, sweeps
-        included."""
-        acks = self.sweep()
-        if not self._queue:
-            return acks
-        batch = self._selection()
-        selected = set(batch)
-        self._queue = deque(r for r in self._queue if r not in selected)
-        if not batch:
-            return acks
-        kind = batch[0].kind
-        requests, screened = self._screen(kind, batch)
-        acks.extend(screened)
-        if not requests:
-            return acks
-        rec = _trace.current()
-        root: "_trace.Span | None" = None
-        if rec.enabled:
-            # Adopt the first traced request's trace (parent = its
-            # shard.request span) so a handoff commit's flush joins the
-            # router's timeline; a fresh trace otherwise.
-            lead = next((r for r in requests if r.trace is not None), None)
-            root = rec.start(
-                "shard.flush",
-                trace_id=lead.trace[0] if lead is not None else None,
-                parent_id=(
-                    lead.span.span_id
-                    if lead is not None and lead.span is not None
-                    else None
-                ),
-                shard=self.index,
-                kind=kind,
-                batch=len(requests),
-            )
-        t0 = self._clock()
-        if kind == "join":
-            payload = self._join_payload(requests)
-            nodes = [new_id for new_id, _attach in payload]
-            heal_call: Callable = self.net.insert_batch_partial
-        else:
-            payload = [request.node for request in requests]
-            nodes = list(payload)
-            heal_call = self.net.delete_batch_partial
-        if root is not None:
-            # ambient heal span: the engine's core.* / net.wave spans
-            # nest under it (flush is synchronous)
-            with _trace.span(
-                "shard.flush.heal",
-                trace_id=root.trace_id,
-                parent_id=root.span_id,
-            ):
-                outcome = heal_call(payload)
-        else:
-            outcome = heal_call(payload)
-        heal_s = self._clock() - t0
-        rsp = (
-            rec.start(
-                "shard.flush.resolve",
-                trace_id=root.trace_id,
-                parent_id=root.span_id,
-            )
-            if root is not None
-            else None
-        )
-        reasons = {r.index: r.reason for r in outcome.rejected}
-        batch_size = len(requests)
-        for index, request in enumerate(requests):
-            reason = reasons.get(index)
-            if request.commit and request.node is not None:
-                # The handoff ends with this answer either way: consume
-                # the reservation so the id is immediately free again on
-                # a rejection (never stranded).
-                self.reservations.pop(request.node, None)
-                if reason is None:
-                    self.handoffs_committed += 1
-            acks.append(
-                self._ack(
-                    request,
-                    ok=reason is None,
-                    reason=reason,
-                    node=nodes[index],
-                    batch_size=batch_size,
-                )
-            )
-        if rsp is not None:
-            rec.finish(rsp)
-            rec.finish(root)
-        self.metrics.record_flush(
-            "join" if kind == "join" else "leave",
-            batch_size,
-            len(outcome.accepted),
-            len(outcome.rejected),
-            heal_s,
-        )
-        self._flushes_since_checkpoint += 1
-        if (
-            self.checkpoint_dir is not None
-            and self._flushes_since_checkpoint >= self.checkpoint_every
-        ):
-            self.checkpoint()
-        return acks
+        """One micro-batch through the core; returns the ack dicts for
+        everything answered, sweeps included."""
+        self._expire_holds()
+        self.flush_once()
+        return self.take_acks()
 
     def _screen(
         self, kind: str, batch: list[_ShardRequest]
-    ) -> tuple[list[_ShardRequest], list[dict]]:
+    ) -> tuple[list[_ShardRequest], list[tuple[_ShardRequest, str]]]:
         """Shard-level admission ahead of the engine: a join naming a
         *reserved* id is refused unless it is the reserving handoff's
         own commit; a leave naming a *pinned* hint is refused while the
         pin lives.  Both answers are clean per-request rejections."""
         survivors: list[_ShardRequest] = []
-        acks: list[dict] = []
-        size = len(batch)
+        refused: list[tuple[_ShardRequest, str]] = []
         for request in batch:
             reason = None
             if kind == "join" and request.node is not None:
                 held = self.reservations.get(request.node)
                 if held is not None and not (
-                    request.commit and held[0] == request.rid
+                    request.commit and held[0] == request.ticket
                 ):
                     reason = f"node id {request.node} {RESERVED_REASON}"
                 elif request.commit and held is None:
@@ -440,69 +310,27 @@ class ShardServer:
             if reason is None:
                 survivors.append(request)
             else:
-                acks.append(
-                    self._ack(request, ok=False, reason=reason, batch_size=size)
-                )
-        return survivors, acks
+                refused.append((request, reason))
+        return survivors, refused
 
-    def _join_payload(
-        self, requests: list[_ShardRequest]
-    ) -> list[tuple[NodeId, NodeId]]:
-        """Pinned ids kept, fresh in-region ids otherwise (skipping
-        reserved ids -- a reservation holds the id for its handoff);
-        missing hints filled with uniform local samples."""
-        explicit = {r.node for r in requests if r.node is not None}
-        has_node = self.net.graph.has_node
-        pairs: list[tuple[NodeId, NodeId]] = []
-        nid: NodeId | None = None
-        for request in requests:
-            if request.node is not None:
-                new_id = request.node
-            else:
-                nid = self.net.fresh_id() if nid is None else nid + 1
-                while nid in explicit or nid in self.reservations or has_node(nid):
-                    nid += 1
-                new_id = nid
-            attach = (
-                request.attach_hint
-                if request.attach_hint is not None
-                else self.net.sample_node(self._rng)
-            )
-            pairs.append((new_id, attach))
-        return pairs
-
-    def _ack(
-        self,
-        request: _ShardRequest,
-        *,
-        ok: bool,
-        reason: str | None,
-        node: NodeId | None = None,
-        batch_size: int = 0,
-    ) -> dict:
-        latency = self._clock() - request.received_at
-        self.metrics.record_ack(latency, ok=ok)
-        if request.span is not None:
-            _trace.current().finish(request.span.set(ok=ok, reason=reason))
-            request.span = None
-        return {
-            "rid": request.rid,
-            "ok": ok,
-            "kind": request.kind,
-            "node": node if node is not None else request.node,
-            "reason": reason,
-            "latency_s": latency,
-            "batch_size": batch_size,
-        }
+    def _on_resolved(self, request: _ShardRequest, ok: bool) -> None:
+        if request.commit and request.node is not None:
+            # The handoff ends with this answer either way: consume the
+            # reservation so the id is immediately free again on a
+            # rejection (never stranded).
+            self.reservations.pop(request.node, None)
+            if ok:
+                self.handoffs_committed += 1
 
     def drain(self) -> list[dict]:
         """Flush until the queue is empty (every queued request
-        answered), then write a final covering checkpoint."""
-        acks: list[dict] = []
+        answered, the backlog healed rather than shed), then write a
+        final covering checkpoint."""
+        self._closing = True
+        acks = self.take_acks()
         while self._queue:
             acks.extend(self.flush())
-        if self.checkpoint_dir is not None:
-            self.checkpoint()
+        self.checkpoint()
         return acks
 
     # ------------------------------------------------------------------
@@ -512,7 +340,7 @@ class ShardServer:
         """Phase 1 (owner side): park ``node`` for handoff ``rid``.  The
         reservation self-expires after ``ttl_s`` -- a crash anywhere in
         the handoff can only ever *delay* the id, never strand it."""
-        self.sweep()
+        self._expire_holds()
         lo, hi = self.region
         if not lo <= node < hi:
             return self._nak(rid, f"shard {self.index} does not own id {node}")
@@ -537,7 +365,7 @@ class ShardServer:
         protect it from deletion for the TTL.  The pin belongs to this
         handoff alone: concurrent handoffs pinning the same hint each
         hold (and release) their own entry."""
-        self.sweep()
+        self._expire_holds()
         if not self.net.graph.has_node(node):
             return self._nak(rid, f"attach point {node} does not exist")
         self.pins.setdefault(node, {})[rid] = self._clock() + ttl_s
@@ -603,24 +431,6 @@ class ShardServer:
             row["nodes"] = sorted(self.net.nodes())
         return row
 
-    def checkpoint(self) -> Path | None:
-        """Per-shard crash safety: the same guarded snapshot contract as
-        the gateway's (a full disk degrades durability, never
-        availability)."""
-        self._flushes_since_checkpoint = 0
-        if self.checkpoint_dir is None:
-            return None
-        from repro.persist.snapshot import prune_checkpoints, save_snapshot
-
-        try:
-            path = save_snapshot(self.net, self.checkpoint_dir)
-            prune_checkpoints(self.checkpoint_dir, self.checkpoint_keep)
-        except (SnapshotError, OSError):
-            self.checkpoint_errors += 1
-            return None
-        self.checkpoints_written += 1
-        return path
-
 
 def build_shard(cfg: dict) -> ShardServer:
     """Construct one shard from a worker config: restore from its
@@ -649,7 +459,7 @@ def build_shard(cfg: dict) -> ShardServer:
             seed=cfg["seed"],
             id_base=shard_map.id_base(index),
         )
-    return ShardServer(
+    server = ShardServer(
         index,
         net,
         shard_map=shard_map,
@@ -660,6 +470,10 @@ def build_shard(cfg: dict) -> ShardServer:
         checkpoint_keep=cfg.get("checkpoint_keep", 3),
         seed=cfg["seed"],
     )
+    server.bind_policy(
+        cfg.get("policy", "fixed"), cfg.get("queue_limit", DEFAULT_QUEUE_LIMIT)
+    )
+    return server
 
 
 def _handle_control(server: ShardServer, op: str, args: dict) -> dict:
@@ -802,10 +616,11 @@ def _worker_loop(conn: Any, cfg: dict) -> None:
                     conn.send((MSG_ACKS, acks))
                 conn.send((MSG_DRAINED, server.stats()))
                 return
-            if server.flush_due():
-                acks = server.flush()
-                if acks:
-                    conn.send((MSG_ACKS, acks))
+            # Door rejections and sheds are answered at submit time:
+            # ship them now even when no flush is due yet.
+            acks = server.flush() if server.flush_due() else server.take_acks()
+            if acks:
+                conn.send((MSG_ACKS, acks))
     except EOFError:
         return
     except Exception:  # noqa: BLE001 -- last words beat a silent exit

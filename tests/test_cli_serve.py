@@ -65,14 +65,15 @@ class TestServe:
         assert "restored step" in second
         assert "checkpoints:" in second  # the restored run keeps checkpointing
 
-    def test_cluster_mode_rejects_unsupported_overload_flags(self, capsys):
-        # --policy / --queue-limit are single-gateway knobs: cluster mode
-        # must refuse them loudly, never silently run the fixed defaults.
+    def test_cluster_mode_accepts_overload_flags(self, capsys):
+        # --policy / --queue-limit travel in the worker config: every
+        # shard runs the same flush core as the single gateway, so
+        # cluster mode serves under them to a clean audit.
         base = ["serve", "--shards", "2", "--duration", "0.1"]
-        assert main(base + ["--policy", "shed-oldest"]) == 2
-        assert "not supported in cluster mode" in capsys.readouterr().err
-        assert main(base + ["--queue-limit", "64"]) == 2
-        assert "--queue-limit" in capsys.readouterr().err
+        assert main(base + ["--policy", "shed-oldest"]) == 0
+        assert "cluster audit | ok" in capsys.readouterr().out
+        assert main(base + ["--queue-limit", "64"]) == 0
+        assert "cluster audit | ok" in capsys.readouterr().out
 
     def test_restore_from_empty_directory_fails_loudly(self, tmp_path):
         from repro.errors import SnapshotError

@@ -273,6 +273,22 @@ class TestWaveEngines:
             assert scalar[2:] == vector[2:], seed
             assert scalar_t == vector_t, seed
 
+    def test_tokens_on_edgeless_rows_are_stuck_in_both_engines(self):
+        # the only rows the wave ever reads are empty, so the vector
+        # engine's neighbour pool has no entries at all
+        from repro.net.walks import run_wave
+
+        g = DynamicMultigraph()
+        for u in range(4):
+            g.add_node(u)
+        g.add_edge(2, 3)
+        results = [
+            run_wave(g, [0, 1, 0], 5, {3}, random.Random(1), engine=engine)
+            for engine in ("scalar", "vector")
+        ]
+        assert results[0] == results[1]
+        assert list(results[0][0]) == [0, 1, 0] and results[0][2] == 0
+
     def test_auto_engine_matches_forced_engines(self):
         from repro.net.walks import run_wave
 

@@ -128,9 +128,7 @@ class TestGatewayFlushTrace:
         spans = list(rec.spans)
         by_id = {s["span"]: s for s in spans}
         roots = [s for s in spans if s["name"] == "gateway.flush"]
-        assert roots and all(
-            s["attrs"]["mode"] == "serial" for s in roots if "attrs" in s
-        )
+        assert roots and all(s["attrs"]["kind"] == "join" for s in roots)
         phases = [s for s in spans if ".flush." in s["name"]]
         assert {s["name"] for s in phases} >= {
             "gateway.flush.collect",
