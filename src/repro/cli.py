@@ -154,60 +154,57 @@ def _serve_parser() -> argparse.ArgumentParser:
 
 
 def cmd_serve(argv: list[str]) -> int:
+    """``serve``: Poisson traffic against one gateway or, with
+    ``--shards N``, an N-worker cluster behind the id-region router --
+    one code path over the operator surface both share, ending in a
+    graceful drain and a cluster audit."""
     import asyncio
     import contextlib
     import signal as signal_module
 
-    from repro.core.config import DexConfig
-    from repro.core.dex import DexNetwork
-    from repro.service import MembershipGateway, poisson_load
+    from repro.service import open_service, poisson_load
 
     args = _serve_parser().parse_args(argv)
-    if args.shards > 1:
-        return _serve_sharded(args)
-    if args.restore:
-        if args.checkpoint_dir is None:
-            print("--restore requires --checkpoint-dir", file=sys.stderr)
-            return 2
-        from repro.persist import restore_latest
+    if args.restore and args.checkpoint_dir is None:
+        print("--restore requires --checkpoint-dir", file=sys.stderr)
+        return 2
 
-        net, restored_from, skipped = restore_latest(args.checkpoint_dir)
-        print(
-            f"restored step {net.step_count} (n = {net.size}) from "
-            f"{restored_from}"
-            + (f", skipped {len(skipped)} corrupt checkpoints" if skipped else "")
-        )
-    else:
-        config = DexConfig(seed=args.seed, type2_mode="simplified")
-        net = DexNetwork.bootstrap(args.n0, config, seed=args.seed)
-
-    async def reporter(gateway: MembershipGateway) -> None:
+    async def reporter(service) -> None:
         while True:
             await asyncio.sleep(args.report_every)
-            row = gateway.metrics.window()
+            row = service.metrics.window()
             print(
                 f"  [{row['elapsed_s']:.1f}s] {row['events']} acks "
                 f"({row['events_per_s']:.0f}/s)  p50={row['ack_p50_ms']}ms "
-                f"p99={row['ack_p99_ms']}ms  depth={gateway.queue_depth}"
+                f"p99={row['ack_p99_ms']}ms  depth={service.queue_depth}"
             )
 
     async def run():
-        gateway = MembershipGateway(
-            net,
+        service = await open_service(
+            args.n0,
+            shards=args.shards,
+            seed=args.seed,
             max_batch=args.max_batch,
-            batch_window_ms=args.window_ms,
+            window_ms=args.window_ms,
             queue_limit=args.queue_limit,
             policy=args.policy,
             deadline_ms=args.deadline_ms,
-            seed=args.seed,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_keep=args.checkpoint_keep,
+            restore=args.restore,
         )
-        # Windows re-anchored after any (possibly slow) restore, so the
-        # first reported rates use this process's serving time only.
-        gateway.metrics.reset_windows()
-        await gateway.start()
+        for row in service.ready.values():
+            if row["restored"]:
+                print(
+                    f"restored step {row['step']} (n = {row['size']}) "
+                    f"from {row['checkpoint']}"
+                )
+        print(
+            f"serving n0={service.net.size} across {len(service.ready)} "
+            f"shard(s) at {args.rate:.0f} req/s for {args.duration}s "
+            f"(max_batch={args.max_batch}, window={args.window_ms}ms)"
+        )
         # Ctrl-C / SIGTERM become a graceful drain: stop offering load,
         # answer every queued future, write the final checkpoint.  A
         # raw KeyboardInterrupt would instead tear the loop down with
@@ -222,13 +219,13 @@ def cmd_serve(argv: list[str]) -> int:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
         watcher = (
-            asyncio.ensure_future(reporter(gateway))
+            asyncio.ensure_future(reporter(service))
             if args.report_every > 0
             else None
         )
         load = asyncio.ensure_future(
             poisson_load(
-                gateway,
+                service,
                 rate_hz=args.rate,
                 duration_s=args.duration,
                 join_fraction=args.join_fraction,
@@ -247,7 +244,10 @@ def cmd_serve(argv: list[str]) -> int:
                     await load
             else:
                 stats = await load
-            summary = await gateway.drain()
+            # Audited while the workers still exist; a cluster's are
+            # gone once it has drained.
+            audit = await service.cluster_audit()
+            summary = await service.drain()
             # Let clients the cancelled generator left behind observe
             # their (already resolved) acks before the loop closes.
             for _ in range(3):
@@ -260,19 +260,15 @@ def cmd_serve(argv: list[str]) -> int:
                 loop.remove_signal_handler(signum)
         if args.metrics_out is not None:
             args.metrics_out.write_text(
-                gateway.publish_registry().render_prometheus(),
+                service.publish_registry().render_prometheus(),
                 encoding="utf-8",
             )
-        return stats, gateway.metrics.snapshot(), summary
+        return stats, service.metrics.snapshot(), audit, summary
 
-    print(
-        f"serving n0={net.size} at {args.rate:.0f} req/s for {args.duration}s "
-        f"(max_batch={args.max_batch}, window={args.window_ms}ms)"
-    )
-    stats, snap, summary = asyncio.run(run())
+    stats, snap, audit, summary = asyncio.run(run())
     table = Table(
-        f"gateway soak (n0={args.n0}, rate={args.rate:.0f}/s, "
-        f"seed={args.seed})",
+        f"gateway soak (n0={args.n0}, shards={len(audit['shards'])}, "
+        f"rate={args.rate:.0f}/s, seed={args.seed})",
         ["quantity", "value"],
     )
     if stats is not None:
@@ -293,120 +289,36 @@ def cmd_serve(argv: list[str]) -> int:
     table.add_row("goodput/sec", snap["goodput_per_s"])
     table.add_row("ack p50 (ms)", snap["ack_p50_ms"])
     table.add_row("ack p99 (ms)", snap["ack_p99_ms"])
-    table.add_row("mean batch", snap["mean_batch"])
-    table.add_note(
-        f"final n = {net.size}, batches = {snap['batches']}, "
-        f"policy = {args.policy}"
+    # the flush-shape columns live where the flushes run
+    engines = summary.get("per_shard") or [snap]
+    table.add_row("mean batch", " / ".join(str(e["mean_batch"]) for e in engines))
+    if "handoffs" in summary:
+        handoffs = summary["handoffs"]
+        table.add_row(
+            "handoffs",
+            f"{handoffs['committed']}/{handoffs['attempted']} committed",
+        )
+    table.add_row(
+        "cluster audit", "ok" if audit["ok"] else f"FAILED {audit['errors'][:2]}"
     )
-    if summary["final_checkpoint"] is not None:
+    table.add_note(
+        f"audited n = {audit['total_nodes']}, "
+        f"batches = {sum(e['batches'] for e in engines)}, policy = {args.policy}"
+    )
+    if "per_shard" in summary:
+        table.add_note(
+            "per-shard events/s: "
+            + ", ".join(
+                f"{row['shard']}: {row['events_per_s']:.0f}"
+                for row in summary["per_shard"]
+            )
+        )
+    if summary.get("final_checkpoint"):
         table.add_note(
             f"checkpoints: {summary['checkpoints_written']} written "
             f"({summary['checkpoint_errors']} errors), "
             f"final {summary['final_checkpoint']}"
         )
-    print(table.render())
-    return 0
-
-
-def _serve_sharded(args) -> int:
-    """``serve --shards N``: Poisson traffic against an N-worker cluster
-    behind the id-region router, with the same progress snapshots and a
-    final cluster audit."""
-    import asyncio
-
-    from repro.service.loadgen import poisson_load
-    from repro.service.router import start_cluster
-
-    if args.restore:
-        print("--restore is per-shard in cluster mode; restart a dead "
-              "shard from its checkpoint via the router instead",
-              file=sys.stderr)
-        return 2
-
-    async def run():
-        router = await start_cluster(
-            args.n0,
-            args.shards,
-            seed=args.seed,
-            max_batch=args.max_batch,
-            window_ms=args.window_ms,
-            queue_limit=args.queue_limit,
-            policy=args.policy,
-            checkpoint_root=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            deadline_ms=args.deadline_ms,
-        )
-
-        async def reporter():
-            while True:
-                await asyncio.sleep(args.report_every)
-                row = router.metrics.window()
-                print(
-                    f"  [{row['elapsed_s']:.1f}s] {row['events']} acks "
-                    f"({row['events_per_s']:.0f}/s)  p50={row['ack_p50_ms']}ms "
-                    f"p99={row['ack_p99_ms']}ms"
-                )
-
-        watcher = (
-            asyncio.ensure_future(reporter()) if args.report_every > 0 else None
-        )
-        try:
-            stats = await poisson_load(
-                router,
-                rate_hz=args.rate,
-                duration_s=args.duration,
-                join_fraction=args.join_fraction,
-                seed=args.seed + 1,
-                retry=_retry_policy(args),
-            )
-            audit = await router.cluster_audit()
-        finally:
-            if watcher is not None:
-                watcher.cancel()
-        if args.metrics_out is not None:
-            args.metrics_out.write_text(
-                router.publish_registry().render_prometheus(),
-                encoding="utf-8",
-            )
-        summary = await router.drain()
-        return stats, router.metrics.snapshot(), audit, summary
-
-    print(
-        f"serving n0={args.n0} across {args.shards} shards at "
-        f"{args.rate:.0f} req/s for {args.duration}s "
-        f"(max_batch={args.max_batch}, window={args.window_ms}ms)"
-    )
-    stats, snap, audit, summary = asyncio.run(run())
-    table = Table(
-        f"sharded gateway soak (n0={args.n0}, shards={args.shards}, "
-        f"rate={args.rate:.0f}/s, seed={args.seed})",
-        ["quantity", "value"],
-    )
-    table.add_row("offered", stats.offered)
-    table.add_row("acked ok", stats.ok)
-    table.add_row("rejected", stats.rejected)
-    if stats.backpressure:
-        table.add_row("backpressure", stats.backpressure)
-    if stats.shed:
-        table.add_row("shed", stats.shed)
-    table.add_row("events/sec", snap["events_per_s"])
-    table.add_row("goodput/sec", snap["goodput_per_s"])
-    table.add_row("ack p50 (ms)", snap["ack_p50_ms"])
-    table.add_row("ack p99 (ms)", snap["ack_p99_ms"])
-    handoffs = summary["handoffs"]
-    table.add_row(
-        "handoffs",
-        f"{handoffs['committed']}/{handoffs['attempted']} committed",
-    )
-    table.add_row("cluster audit", "ok" if audit["ok"] else f"FAILED {audit['errors'][:2]}")
-    table.add_note(
-        f"total nodes = {audit['total_nodes']} over {args.shards} shards; "
-        "per-shard events/s: "
-        + ", ".join(
-            f"{row['shard']}: {row['events_per_s']:.0f}"
-            for row in summary["per_shard"]
-        )
-    )
     print(table.render())
     return 0 if audit["ok"] else 1
 
@@ -451,55 +363,40 @@ def cmd_soak(argv: list[str]) -> int:
 
     args = _soak_parser().parse_args(argv)
     results: dict[str, dict] = {}
-    recording = (
-        recording_to(args.trace)
-        if args.trace is not None
-        else contextlib.nullcontext()
-    )
-    with recording:
-        return _run_soak(args, results, perf)
-
-
-def _run_soak(args, results: dict[str, dict], perf) -> int:
-    for n in args.sizes:
-        checkpoint_dir = (
-            str(args.checkpoint_dir / f"n{n}")
-            if args.checkpoint_dir is not None
-            else None
-        )
-        row = perf.bench_service(
-            n,
-            duration_s=args.duration,
-            max_batch=args.max_batch,
-            batch_window_ms=args.window_ms,
-            clients=args.clients,
-            seed=args.seed,
-            compare_per_request=not args.no_baseline,
-            policy=args.policy,
-            deadline_ms=args.deadline_ms,
-            retry=_retry_policy(args),
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_keep=args.checkpoint_keep,
-        )
-        results[f"n{n}"] = row
-        speedup = (
-            f"  speedup={row['service_speedup_x']}x"
-            if "service_speedup_x" in row
-            else ""
-        )
-        checkpoints = (
-            f"  checkpoints={row['checkpoints_written']}"
-            if "checkpoints_written" in row
-            else ""
-        )
-        print(
-            f"n{n}: {row['events']} events at {row['events_per_s']:.0f}/s "
-            f"(p50={row['ack_p50_ms']}ms p99={row['ack_p99_ms']}ms, "
-            f"mean batch {row['mean_batch']}){speedup}{checkpoints}"
-        )
+    with recording_to(args.trace) if args.trace is not None else contextlib.nullcontext():
+        for n in args.sizes:
+            row = results[f"n{n}"] = perf.bench_service(
+                n,
+                duration_s=args.duration,
+                max_batch=args.max_batch,
+                batch_window_ms=args.window_ms,
+                clients=args.clients,
+                seed=args.seed,
+                compare_per_request=not args.no_baseline,
+                policy=args.policy,
+                deadline_ms=args.deadline_ms,
+                retry=_retry_policy(args),
+                checkpoint_dir=(
+                    str(args.checkpoint_dir / f"n{n}") if args.checkpoint_dir else None
+                ),
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_keep=args.checkpoint_keep,
+            )
+            speedup = (
+                f"  speedup={row['service_speedup_x']}x" if "service_speedup_x" in row else ""
+            )
+            checkpoints = (
+                f"  checkpoints={row['checkpoints_written']}"
+                if "checkpoints_written" in row
+                else ""
+            )
+            print(
+                f"n{n}: {row['events']} events at {row['events_per_s']:.0f}/s "
+                f"(p50={row['ack_p50_ms']}ms p99={row['ack_p99_ms']}ms, "
+                f"mean batch {row['mean_batch']}){speedup}{checkpoints}"
+            )
     if args.out is not None:
-        perf.write_service(args.out, args.label, results)
+        perf.write_section(args.out, "service", args.label, results, merge=True)
         print(f"wrote {args.out}")
     if args.trace is not None:
         print(f"tracing {args.trace}")

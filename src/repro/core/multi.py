@@ -11,10 +11,9 @@ subject to the model's restrictions:
   node must retain at least one surviving neighbor.
 
 Healing is *batch-parallel*: every pending recovery generates a token
-(the :mod:`repro.core.type1` generation/resolution split) and the whole
-wave is scheduled through :func:`~repro.net.walks.run_wave` (the
-specialized fast path of :func:`~repro.net.walks.scheduled_walks`)
-under the Lemma 11 one-token-per-edge-per-round rule.  The wave hop
+(resolved by the :mod:`repro.core.type1` transfer functions) and the
+whole wave is scheduled through :func:`~repro.net.walks.run_wave` under
+the Lemma 11 one-token-per-edge-per-round rule.  The wave hop
 itself runs on the engine selected by ``DexConfig.wave_engine`` -- by
 default the lockstep numpy engine, which advances all active tokens of
 a round as vectorized operations over the graph's array adjacency;

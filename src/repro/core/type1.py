@@ -8,16 +8,15 @@ onto Low nodes.  Redistribution walks run sequentially with live load
 updates, which is what makes Lemma 3(a)'s 4*zeta bound hold exactly
 (DESIGN.md substitution 4).
 
-The module is split into token *generation* (:func:`insertion_token` /
-:func:`redistribution_token` build :class:`~repro.net.walks.TokenSpec`
-describing the recovery walk) and token *resolution*
-(:func:`resolve_insertion` / :func:`resolve_redistribution` apply the
-vertex transfer after re-checking the target still qualifies).  The
-sequential recoveries below chain the two through :func:`random_walk`;
-the batch engine of :mod:`repro.core.multi` schedules a whole batch's
-tokens through :func:`~repro.net.walks.run_wave` under the Lemma 11
-congestion rule (on the lockstep numpy engine or the scalar reference,
-per ``DexConfig.wave_engine`` -- the two are transcript-identical for a
+Token *resolution* (:func:`resolve_insertion` /
+:func:`resolve_redistribution`: the vertex transfer, after re-checking
+the target still qualifies) is separate from the walk that finds the
+target.  The sequential recoveries below walk one token at a time
+through :func:`walk_for`; the batch engine of :mod:`repro.core.multi`
+schedules a whole batch's tokens through
+:func:`~repro.net.walks.run_wave` under the Lemma 11 congestion rule (on
+the lockstep numpy engine or the scalar reference, per
+``DexConfig.wave_engine`` -- the two are transcript-identical for a
 fixed seed) and resolves each wave in order, so both paths share the
 exact same transfer semantics.
 
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.aggregation import compute_low, compute_spare
 from repro.errors import RecoveryError
 from repro.net.metrics import CostLedger
-from repro.net.walks import TokenSpec, random_walk
+from repro.net.walks import random_walk
 from repro.types import Layer, NodeId, RecoveryType, Vertex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,21 +76,8 @@ def walk_for(
 
 
 # ----------------------------------------------------------------------
-# token generation (the batch engine schedules these through Lemma 11)
+# token resolution (shared with the batch engine's waves)
 # ----------------------------------------------------------------------
-def insertion_token(
-    dex: "DexNetwork", u: NodeId, v: NodeId, attempt: int = 0
-) -> TokenSpec:
-    """The Algorithm 4.2 token: from the attach point ``v``, seek a node
-    in Spare, never stepping onto the fresh node ``u``."""
-    return TokenSpec(
-        start=v,
-        length=walk_budget(dex, attempt),
-        stop=dex.overlay.old.in_spare,
-        excluded=frozenset((u,)),
-    )
-
-
 def resolve_insertion(dex: "DexNetwork", u: NodeId, w: NodeId) -> bool:
     """Resolve an insertion token that landed on ``w``: if ``w`` is
     (still) in Spare it donates one transferable vertex to ``u``.
@@ -108,18 +94,6 @@ def resolve_insertion(dex: "DexNetwork", u: NodeId, w: NodeId) -> bool:
     z = old.pick_transferable(w, dex.rng)
     dex.overlay.move(Layer.OLD, z, u)
     return True
-
-
-def redistribution_token(
-    dex: "DexNetwork", v: NodeId, attempt: int = 0
-) -> TokenSpec:
-    """The Algorithm 4.3 token: from the adopter ``v``, seek a Low node
-    willing to take one of the deleted node's vertices."""
-    return TokenSpec(
-        start=v,
-        length=walk_budget(dex, attempt),
-        stop=dex.overlay.old.in_low,
-    )
 
 
 def resolve_redistribution(
@@ -169,13 +143,12 @@ def insertion_recovery(
                 return RecoveryType.TYPE1_DURING_STAGGER
             ledger.retries += 1
             continue
-        token = insertion_token(dex, u, v, attempt)
-        result = random_walk(
-            dex.graph, token.start, token.length, dex.rng,
-            stop=token.stop, excluded=token.excluded,
+        # The Algorithm 4.2 token: from the attach point ``v``, seek a
+        # node in Spare, never stepping onto the fresh node ``u``.
+        w = walk_for(
+            dex, v, dex.overlay.old.in_spare, ledger, frozenset((u,)), attempt
         )
-        ledger.charge_walk(result.hops)
-        if result.found and resolve_insertion(dex, u, result.end):
+        if w is not None and resolve_insertion(dex, u, w):
             return RecoveryType.TYPE1
         # Walk failed: decide between type-2 recovery and retrying.
         if dex.config.type2_mode == "simplified":
@@ -269,12 +242,10 @@ def deletion_recovery(
         for attempt in range(dex.config.max_type1_retries + 1):
             if dex.staggered is not None:
                 break  # a deflate started mid-redistribution
-            token = redistribution_token(dex, v, attempt)
-            result = random_walk(
-                dex.graph, token.start, token.length, dex.rng, stop=token.stop
-            )
-            ledger.charge_walk(result.hops)
-            if result.found and resolve_redistribution(dex, z, result.end):
+            # The Algorithm 4.3 token: from the adopter ``v``, seek a
+            # Low node willing to take one of the deleted node's vertices.
+            w = walk_for(dex, v, dex.overlay.old.in_low, ledger, attempt=attempt)
+            if w is not None and resolve_redistribution(dex, z, w):
                 placed = True
                 break
             if dex.config.type2_mode == "simplified":
@@ -298,8 +269,3 @@ def deletion_recovery(
                 f"vertex {z} of deleted node {u} could not be redistributed"
             )
     return RecoveryType.TYPE1, v
-
-
-def pick_spare_vertex(dex: "DexNetwork", w: NodeId) -> Vertex:
-    """Convenience used by tests: the vertex ``w`` would donate."""
-    return dex.overlay.old.pick_transferable(w, dex.rng)

@@ -4,11 +4,12 @@ comes back.
 The unit under test is the whole crash-recovery story of
 :mod:`repro.persist`: a **worker process** runs a live
 :class:`~repro.service.gateway.MembershipGateway` under closed-loop
-churn with periodic checkpointing, the harness SIGKILLs it mid-load
-(and, per the :class:`FaultPlan`, additionally corrupts what the crash
-left on disk), restores from the newest loadable checkpoint, audits the
-full invariant oracle, verifies the ack journal against the restored
-state, and finally *resumes* the soak on the restored network.
+churn (:func:`~repro.service.loadgen.saturating_load`, the one
+closed-loop generator) with periodic checkpointing, the harness SIGKILLs
+it mid-load (and, per the :class:`FaultPlan`, additionally corrupts what
+the crash left on disk), restores from the newest loadable checkpoint,
+audits the full invariant oracle, verifies the ack journal against the
+restored state, and finally *resumes* the soak on the restored network.
 
 The honesty contract is the **ack journal**, a write-ahead log of the
 checkpoint stream.  The worker records every state-changing ack in
@@ -60,7 +61,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import random
 import signal
 import sys
 import tempfile
@@ -178,7 +178,7 @@ def _soak_worker(cfg: dict) -> None:
     here cleans up, by design."""
     from repro.core.config import DexConfig
     from repro.core.dex import DexNetwork
-    from repro.service import MembershipGateway
+    from repro.service import MembershipGateway, saturating_load
 
     root = Path(cfg["root"])
     net = DexNetwork.bootstrap(
@@ -231,7 +231,7 @@ def _soak_worker(cfg: dict) -> None:
             on_ack=record_ack,
         )
         await gateway.start()
-        steady = _closed_loop_churn(
+        steady = saturating_load(
             gateway,
             duration_s=cfg["duration_s"],
             clients=cfg["clients"],
@@ -243,13 +243,13 @@ def _soak_worker(cfg: dict) -> None:
             await steady
         else:
 
-            async def spike() -> tuple[int, int]:
+            async def spike() -> None:
                 # The offered-load fault: after the fuse, a second fleet
                 # piles on for the remainder of the soak, pushing offered
                 # load past heal capacity while the steady fleet keeps
                 # running (and, per the plan, a SIGKILL may land mid-spike).
                 await asyncio.sleep(overload_at * cfg["duration_s"])
-                return await _closed_loop_churn(
+                await saturating_load(
                     gateway,
                     duration_s=(1.0 - overload_at) * cfg["duration_s"],
                     clients=cfg.get("overload_clients", 256),
@@ -267,44 +267,6 @@ def _soak_worker(cfg: dict) -> None:
         )
 
     asyncio.run(run())
-
-
-async def _closed_loop_churn(
-    gateway,
-    *,
-    duration_s: float,
-    clients: int,
-    join_fraction: float,
-    seed: int,
-) -> tuple[int, int]:
-    """Closed-loop mixed churn (the loadgen shape): ``clients`` workers
-    keep one request in flight each.  Returns ``(completed, ok)``."""
-    from repro.service import Population
-
-    rng = random.Random(seed)
-    population = Population(gateway.net.nodes(), rng)
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + duration_s
-    completed = ok = 0
-
-    async def worker() -> None:
-        nonlocal completed, ok
-        while loop.time() < deadline:
-            if rng.random() < join_fraction or not len(population):
-                ack = await gateway.join()
-                if ack.ok:
-                    population.add(ack.node)
-            else:
-                victim = population.sample()
-                ack = await gateway.leave(victim)
-                if ack.ok:
-                    population.discard(victim)
-            completed += 1
-            if ack.ok:
-                ok += 1
-
-    await asyncio.gather(*(worker() for _ in range(clients)))
-    return completed, ok
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +520,7 @@ def _resume_soak(
 ) -> tuple[int, int]:
     """Continue serving on the restored network (in-process), with
     checkpointing re-enabled into the same directory, and drain."""
-    from repro.service import MembershipGateway
+    from repro.service import MembershipGateway, saturating_load
 
     async def run() -> tuple[int, int]:
         gateway = MembershipGateway(
@@ -572,7 +534,7 @@ def _resume_soak(
         )
         gateway.metrics.reset_windows()
         await gateway.start()
-        completed, ok = await _closed_loop_churn(
+        stats = await saturating_load(
             gateway,
             duration_s=duration_s,
             clients=clients,
@@ -580,7 +542,7 @@ def _resume_soak(
             seed=seed,
         )
         await gateway.drain()
-        return completed, ok
+        return stats.completed, stats.ok
 
     return asyncio.run(run())
 

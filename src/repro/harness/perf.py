@@ -70,10 +70,12 @@ kept)::
       "service": {                     # membership-gateway soak (PR 5);
         "<label>": {                   # repro.service / cli soak
           "meta": {"python": "...", "created": "..."},
-          "n4096": {
-            "duration_s": 2.0, "clients": 256,
-            "max_batch": 128, "batch_window_ms": 2.0,
+          "n4096": {                   # one soak driver, either backend
+            "shards": 1, "duration_s": 2.0, "clients": 256,
+            "max_batch": 128, "batch_window_ms": 2.0, "queue_limit": 8192,
             "policy": "fixed", "deadline_ms": null,
+            "offered": 31873, "completed": 31873,    # == : nobody hung
+            "audit_ok": true,          # I1-I8 (+ ownership in a cluster)
             "events": 31873, "events_per_s": 15936.0,
             "goodput_per_s": 15730.0,  # healed acks only (PR 7)
             "ack_p50_ms": 7.9, "ack_p99_ms": 16.2, "ack_max_ms": 31.0,
@@ -101,8 +103,10 @@ kept)::
                              "shed_total": 9983},
             "final_n": 4311
           },
-          # --- shard sweep (PR 8): the single gateway vs the sharded
-          # cluster at each shard count; the scaling receipt ---
+          # --- shard sweep (PR 8): the same soak row over the single
+          # gateway and over the cluster at each shard count, under one
+          # configuration (policy / deadline_ms included); a cluster
+          # row adds the handoff ledger and per-shard rates ---
           "n16384/serial":    {"events_per_s": 9120.0, ...},
           "n16384/shards4": {
             "shards": 4, "duration_s": 4.0, "clients": 256,
@@ -202,16 +206,6 @@ from repro.errors import AdversaryError
 from repro.net.walks import random_walk, run_wave
 
 SCHEMA = "dex-perf/8"
-_COMPATIBLE_SCHEMAS = (
-    "dex-perf/1",
-    "dex-perf/2",
-    "dex-perf/3",
-    "dex-perf/4",
-    "dex-perf/5",
-    "dex-perf/6",
-    "dex-perf/7",
-    "dex-perf/8",
-)
 DEFAULT_SIZES = (256, 1024, 4096)
 DEFAULT_STEPS = 200
 DEFAULT_BATCH = 64
@@ -482,6 +476,7 @@ DEFAULT_SOAK_WINDOW_MS = 2.0
 def bench_service_soak(
     n: int,
     *,
+    shards: int = 1,
     duration_s: float = DEFAULT_SOAK_DURATION,
     max_batch: int = DEFAULT_SOAK_BATCH,
     batch_window_ms: float = DEFAULT_SOAK_WINDOW_MS,
@@ -498,157 +493,163 @@ def bench_service_soak(
     checkpoint_keep: int = 3,
     warmup_s: float = 0.0,
 ) -> dict:
-    """Soak the membership gateway over a fresh n-node network with a
-    closed-loop saturating client fleet for ``duration_s`` seconds and
-    report sustained throughput plus ack-latency percentiles.
-    ``per_request=True`` runs the degenerate gateway (``max_batch=1``,
+    """Soak a membership service over ``n`` fresh bootstrap nodes -- one
+    gateway, or ``shards`` worker processes behind the router
+    (:func:`repro.service.open_service`) -- with a closed-loop
+    saturating client fleet for ``duration_s`` seconds, then audit it
+    (I1-I8 per partition plus, for a cluster, cross-shard ownership)
+    and drain.  The row reports sustained throughput, ack-latency
+    percentiles and ``offered == completed`` (every request answered,
+    none hung).
+    ``per_request=True`` runs the degenerate service (``max_batch=1``,
     ``batch_window_ms=0``) -- the baseline the micro-batching speedup is
     measured against.  ``policy`` / ``deadline_ms`` select the
     overload-control configuration and ``retry`` an optional
     :class:`~repro.service.loadgen.RetryPolicy` for the client fleet.
-    ``checkpoint_dir`` turns on periodic snapshots (every
-    ``checkpoint_every`` flushes) plus a final one at drain, so the soak
-    doubles as a crash-recovery fixture; the checkpoint columns then
-    land in the row."""
+    ``warmup_s`` runs an unmetered load phase first (then resets every
+    partition's metrics), so the row is steady state rather than the
+    one-off first-flush cache rebuild.  ``checkpoint_dir`` turns on
+    periodic snapshots (every ``checkpoint_every`` flushes) plus a final
+    one at drain, so the soak doubles as a crash-recovery fixture; the
+    checkpoint columns then land in the row."""
     import asyncio
-    import gc
 
-    from repro.service import MembershipGateway, saturating_load
+    from repro.service import open_service, saturating_load
 
-    net = _build(n, seed)
-    # Same treatment the shard workers give their bootstrap heap: move
-    # the long-lived network objects to the permanent generation so
-    # cyclic-GC passes during the soak don't scan them.  Keeps the
-    # single-gateway numbers comparable with the sharded cluster's.
-    gc.collect()
-    gc.freeze()
+    if per_request:
+        max_batch, batch_window_ms = 1, 0.0
 
     async def drive():
-        gateway = MembershipGateway(
-            net,
-            max_batch=1 if per_request else max_batch,
-            batch_window_ms=0.0 if per_request else batch_window_ms,
+        service = await open_service(
+            n,
+            shards=shards,
+            seed=seed,
+            max_batch=max_batch,
+            window_ms=batch_window_ms,
             queue_limit=queue_limit,
             policy=policy,
             deadline_ms=deadline_ms,
-            seed=seed,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             checkpoint_keep=checkpoint_keep,
         )
-        await gateway.start()
+        # Same treatment the shard workers give their bootstrap heap:
+        # move the long-lived network objects to the permanent
+        # generation so cyclic-GC passes during the soak don't scan
+        # them.  Keeps the single-gateway numbers comparable with the
+        # sharded cluster's.
+        gc.collect()
+        gc.freeze()
         try:
             if warmup_s > 0:
                 # Cold-start phase: first flushes pay the one-off CSR
                 # rebuild and cache warming.  Run it outside the timed
-                # window, then re-anchor the metrics clock.
+                # window, then re-anchor the metrics clocks.
                 await saturating_load(
-                    gateway,
+                    service,
                     duration_s=warmup_s,
                     clients=clients,
                     join_fraction=join_fraction,
                     seed=seed + 7,
                     retry=retry,
                 )
-                gateway.metrics.reset()
+                await service.reset_metrics()
             stats = await saturating_load(
-                gateway,
+                service,
                 duration_s=duration_s,
                 clients=clients,
                 join_fraction=join_fraction,
                 seed=seed + 1,
                 retry=retry,
             )
+            # Snapshot the serving window *before* the audit: at large n
+            # the invariant check takes minutes of wall clock that would
+            # otherwise dilute events/s.
+            snap = service.metrics.snapshot()
+            audit = await service.cluster_audit()
         finally:
-            summary = await gateway.drain()
-        return stats, gateway.metrics.snapshot(), summary
+            summary = await service.drain()
+        return stats, snap, audit, summary
 
-    stats, snap, drain_summary = asyncio.run(drive())
-    checkpoint_columns = (
-        {
-            "checkpoints_written": drain_summary["checkpoints_written"],
-            "checkpoint_errors": drain_summary["checkpoint_errors"],
-        }
-        if checkpoint_dir is not None
-        else {}
-    )
-    return checkpoint_columns | {
+    stats, snap, audit, summary = asyncio.run(drive())
+    # Flush-shape columns live where the flushes run: the gateway's own
+    # snapshot, or each worker's final stats (cumulative counters, so
+    # the audit pause does not dilute them).
+    engines = summary.get("per_shard") or [snap]
+    batches = sum(e["batches"] for e in engines)
+    elapsed_s = snap["elapsed_s"] or 1e-9
+    row = {
+        "shards": shards,
         "duration_s": duration_s,
         "warmup_s": warmup_s,
         "clients": clients,
-        "max_batch": 1 if per_request else max_batch,
-        "batch_window_ms": 0.0 if per_request else batch_window_ms,
+        "max_batch": max_batch,
+        "batch_window_ms": batch_window_ms,
+        "queue_limit": queue_limit,
         "policy": policy,
         "deadline_ms": deadline_ms,
         "offered": stats.offered,
-        "events": snap["events"],
-        "events_per_s": snap["events_per_s"],
-        "goodput_per_s": snap["goodput_per_s"],
-        "ack_p50_ms": snap["ack_p50_ms"],
-        "ack_p90_ms": snap["ack_p90_ms"],
-        "ack_p99_ms": snap["ack_p99_ms"],
-        "ack_max_ms": snap["ack_max_ms"],
-        "batches": snap["batches"],
-        "mean_batch": snap["mean_batch"],
-        "rejected": snap["rejected"],
-        "backpressure": snap["backpressure"],
-        "shed": snap["shed"],
-        "deadline_timeouts": snap["deadline_timeouts"],
-        "retries": snap["retries"],
-        "queue_depth_max": snap["queue_depth_max"],
-        "heal_utilization": snap["heal_utilization"],
-        "final_n": net.size,
+        "completed": stats.completed,
+        "batches": batches,
+        "mean_batch": (
+            round(sum(e["mean_batch"] * e["batches"] for e in engines) / batches, 3)
+            if batches
+            else 0.0
+        ),
+        "backpressure": sum(e["backpressure"] for e in engines),
+        "shed": sum(e["shed"] for e in engines),
+        "queue_depth_max": max(e["queue_depth_max"] for e in engines),
+        "heal_utilization": round(
+            sum(e["heal_s"] for e in engines) / len(engines) / elapsed_s, 4
+        ),
+        "audit_ok": audit["ok"],
+        "audit_errors": audit["errors"][:8],
+        "final_n": audit["total_nodes"],
+        "total_nodes": audit["total_nodes"],
     }
+    for column in (
+        "events",
+        "events_per_s",
+        "goodput_per_s",
+        "ack_p50_ms",
+        "ack_p90_ms",
+        "ack_p99_ms",
+        "ack_max_ms",
+        "rejected",
+        "deadline_timeouts",
+        "retries",
+    ):
+        row[column] = snap[column]
+    if "handoffs" in summary:
+        row["handoffs"] = summary["handoffs"]
+        row["per_shard_events_per_s"] = [round(e["events"] / elapsed_s, 3) for e in engines]
+    if checkpoint_dir is not None:
+        row["checkpoints_written"] = summary["checkpoints_written"]
+        row["checkpoint_errors"] = summary["checkpoint_errors"]
+    return row
 
 
 def bench_service(
     n: int,
     *,
     duration_s: float = DEFAULT_SOAK_DURATION,
-    max_batch: int = DEFAULT_SOAK_BATCH,
-    batch_window_ms: float = DEFAULT_SOAK_WINDOW_MS,
     clients: int = DEFAULT_SOAK_CLIENTS,
     seed: int = 11,
     compare_per_request: bool = True,
-    policy: str = "fixed",
-    deadline_ms: float | None = None,
-    retry: "object | None" = None,
-    checkpoint_dir: "str | None" = None,
-    checkpoint_every: int = 32,
-    checkpoint_keep: int = 3,
-    warmup_s: float = 0.0,
+    **soak: object,
 ) -> dict:
-    """The soak row for one size: the micro-batched gateway, optionally
-    the per-request twin on an identically seeded fresh network, and
-    ``service_speedup_x`` (batched / per-request events per second) --
-    the serving layer's acceptance receipt.  Checkpointing (when
-    ``checkpoint_dir`` is set) applies to the batched run only; the
-    per-request baseline stays undisturbed, as does the overload
-    configuration (the baseline always runs ``fixed`` with no
-    deadline, so the speedup compares batching, not shedding)."""
-    row = bench_service_soak(
-        n,
-        duration_s=duration_s,
-        max_batch=max_batch,
-        batch_window_ms=batch_window_ms,
-        clients=clients,
-        seed=seed,
-        policy=policy,
-        deadline_ms=deadline_ms,
-        retry=retry,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        checkpoint_keep=checkpoint_keep,
-        warmup_s=warmup_s,
-    )
+    """The soak row for one size -- :func:`bench_service_soak` under
+    ``soak`` (its keywords: batching shape, overload configuration,
+    retries, checkpointing, warmup) -- plus, optionally, the
+    per-request twin on an identically seeded fresh network and
+    ``service_speedup_x`` (batched / per-request events per second):
+    the serving layer's acceptance receipt.  The twin takes none of
+    ``soak``: it always runs ``fixed`` with no deadline and no
+    checkpoints, so the speedup compares batching, not shedding."""
+    shape = dict(duration_s=duration_s, clients=clients, seed=seed)
+    row = bench_service_soak(n, **shape, **soak)
     if compare_per_request:
-        baseline = bench_service_soak(
-            n,
-            duration_s=duration_s,
-            clients=clients,
-            seed=seed,
-            per_request=True,
-        )
+        baseline = bench_service_soak(n, per_request=True, **shape)
         row["per_request_events_per_s"] = baseline["events_per_s"]
         row["per_request_ack_p50_ms"] = baseline["ack_p50_ms"]
         row["per_request_ack_p99_ms"] = baseline["ack_p99_ms"]
@@ -663,95 +664,6 @@ def bench_service(
 DEFAULT_SHARD_COUNTS = (2, 4)
 
 
-def bench_shard_cluster(
-    n: int,
-    shards: int,
-    *,
-    duration_s: float = DEFAULT_SOAK_DURATION,
-    max_batch: int = DEFAULT_SOAK_BATCH,
-    batch_window_ms: float = DEFAULT_SOAK_WINDOW_MS,
-    clients: int = DEFAULT_SOAK_CLIENTS,
-    join_fraction: float = 0.5,
-    seed: int = 11,
-    warmup_s: float = 0.0,
-) -> dict:
-    """Soak an N-shard cluster (real worker processes, one id region
-    each) behind the router with the same saturating closed-loop fleet
-    the single-gateway soak uses, then audit it: per-shard I1-I8 plus
-    the cross-shard id-ownership check, and ``offered == completed``
-    (every request answered, none hung).  ``warmup_s`` runs an unmetered
-    load phase first (then resets every shard's metrics), so the
-    recorded row is steady state rather than each worker's one-off
-    first-flush cache rebuild."""
-    import asyncio
-
-    from repro.service.loadgen import saturating_load
-    from repro.service.router import start_cluster
-
-    async def drive():
-        router = await start_cluster(
-            n,
-            shards,
-            seed=seed,
-            max_batch=max_batch,
-            window_ms=batch_window_ms,
-        )
-        try:
-            if warmup_s > 0:
-                await saturating_load(
-                    router,
-                    duration_s=warmup_s,
-                    clients=clients,
-                    join_fraction=join_fraction,
-                    seed=seed + 9,
-                )
-                await router.reset_metrics()
-            stats = await saturating_load(
-                router,
-                duration_s=duration_s,
-                clients=clients,
-                join_fraction=join_fraction,
-                seed=seed + 1,
-            )
-            # Snapshot the serving window *before* the audit: at large n
-            # the cluster-wide invariant check takes minutes of wall
-            # clock that would otherwise dilute events/s.
-            snap = router.metrics.snapshot()
-            shard_stats = await router.stats()
-            audit = await router.cluster_audit()
-        finally:
-            summary = await router.drain()
-        return stats, audit, snap, shard_stats, summary
-
-    stats, audit, snap, shard_stats, summary = asyncio.run(drive())
-    return {
-        "shards": shards,
-        "duration_s": duration_s,
-        "warmup_s": warmup_s,
-        "clients": clients,
-        "max_batch": max_batch,
-        "batch_window_ms": batch_window_ms,
-        "offered": stats.offered,
-        "completed": stats.completed,
-        "events": snap["events"],
-        "events_per_s": snap["events_per_s"],
-        "goodput_per_s": snap["goodput_per_s"],
-        "ack_p50_ms": snap["ack_p50_ms"],
-        "ack_p90_ms": snap["ack_p90_ms"],
-        "ack_p99_ms": snap["ack_p99_ms"],
-        "ack_max_ms": snap["ack_max_ms"],
-        "rejected": snap["rejected"],
-        "deadline_timeouts": snap["deadline_timeouts"],
-        "handoffs": summary["handoffs"],
-        "audit_ok": audit["ok"],
-        "audit_errors": audit["errors"][:8],
-        "total_nodes": audit["total_nodes"],
-        "per_shard_events_per_s": [
-            row.get("events_per_s") for row in shard_stats["per_shard"]
-        ],
-    }
-
-
 def bench_shard_sweep(
     n: int,
     shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
@@ -761,18 +673,38 @@ def bench_shard_sweep(
     batch_window_ms: float = DEFAULT_SOAK_WINDOW_MS,
     clients: int = DEFAULT_SOAK_CLIENTS,
     seed: int = 11,
+    policy: str = "fixed",
+    deadline_ms: float | None = None,
     warmup_s: float = 0.0,
     progress: bool = False,
 ) -> dict:
-    """The PR 8 scaling receipt: at one total size ``n``, soak the
-    single gateway and the sharded cluster at each shard count.  Rows
-    land under ``n{n}/serial`` and ``n{n}/shards{S}``; every cluster
-    row gets ``shard_speedup_x`` (cluster / single-gateway events per
-    second).  Rows recorded before PR 13 divide by a since-removed
+    """The PR 8 scaling receipt: at one total size ``n``, run the one
+    soak driver over the single gateway and over the cluster at each
+    shard count, under one configuration.  Rows land under
+    ``n{n}/serial`` and ``n{n}/shards{S}``; every cluster row gets
+    ``shard_speedup_x`` (cluster / single-gateway events per second).
+    Rows recorded before PR 13 divide by a since-removed
     ``n{n}/pipelined`` row instead."""
     rows: dict[str, dict] = {}
-
-    def note(key: str, row: dict) -> None:
+    for shards in (1, *shard_counts):
+        row = bench_service_soak(
+            n,
+            shards=shards,
+            duration_s=duration_s,
+            max_batch=max_batch,
+            batch_window_ms=batch_window_ms,
+            clients=clients,
+            seed=seed,
+            policy=policy,
+            deadline_ms=deadline_ms,
+            warmup_s=warmup_s,
+        )
+        key = f"n{n}/serial" if shards == 1 else f"n{n}/shards{shards}"
+        if shards > 1:
+            serial_eps = rows[f"n{n}/serial"]["events_per_s"]
+            row["shard_speedup_x"] = (
+                round(row["events_per_s"] / serial_eps, 3) if serial_eps else 0.0
+            )
         rows[key] = row
         if progress:
             print(
@@ -780,34 +712,6 @@ def bench_shard_sweep(
                 f"(p99 {row['ack_p99_ms']} ms)",
                 file=sys.stderr,
             )
-
-    serial = bench_service_soak(
-        n,
-        duration_s=duration_s,
-        max_batch=max_batch,
-        batch_window_ms=batch_window_ms,
-        clients=clients,
-        seed=seed,
-        warmup_s=warmup_s,
-    )
-    note(f"n{n}/serial", serial)
-    for shards in shard_counts:
-        row = bench_shard_cluster(
-            n,
-            shards,
-            duration_s=duration_s,
-            max_batch=max_batch,
-            batch_window_ms=batch_window_ms,
-            clients=clients,
-            seed=seed,
-            warmup_s=warmup_s,
-        )
-        row["shard_speedup_x"] = (
-            round(row["events_per_s"] / serial["events_per_s"], 3)
-            if serial["events_per_s"]
-            else 0.0
-        )
-        note(f"n{n}/shards{shards}", row)
     return rows
 
 
@@ -1277,86 +1181,41 @@ def load_report(path: pathlib.Path) -> dict:
                     f"{path} exists but is not valid JSON ({exc}); "
                     "move it aside or fix it before recording a new run"
                 ) from None
-            if report.get("schema") in _COMPATIBLE_SCHEMAS:
-                # dex-perf/1 upgrades in place; recorded runs are kept.
+            if str(report.get("schema")).startswith("dex-perf/"):
+                # every earlier dex-perf revision only *added* sections:
+                # upgrading in place keeps the recorded runs.
                 report["schema"] = SCHEMA
                 return report
     return {"schema": SCHEMA, "runs": {}}
 
 
-def write_report(
+def write_section(
     path: pathlib.Path,
-    label: str,
-    suite: dict,
-    sizes: Sequence[int],
-    churn_steps: int,
-) -> dict:
-    """Merge one labelled run into the report at ``path``."""
-    report = load_report(path)
-    suite = dict(suite)
-    suite["meta"] = _meta()
-    report["churn_steps"] = churn_steps
-    report["sizes"] = list(sizes)
-    report.setdefault("runs", {})[label] = suite
-    report["speedup"] = _speedups(report["runs"])
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def write_sweep(
-    path: pathlib.Path, label: str, results: dict, workers: int
-) -> dict:
-    """Merge one labelled sweep into the report at ``path``."""
-    report = load_report(path)
-    entry = dict(results)
-    entry["meta"] = {**_meta(), "workers": workers}
-    report.setdefault("sweeps", {})[label] = entry
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def write_service(
-    path: pathlib.Path, label: str, results: dict, extra_meta: dict | None = None
-) -> dict:
-    """Merge one labelled gateway-soak run (``{"n4096": row, ...}``)
-    into the report at ``path`` under the ``service`` key.  Rows merge
-    *into* an existing label entry (same row keys overwrite), so one
-    label can accumulate soak, frontier and shard-sweep rows across
-    invocations instead of the last run clobbering the others."""
-    report = load_report(path)
-    entry = report.setdefault("service", {}).setdefault(label, {})
-    entry.update(results)
-    entry["meta"] = {**_meta(), **(extra_meta or {})}
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def write_tracing(
-    path: pathlib.Path, label: str, results: dict, extra_meta: dict | None = None
-) -> dict:
-    """Merge one labelled tracing-overhead run (``{"n256": row, ...}``)
-    into the report at ``path`` under the ``tracing`` key (same
-    merge-into-label behaviour as :func:`write_service`)."""
-    report = load_report(path)
-    entry = report.setdefault("tracing", {}).setdefault(label, {})
-    entry.update(results)
-    entry["meta"] = {**_meta(), **(extra_meta or {})}
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-def write_campaigns(
-    path: pathlib.Path,
+    section: str,
     label: str,
     results: dict,
-    extra_meta: dict | None = None,
+    *,
+    merge: bool = False,
+    meta: dict | None = None,
+    top: dict | None = None,
 ) -> dict:
-    """Merge one labelled scenario-campaign matrix (produced by
-    :mod:`repro.harness.scenarios`) into the report at ``path``."""
+    """The one report writer: put ``results`` (``{row_key: row}``) under
+    ``report[section][label]`` in the report at ``path``, stamped with
+    a ``meta`` row.  With ``merge`` the rows merge *into* an existing
+    label entry (same row keys overwrite), so one label can accumulate
+    soak, frontier and shard-sweep rows across invocations; without it
+    the label's entry is replaced.  ``top`` sets report-level keys (the
+    hot-path suite records ``churn_steps`` / ``sizes`` there); the
+    ``speedup`` block is recomputed whenever ``runs`` change."""
     report = load_report(path)
-    entry = dict(results)
-    entry["meta"] = {**_meta(), **(extra_meta or {})}
-    report.setdefault("campaigns", {})[label] = entry
+    labels = report.setdefault(section, {})
+    entry = labels.get(label, {}) if merge else {}
+    entry.update(results)
+    entry["meta"] = {**_meta(), **(meta or {})}
+    labels[label] = entry
+    report.update(top or {})
+    if section == "runs":
+        report["speedup"] = _speedups(labels)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
@@ -1443,149 +1302,94 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     load_report(args.out)  # refuse a corrupt report before the long run
 
-    if args.snapshot:
-        print(
-            f"snapshot restore-vs-replay: sizes={args.snapshot_sizes} "
-            f"history={args.snapshot_steps} steps label={args.label!r}"
-        )
-        results: dict[str, dict] = {}
-        for n in args.snapshot_sizes:
-            row = bench_snapshot_restore(
-                n,
-                churn_steps=args.snapshot_steps,
-                seed=args.seed,
-                repeats=args.snapshot_repeats,
-            )
-            results[f"n{n}"] = row
-            print(
-                f"  n={n}: replay {row['replay_s']}s vs restore "
-                f"{row['restore_s']}s -> {row['restore_speedup_x']}x "
-                f"(save {row['save_s']}s, audit {row['audit_s']}s, "
-                f"{row['snapshot_mb']} MB)",
-                file=sys.stderr,
-            )
-        write_service(
-            args.out, args.label, results,
-            extra_meta={"benchmark": "snapshot_restore"},
-        )
-        print(f"wrote {args.out}")
-        return 0
+    def one_row(n: int, row: dict) -> dict:
+        print(f"  n={n}: {row}", file=sys.stderr)
+        return {f"n{n}": row}
 
-    if args.trace_overhead:
-        print(
-            f"tracing overhead: sizes={args.trace_sizes} "
-            f"soak={args.trace_duration}s repeats={args.trace_repeats} "
-            f"label={args.label!r}"
-        )
-        results: dict[str, dict] = {}
-        for n in args.trace_sizes:
-            row = bench_trace_overhead(
+    # The per-size modes share one loop.  Each entry: the report section,
+    # the sizes, and bench(n) -> {row_key: row}.
+    soak = dict(
+        duration_s=args.soak_duration,
+        max_batch=args.soak_max_batch,
+        batch_window_ms=args.soak_window_ms,
+        clients=args.soak_clients,
+        seed=args.seed,
+        policy=args.soak_policy,
+        deadline_ms=args.deadline_ms,
+        warmup_s=args.soak_warmup,
+    )
+    per_size_modes = {
+        "snapshot_restore": (
+            args.snapshot,
+            "service",
+            args.snapshot_sizes,
+            lambda n: one_row(
                 n,
-                soak_duration_s=args.trace_duration,
-                clients=args.soak_clients,
-                seed=args.seed,
-                repeats=args.trace_repeats,
-            )
-            results[f"n{n}"] = row
-            print(
-                f"  n={n}: churn {row['churn_off_per_step_ms']}ms -> "
-                f"{row['churn_on_per_step_ms']}ms "
-                f"({row['trace_enabled_churn_overhead_pct']}% on, "
-                f"{row['trace_disabled_churn_overhead_pct']}% off); "
-                f"soak {row['soak_off_events_per_s']}/s -> "
-                f"{row['soak_on_events_per_s']}/s "
-                f"({row['trace_enabled_soak_overhead_pct']}% on, "
-                f"{row['trace_disabled_soak_overhead_pct']}% off)",
-                file=sys.stderr,
-            )
-        write_tracing(
-            args.out, args.label, results,
-            extra_meta={"benchmark": "trace_overhead"},
-        )
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.frontier:
-        print(
-            f"policy frontier: sizes={args.frontier_sizes} "
-            f"rates={args.frontier_rates} policies={args.frontier_policies} "
-            f"duration={args.frontier_duration}s label={args.label!r}"
-        )
-        results: dict[str, dict] = {}
-        for n in args.frontier_sizes:
-            results.update(
-                bench_policy_frontier(
+                bench_snapshot_restore(
                     n,
-                    rates=args.frontier_rates,
-                    policies=args.frontier_policies,
-                    duration_s=args.frontier_duration,
-                    max_batch=args.soak_max_batch,
-                    batch_window_ms=args.soak_window_ms,
-                    queue_limit=args.frontier_queue_limit,
-                    deadline_ms=args.deadline_ms,
+                    churn_steps=args.snapshot_steps,
                     seed=args.seed,
-                    progress=True,
-                )
-            )
-        write_service(
-            args.out, args.label, results,
-            extra_meta={"benchmark": "policy_frontier"},
-        )
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.shard_sweep:
-        print(
-            f"shard sweep: sizes={args.shard_sizes} "
-            f"shards={args.shard_counts} duration={args.soak_duration}s "
-            f"clients={args.soak_clients} label={args.label!r}"
-        )
-        results: dict[str, dict] = {}
-        for n in args.shard_sizes:
-            results.update(
-                bench_shard_sweep(
+                    repeats=args.snapshot_repeats,
+                ),
+            ),
+        ),
+        "trace_overhead": (
+            args.trace_overhead,
+            "tracing",
+            args.trace_sizes,
+            lambda n: one_row(
+                n,
+                bench_trace_overhead(
                     n,
-                    args.shard_counts,
-                    duration_s=args.soak_duration,
-                    max_batch=args.soak_max_batch,
-                    batch_window_ms=args.soak_window_ms,
+                    soak_duration_s=args.trace_duration,
                     clients=args.soak_clients,
                     seed=args.seed,
-                    warmup_s=args.soak_warmup,
-                    progress=True,
-                )
-            )
-        write_service(
-            args.out, args.label, results,
-            extra_meta={"benchmark": "shard_sweep"},
-        )
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.soak:
-        print(
-            f"service soak: sizes={args.soak_sizes} duration={args.soak_duration}s "
-            f"clients={args.soak_clients} max_batch={args.soak_max_batch} "
-            f"window={args.soak_window_ms}ms policy={args.soak_policy!r} "
-            f"label={args.label!r}"
-        )
-        results: dict[str, dict] = {}
-        for n in args.soak_sizes:
-            row = bench_service(
+                    repeats=args.trace_repeats,
+                ),
+            ),
+        ),
+        "policy_frontier": (
+            args.frontier,
+            "service",
+            args.frontier_sizes,
+            lambda n: bench_policy_frontier(
                 n,
-                duration_s=args.soak_duration,
+                rates=args.frontier_rates,
+                policies=args.frontier_policies,
+                duration_s=args.frontier_duration,
                 max_batch=args.soak_max_batch,
                 batch_window_ms=args.soak_window_ms,
-                clients=args.soak_clients,
-                seed=args.seed,
-                compare_per_request=not args.soak_no_baseline,
-                policy=args.soak_policy,
+                queue_limit=args.frontier_queue_limit,
                 deadline_ms=args.deadline_ms,
-                warmup_s=args.soak_warmup,
-            )
-            results[f"n{n}"] = row
-            print(f"  n={n}: {row}", file=sys.stderr)
-        write_service(args.out, args.label, results)
+                seed=args.seed,
+                progress=True,
+            ),
+        ),
+        "shard_sweep": (
+            args.shard_sweep,
+            "service",
+            args.shard_sizes,
+            lambda n: bench_shard_sweep(n, args.shard_counts, progress=True, **soak),
+        ),
+        "soak": (
+            args.soak,
+            "service",
+            args.soak_sizes,
+            lambda n: one_row(
+                n, bench_service(n, compare_per_request=not args.soak_no_baseline, **soak)
+            ),
+        ),
+    }
+    for benchmark, (selected, section, sizes, bench) in per_size_modes.items():
+        if not selected:
+            continue
+        print(f"{benchmark}: sizes={sizes} label={args.label!r}")
+        results: dict[str, dict] = {}
+        for n in sizes:
+            results.update(bench(n))
+        write_section(
+            args.out, section, args.label, results, merge=True, meta={"benchmark": benchmark}
+        )
         print(f"wrote {args.out}")
         return 0
 
@@ -1605,13 +1409,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             workers=workers,
             progress=True,
         )
-        write_sweep(args.out, args.label, results, workers)
+        write_section(
+            args.out, "sweeps", args.label, results, meta={"workers": workers}
+        )
         print(f"wrote {args.out}")
         return 0
 
     print(f"perf suite: sizes={args.sizes} steps={args.steps} label={args.label!r}")
     suite = run_suite(args.sizes, args.steps, args.seed, batch=args.batch, progress=True)
-    report = write_report(args.out, args.label, suite, args.sizes, args.steps)
+    report = write_section(
+        args.out,
+        "runs",
+        args.label,
+        suite,
+        top={"churn_steps": args.steps, "sizes": list(args.sizes)},
+    )
     if report.get("speedup"):
         print(f"speedup (before/after): {json.dumps(report['speedup'])}")
     print(f"wrote {args.out}")

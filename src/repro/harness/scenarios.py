@@ -434,8 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"matrix wall: {wall:.1f}s ({points} points, {workers} workers)")
 
     if args.out is not None:
-        perf.write_campaigns(
-            args.out, args.label, results, extra_meta={"workers": workers}
+        perf.write_section(
+            args.out, "campaigns", args.label, results, meta={"workers": workers}
         )
         print(f"wrote {args.out}")
     if args.wall_budget is not None and wall > args.wall_budget:

@@ -8,14 +8,7 @@ from repro.net.topology import DynamicMultigraph
 from repro.net.metrics import CostLedger, MetricsLog
 from repro.net.message import Message
 from repro.net.engine import SyncEngine, NodeProc
-from repro.net.walks import (
-    TokenSpec,
-    WalkResult,
-    parallel_walks,
-    random_walk,
-    scheduled_walks,
-    virtual_walk,
-)
+from repro.net.walks import WalkResult, random_walk
 from repro.net.flood import flood_echo_engine, flood_echo_analytic
 from repro.net.routing import route_cost, permutation_routing
 
@@ -26,12 +19,8 @@ __all__ = [
     "Message",
     "SyncEngine",
     "NodeProc",
-    "TokenSpec",
     "WalkResult",
     "random_walk",
-    "scheduled_walks",
-    "virtual_walk",
-    "parallel_walks",
     "flood_echo_engine",
     "flood_echo_analytic",
     "route_cost",

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.obs.registry import MetricsRegistry
-
 
 @dataclass
 class CostLedger:
@@ -81,15 +79,6 @@ class CostLedger:
             "floods": self.floods,
             "coordinator_updates": self.coordinator_updates,
         }
-
-    def publish_into(self, registry: MetricsRegistry) -> None:
-        """Publish the ledger's counters into ``registry`` under
-        ``dex.cost.*`` (publish-on-read: call from an exposition path,
-        not from the engine hot loop)."""
-        for name, value in self.as_dict().items():
-            registry.counter(
-                f"dex.cost.{name}", f"Theorem 1 cost counter: {name}"
-            ).set_total(value)
 
 
 @dataclass

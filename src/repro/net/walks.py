@@ -9,11 +9,10 @@ virtual neighbors are hosted at real neighbors).
 Walk steps are weighted by edge multiplicity (the walk of Lemma 2 is on
 the multigraph ``G'_t`` whose stationary distribution is
 ``pi(x) = d_x / 2|E|``); self-loop weight makes the token stay put for a
-step.  :func:`scheduled_walks` schedules many tokens simultaneously with
-the one-token-per-edge-per-direction congestion rule of Lemma 11 (the
-batch healing engine of :mod:`repro.core.multi` runs its recovery walks
-through it); :func:`parallel_walks` is the fixed-length convenience
-wrapper.
+step.  :func:`run_wave` schedules many tokens simultaneously with the
+one-token-per-edge-per-direction congestion rule of Lemma 11 (the batch
+healing engine of :mod:`repro.core.multi` runs its recovery walks
+through it; an empty member set makes it a plain fixed-length wave).
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from typing import Callable, Container, Sequence
 from repro.errors import TopologyError
 from repro.obs import trace as _trace
 from repro.net.topology import DynamicMultigraph
-from repro.types import NodeId, Vertex
-from repro.virtual.pcycle import PCycle
+from repro.types import NodeId
 
 try:  # the lockstep wave engine is numpy; the scalar reference is not
     import numpy as np
@@ -131,112 +129,6 @@ def random_walk(
     return WalkResult(
         end=at, hops=length, found=(stop is None), trace=tuple(trace)
     )
-
-
-def virtual_walk(
-    pcycle: PCycle,
-    host_of: Callable[[Vertex], NodeId],
-    start_vertex: Vertex,
-    length: int,
-    rng: random.Random,
-    stop: Callable[[Vertex, NodeId], bool] | None = None,
-) -> tuple[Vertex, int]:
-    """Walk on the virtual p-cycle, simulated on the real network.
-
-    Each step picks uniformly among the three edge endpoints of the
-    current vertex (a self-loop endpoint keeps the token in place); the
-    token physically crosses at most one real edge per step.  Returns the
-    final vertex and the number of *real* hops charged.
-    """
-    at = start_vertex
-    real_hops = 0
-    for _ in range(length):
-        options = pcycle.neighbor_multiset(at)
-        nxt = options[rng.randrange(3)]
-        if host_of(nxt) != host_of(at):
-            real_hops += 1
-        at = nxt
-        if stop is not None and stop(at, host_of(at)):
-            return at, real_hops
-    return at, real_hops
-
-
-@dataclass
-class TokenSpec:
-    """One token of a congestion-scheduled batch walk.
-
-    ``stop`` ends the token's walk early (``found=True``) the first time
-    it holds at a node reached after at least one hop -- the same
-    semantics as :func:`random_walk`.  ``excluded`` nodes are never
-    stepped onto (Algorithm 4.2 excludes the freshly inserted node)."""
-
-    start: NodeId
-    length: int
-    stop: Callable[[NodeId], bool] | None = None
-    excluded: frozenset[NodeId] = frozenset()
-
-
-def scheduled_walks(
-    graph: DynamicMultigraph,
-    tokens: Sequence[TokenSpec],
-    rng: random.Random,
-) -> tuple[list[WalkResult], int]:
-    """Schedule all ``tokens`` simultaneously under the one-token-per-
-    directed-edge-per-round congestion rule of Lemma 11, and return the
-    per-token :class:`WalkResult` plus the *actual* number of rounds the
-    scheduler ran -- the quantity the batch healing engine charges, not a
-    post-hoc max over sequential walks.
-
-    A token blocked on a congested edge re-samples its next hop in the
-    following round.  The active set is kept as a list that is shuffled
-    and compacted in place (finished tokens swap-removed), so a round
-    costs O(active) instead of the former O(k log k) re-sort.
-    """
-    n = len(tokens)
-    positions = [t.start for t in tokens]
-    remaining = [t.length for t in tokens]
-    hops = [0] * n
-    found = [False] * n
-    done = [t.length <= 0 for t in tokens]
-    active = [i for i in range(n) if not done[i]]
-    max_length = max((t.length for t in tokens), default=0)
-    rounds = 0
-    while active:
-        rounds += 1
-        used: set[tuple[NodeId, NodeId]] = set()
-        rng.shuffle(active)
-        write = 0
-        for idx in active:
-            token = tokens[idx]
-            at = positions[idx]
-            nxt = _weighted_step(graph, at, rng, token.excluded)
-            if nxt is None:
-                # Stuck (all neighbors excluded): the token stays put.
-                done[idx] = True
-            elif nxt == at or (at, nxt) not in used:
-                if nxt != at:
-                    used.add((at, nxt))
-                positions[idx] = nxt
-                remaining[idx] -= 1
-                hops[idx] += 1
-                if token.stop is not None and token.stop(nxt):
-                    found[idx] = True
-                    done[idx] = True
-                elif remaining[idx] <= 0:
-                    found[idx] = token.stop is None
-                    done[idx] = True
-            # else: blocked this round, retries next round
-            if not done[idx]:
-                active[write] = idx
-                write += 1
-        del active[write:]
-        if rounds > 1000 * max(1, max_length):  # pragma: no cover - safety
-            raise TopologyError("parallel walks failed to complete")
-    results = [
-        WalkResult(end=positions[i], hops=hops[i], found=found[i])
-        for i in range(n)
-    ]
-    return results, rounds
 
 
 def _filtered_redraw(
@@ -496,8 +388,11 @@ def run_wave(
     engine: every token seeks a node of the ``members`` set (Spare or
     Low), optionally never stepping onto its single excluded node (the
     freshly inserted node of Algorithm 4.2).  Returns
-    ``(ends, founds, total_hops, rounds)``; semantics match
-    :func:`scheduled_walks` with ``stop = members.__contains__``.
+    ``(ends, founds, total_hops, rounds)``: a token stops
+    (``found``) the first time it reaches a member after at least one
+    hop, exactly like :func:`random_walk` with
+    ``stop = members.__contains__``; a token blocked on a congested
+    edge retries in the following round.
 
     Two engines implement one *draw protocol*, so for a fixed rng state
     they produce bit-identical results and the choice is purely a
@@ -591,24 +486,3 @@ def run_wave(
     return _wave_scalar(
         graph, starts, length, members, active, gen, rng, excl, transcript
     )
-
-
-def parallel_walks(
-    graph: DynamicMultigraph,
-    starts: Sequence[NodeId],
-    length: int,
-    rng: random.Random,
-) -> tuple[list[NodeId], int]:
-    """Run one token per entry of ``starts`` for ``length`` hops each,
-    under the rule that each directed edge (connection) carries at most
-    one token per round (Lemma 11).  Returns final positions and the
-    number of rounds until all tokens completed.
-
-    Thin wrapper over :func:`scheduled_walks` (no stop predicates);
-    Lemma 11's O(log^2 n) completion bound is measured by
-    ``tests/test_net/test_walks.py`` and benchmark E8.
-    """
-    results, rounds = scheduled_walks(
-        graph, [TokenSpec(start=s, length=length) for s in starts], rng
-    )
-    return [r.end for r in results], rounds

@@ -525,6 +525,47 @@ class FlushCore(Generic[R]):
         return pairs
 
     # ------------------------------------------------------------------
+    # operator surface: start report, audit
+    # ------------------------------------------------------------------
+    def ready_report(self) -> dict:
+        """What this core is about to serve and where it came from (the
+        row ``serve`` prints and a worker ships as its ``ready``
+        message).  Taken before the first flush, when a
+        ``last_checkpoint`` can only be the one ``net`` was restored
+        from."""
+        source = self.last_checkpoint
+        return {
+            "size": self.net.size,
+            "step": self.net.step_count,
+            "restored": source is not None,
+            "checkpoint": str(source) if source is not None else None,
+        }
+
+    def audit(self, include_nodes: bool = False) -> dict:
+        """The full I1-I8 + cache + coordinator oracle over ``net``, as
+        one row of a cluster audit.  Reports, never raises; callers must
+        know the engine is idle (between flushes)."""
+        from repro.core import invariants
+
+        errors: list[str] = []
+        try:
+            invariants.check_all(self.net.overlay, self.net.config)
+            invariants.check_cached_aggregates(self.net.overlay)
+            if not self.net.coordinator.verify():
+                errors.append("coordinator counters diverged")
+        except Exception as exc:  # noqa: BLE001 -- audit reports, never raises
+            errors.append(f"{type(exc).__name__}: {exc}")
+        row: dict = {
+            "size": self.net.size,
+            "invariants_ok": not errors,
+            "errors": errors,
+            "queue_depth": len(self._queue),
+        }
+        if include_nodes:
+            row["nodes"] = sorted(self.net.nodes())
+        return row
+
+    # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def checkpoint_now(self) -> Path:

@@ -35,7 +35,10 @@ call and the acks are :class:`~repro.service.flush.FlushCore`, shared
 verbatim with the shard worker.  What lives here is what only an
 asyncio front needs: futures in, the lifecycle
 (``start``/``close``/``drain``/``from_checkpoint``), the ``"raise"``
-overload policy -- and the *waiting*: :meth:`MembershipGateway._collect`
+overload policy, the operator surface it shares with
+:class:`~repro.service.router.ShardRouter` (a gateway is a cluster of
+one; :func:`repro.service.open_service` opens either and documents the
+surface) -- and the *waiting*: :meth:`MembershipGateway._collect`
 decides when a flush is due, anchored at the instant collection starts.
 The heal call itself runs synchronously on the event loop -- the engine
 is CPU-bound Python over one shared graph, so handing it to a thread
@@ -140,12 +143,15 @@ class MembershipGateway(FlushCore[Request]):
         self.deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
         self._wake = asyncio.Event()
         self._batcher: asyncio.Task | None = None
+        #: partition -> its start report (here: one), taken by start()
+        self.ready: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "MembershipGateway":
         if self._batcher is None:
+            self.ready = {0: {"shard": 0, **self.ready_report()}}
             self._last_flush_end = self._clock()
             self._batcher = asyncio.ensure_future(self._run())
         return self
@@ -325,8 +331,25 @@ class MembershipGateway(FlushCore[Request]):
                 self.sweep_deadlines()
 
     # ------------------------------------------------------------------
-    # exposition
+    # the operator surface (shared with ShardRouter: a cluster of one)
     # ------------------------------------------------------------------
+    async def reset_metrics(self) -> None:
+        """Zero the counters and re-anchor the clocks (benchmarks call
+        this after a warmup phase)."""
+        self.metrics.reset()
+
+    async def cluster_audit(self, include_nodes: bool = True) -> dict:
+        """The core's audit row in the router's cluster-audit shape.
+        Runs on the event loop, hence between flushes."""
+        row = {"shard": 0, **self.audit(include_nodes)}
+        return {
+            "ok": row["invariants_ok"],
+            "errors": [f"shard 0: {row['errors']}"] if row["errors"] else [],
+            "shards": [row],
+            "total_nodes": row["size"],
+            "handoffs": {},
+        }
+
     def publish_registry(self) -> "MetricsRegistry":
         """Sync the gateway's whole observable state -- service
         counters, admission-policy state, checkpoint/queue gauges --

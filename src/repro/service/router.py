@@ -5,10 +5,13 @@ shard workers, each owning a contiguous id region of the overlay
 The router presents the *gateway's* client surface -- ``await join()``
 / ``await leave()`` resolving to :class:`~repro.service.gateway.Ack`,
 plus ``metrics`` and a ``net.nodes()`` view -- so every load generator
-in :mod:`repro.service.loadgen` drives a sharded cluster unchanged.
-Under the surface each request is hashed to its owning shard
-(ownership is pure id arithmetic, :class:`~repro.service.shard.ShardMap`),
-batched per shard, and correlated back by request id.
+in :mod:`repro.service.loadgen` drives a sharded cluster unchanged, and
+the gateway's *operator* surface (the one
+:func:`repro.service.open_service` documents), so ``serve``, the soak
+harness and the fault drills do too.  Under the surface each request is
+hashed to its owning shard (ownership is pure id arithmetic,
+:class:`~repro.service.shard.ShardMap`), batched per shard, and
+correlated back by request id.
 
 **Routing rules.**  A ``leave`` goes to the victim's owner.  A pinned
 join goes to the pinned id's owner; if its attach hint lives on a
@@ -57,6 +60,8 @@ from repro.service.shard import (
     MSG_REQUESTS,
     ShardMap,
     ShardServer,
+    finish_drain,
+    handle_message,
 )
 from repro.types import NodeId
 
@@ -78,38 +83,17 @@ class InlineShardHandle:
         self.index = server.index
         self._replies: queue.Queue = queue.Queue()
         self._alive = True
-        self._replies.put(
-            (
-                MSG_READY,
-                {
-                    "shard": server.index,
-                    "size": server.net.size,
-                    "region": list(server.region),
-                    "nodes": sorted(server.net.nodes()),
-                    "restored": False,
-                },
-            )
-        )
+        self._replies.put((MSG_READY, server.ready_report()))
 
     def send(self, msg: tuple[str, Any]) -> None:
         if not self._alive:
             raise BrokenPipeError(f"shard {self.index} killed")
         kind, payload = msg
-        if kind == MSG_REQUESTS:
-            for req in payload:
-                self.server.submit(*req)
+        if handle_message(self.server, kind, payload, self._replies.put):
+            finish_drain(self.server, self._replies.put)
+            self.close()
+        elif kind == MSG_REQUESTS:
             self.pump()
-        elif kind == MSG_CONTROL:
-            op, args = payload
-            if op == "drain":
-                self._reply_acks(self.server.drain())
-                self._replies.put((MSG_DRAINED, self.server.stats()))
-                self._alive = False
-                self._replies.put(_EOF)
-            else:
-                from repro.service.shard import _handle_control
-
-                self._replies.put((MSG_CTL_REPLY, _handle_control(self.server, op, args)))
 
     def pump(self) -> None:
         """Run due flushes/sweeps and ship whatever was answered (door
@@ -119,9 +103,6 @@ class InlineShardHandle:
         acks = self.server.sweep()
         while self.server.flush_due():
             acks.extend(self.server.flush())
-        self._reply_acks(acks)
-
-    def _reply_acks(self, acks: list[dict]) -> None:
         if acks:
             self._replies.put((MSG_ACKS, acks))
 
@@ -131,15 +112,13 @@ class InlineShardHandle:
             raise EOFError(f"shard {self.index} closed")
         return item
 
-    def kill(self) -> None:
-        """Simulate a worker crash: in-server state (reservations
-        included) dies with it; the router sees EOF."""
-        self._alive = False
-        self._replies.put(_EOF)
-
     def close(self) -> None:
         self._alive = False
         self._replies.put(_EOF)
+
+    #: a simulated worker crash is the same thing: in-server state
+    #: (reservations included) dies with it; the router sees EOF
+    kill = close
 
     def join_process(self) -> None:  # protocol parity with processes
         return None
@@ -279,6 +258,9 @@ class ShardRouter:
         self._closing = False
         self._rr = 0
         self.net = _ClusterView()
+        #: shard -> its latest start report (``nodes`` dropped: the
+        #: cluster view absorbed them) -- size, step, restored-from
+        self.ready: dict[int, dict] = {}
         # handoff accounting (audited: attempted == terminal outcomes)
         self.handoffs_attempted = 0
         self.handoffs_committed = 0
@@ -315,7 +297,8 @@ class ShardRouter:
         while True:
             kind, payload = await self._loop.run_in_executor(None, handle.recv)
             if kind == MSG_READY:
-                self.net.absorb(payload["nodes"])
+                self.net.absorb(payload.pop("nodes"))
+                self.ready[index] = payload
                 return payload
             if kind == MSG_FATAL:
                 raise ShardError(
@@ -404,12 +387,15 @@ class ShardRouter:
         reason = f"shard {index} unavailable ({why})"
         for rid in [r for r, p in self._pending.items() if p.shard == index]:
             self._answer_pending(self._pending.pop(rid), reason)
-        for rid in [
-            r for r, c in self._pending_ctl.items() if c.shard == index
-        ]:
-            entry = self._pending_ctl.pop(rid)
-            if not entry.future.done():
-                entry.future.set_result(None)
+        for rid in [r for r, c in self._pending_ctl.items() if c.shard == index]:
+            self._answer_ctl(rid)
+
+    def _answer_ctl(self, rid: int) -> None:
+        """Resolve a control future its shard will not answer (down,
+        drained, wedged past its deadline) with ``None``."""
+        entry = self._pending_ctl.pop(rid)
+        if not entry.future.done():
+            entry.future.set_result(None)
 
     def _live_shards(self) -> list[int]:
         return [i for i in self.handles if i not in self._down]
@@ -435,9 +421,7 @@ class ShardRouter:
                 raise ShardError(
                     f"shard {index} has no checkpoint directory to restore from"
                 )
-            cfg = dict(cfg)
-            cfg["restore"] = True
-            handle = ProcessShardHandle(index, cfg)
+            handle = ProcessShardHandle(index, {**cfg, "restore": True})
         self.handles[index] = handle
         self._outbox[index] = []
         ready = await self._consume_ready(index)
@@ -450,7 +434,10 @@ class ShardRouter:
     async def drain(self) -> dict:
         """Stop intake, drain every live shard (each queued request
         answered, final covering checkpoints written), and reap the
-        workers.  Returns router + per-shard final stats."""
+        workers.  Returns router + per-shard final stats around the
+        gateway's drain summary (checkpoint columns summed over
+        shards)."""
+        pending = len(self._pending)
         self._closing = True
         for index in self._live_shards():
             self._flush_outbox(index)
@@ -483,12 +470,16 @@ class ShardRouter:
         for rid in list(self._pending):
             self._answer_pending(self._pending.pop(rid), "gateway closed before heal")
         for rid in list(self._pending_ctl):
-            entry = self._pending_ctl.pop(rid)
-            if not entry.future.done():
-                entry.future.set_result(None)
+            self._answer_ctl(rid)
+        per_shard = [self._drained[i] for i in sorted(self._drained)]
+        finals = [row.get("last_checkpoint") for row in per_shard]
         return {
+            "pending_answered": pending,
+            "final_checkpoint": ", ".join(f for f in finals if f) or None,
+            "checkpoints_written": sum(row.get("checkpoints_written", 0) for row in per_shard),
+            "checkpoint_errors": sum(row.get("checkpoint_errors", 0) for row in per_shard),
             "router": self.metrics.snapshot(),
-            "per_shard": [self._drained[i] for i in sorted(self._drained)],
+            "per_shard": per_shard,
             "handoffs": self.handoff_stats(),
         }
 
@@ -703,15 +694,8 @@ class ShardRouter:
                 if not pending.future.done():
                     self.metrics.record_timeout()
                     self._answer_pending(pending, DEADLINE_REASON)
-            expired_ctl = [
-                rid
-                for rid, c in self._pending_ctl.items()
-                if c.deadline_at <= now
-            ]
-            for rid in expired_ctl:
-                entry = self._pending_ctl.pop(rid)
-                if not entry.future.done():
-                    entry.future.set_result(None)
+            for rid in [r for r, c in self._pending_ctl.items() if c.deadline_at <= now]:
+                self._answer_ctl(rid)
 
     # ------------------------------------------------------------------
     # two-phase handoff
@@ -926,6 +910,11 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+    @property
+    def queue_depth(self) -> int:
+        """Requests in flight toward the shards (queued or healing)."""
+        return len(self._pending)
+
     async def reset_metrics(self) -> None:
         """Re-anchor the router's and every live shard's elapsed/window
         clocks at *now*.  Benchmarks call this after a warmup phase so
@@ -1066,64 +1055,6 @@ class _ClusterView:
         return len(self._ids)
 
 
-def make_worker_cfgs(
-    total_n: int,
-    shards: int,
-    *,
-    seed: int = 0,
-    max_batch: int = 64,
-    window_ms: float = 2.0,
-    queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    policy: str = "fixed",
-    checkpoint_root: str | Path | None = None,
-    checkpoint_every: int = 32,
-    checkpoint_keep: int = 3,
-    config_overrides: dict | None = None,
-) -> list[dict]:
-    """Split ``total_n`` bootstrap nodes across ``shards`` worker
-    configs (remainder to the low shards), each with its own seed
-    stream, id region and checkpoint directory.  ``queue_limit`` and
-    the admission ``policy`` name apply per shard: a shard's door
-    rejections and sheds travel back as ordinary rejected acks."""
-    if shards < 1:
-        raise ShardError(f"need at least one shard, got {shards}")
-    base, rem = divmod(total_n, shards)
-    if base + (1 if rem else 0) < 3 and base < 3:
-        raise ShardError(
-            f"{total_n} nodes over {shards} shards leaves fewer than the "
-            "3-node minimum per shard"
-        )
-    cfgs = []
-    for index in range(shards):
-        n_local = base + (1 if index < rem else 0)
-        if n_local < 3:
-            raise ShardError(
-                f"{total_n} nodes over {shards} shards leaves shard {index} "
-                f"with {n_local} < 3 nodes"
-            )
-        cfgs.append(
-            {
-                "index": index,
-                "shards": shards,
-                "n_local": n_local,
-                "seed": seed + 1000 * index,
-                "max_batch": max_batch,
-                "window_ms": window_ms,
-                "queue_limit": queue_limit,
-                "policy": policy,
-                "checkpoint_dir": (
-                    str(Path(checkpoint_root) / f"shard-{index}")
-                    if checkpoint_root is not None
-                    else None
-                ),
-                "checkpoint_every": checkpoint_every,
-                "checkpoint_keep": checkpoint_keep,
-                "config_overrides": config_overrides or {},
-            }
-        )
-    return cfgs
-
-
 async def start_cluster(
     total_n: int,
     shards: int,
@@ -1138,25 +1069,50 @@ async def start_cluster(
     deadline_ms: float | None = None,
     handoff_ttl_s: float = 2.0,
     config_overrides: dict | None = None,
+    checkpoint_keep: int = 3,
+    restore: bool = False,
 ) -> ShardRouter:
-    """Spawn ``shards`` worker processes covering ``total_n`` bootstrap
-    nodes and return a started router over them."""
-    cfgs = make_worker_cfgs(
-        total_n,
-        shards,
-        seed=seed,
-        max_batch=max_batch,
-        window_ms=window_ms,
-        queue_limit=queue_limit,
-        policy=policy,
-        checkpoint_root=checkpoint_root,
-        checkpoint_every=checkpoint_every,
-        config_overrides=config_overrides,
-    )
+    """Spawn ``shards`` worker processes and return a started router
+    over them.  ``total_n`` bootstrap nodes are split across the worker
+    configs (remainder to the low shards), each with its own seed
+    stream, id region and ``checkpoint_root/shard-<i>`` directory; with
+    ``restore`` every worker starts from the newest checkpoint there
+    instead.  ``queue_limit`` and the admission ``policy`` name apply
+    per shard: a shard's door rejections and sheds travel back as
+    ordinary rejected acks."""
+    shard_map = ShardMap(shards)
+    base, rem = divmod(total_n, shards)
+    if base < 3:
+        raise ShardError(
+            f"{total_n} nodes over {shards} shards leaves fewer than the "
+            "3-node minimum per shard"
+        )
+    cfgs = [
+        {
+            "index": index,
+            "shards": shards,
+            "n_local": base + (1 if index < rem else 0),
+            "seed": seed + 1000 * index,
+            "max_batch": max_batch,
+            "window_ms": window_ms,
+            "queue_limit": queue_limit,
+            "policy": policy,
+            "checkpoint_dir": (
+                str(Path(checkpoint_root) / f"shard-{index}")
+                if checkpoint_root is not None
+                else None
+            ),
+            "checkpoint_every": checkpoint_every,
+            "checkpoint_keep": checkpoint_keep,
+            "restore": restore,
+            "config_overrides": config_overrides or {},
+        }
+        for index in range(shards)
+    ]
     handles = [ProcessShardHandle(cfg["index"], cfg) for cfg in cfgs]
     router = ShardRouter(
         handles,
-        shard_map=ShardMap(shards),
+        shard_map=shard_map,
         cfgs=cfgs,
         deadline_ms=deadline_ms,
         handoff_ttl_s=handoff_ttl_s,

@@ -17,9 +17,11 @@ call, acks, checkpoints) -- the event-loop machinery lives in the router
 process, and a lean worker keeps the per-event overhead of the sharded
 path close to the engine cost.  This module adds what is shard-specific:
 the reservation/pin table and its pre-heal screen, commit consumption,
-the region audit, the control verbs and the pipe loop -- and the
-*waiting* (:meth:`ShardServer.poll_timeout`, anchored on the oldest
-request's receipt).  It is driven two ways:
+the region check on top of the core's audit, the control verbs and the
+pipe loop -- and the *waiting* (:meth:`ShardServer.poll_timeout`,
+anchored on the oldest request's receipt).  The operator surface of
+:func:`repro.service.open_service` reaches a shard only as router
+verbs.  It is driven two ways, both through :func:`handle_message`:
 
 * in-process (tests, :class:`~repro.service.router.InlineShardHandle`):
   call :meth:`submit` / :meth:`flush` / the control verbs directly, with
@@ -56,6 +58,7 @@ timer.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -396,39 +399,35 @@ class ShardServer(FlushCore[_ShardRequest]):
         row["handoffs_committed"] = self.handoffs_committed
         row["checkpoints_written"] = self.checkpoints_written
         row["checkpoint_errors"] = self.checkpoint_errors
+        row["last_checkpoint"] = (
+            str(self.last_checkpoint) if self.last_checkpoint else None
+        )
+        return row
+
+    def ready_report(self) -> dict:
+        """The ``ready`` message: the core's start report plus the
+        region and the membership the router seeds its view from."""
+        row = super().ready_report()
+        row["shard"] = self.index
+        row["region"] = list(self.region)
+        row["nodes"] = sorted(self.net.nodes())
         return row
 
     def audit(self, include_nodes: bool = False) -> dict:
-        """The shard's slice of the cluster audit: the full I1-I8 +
+        """The shard's slice of the cluster audit: the core's I1-I8 +
         cache + coordinator oracle over the local partition, plus the
         region-ownership check (every live id inside the owned region --
         the fact that makes cross-shard ownership disjoint by
-        construction)."""
-        from repro.core import invariants
-
-        errors: list[str] = []
-        try:
-            invariants.check_all(self.net.overlay, self.net.config)
-            invariants.check_cached_aggregates(self.net.overlay)
-            if not self.net.coordinator.verify():
-                errors.append("coordinator counters diverged")
-        except Exception as exc:  # noqa: BLE001 -- audit reports, never raises
-            errors.append(f"{type(exc).__name__}: {exc}")
+        construction) and the ids held by reservations."""
+        row = super().audit(include_nodes)
         lo, hi = self.region
         strays = [u for u in self.net.nodes() if not lo <= u < hi]
         if strays:
-            errors.append(f"ids outside owned region: {strays[:8]}")
-        row = {
-            "shard": self.index,
-            "size": self.net.size,
-            "region": [lo, hi],
-            "invariants_ok": not errors,
-            "errors": errors,
-            "reservations": sorted(self.reservations),
-            "queue_depth": len(self._queue),
-        }
-        if include_nodes:
-            row["nodes"] = sorted(self.net.nodes())
+            row["errors"].append(f"ids outside owned region: {strays[:8]}")
+            row["invariants_ok"] = False
+        row["shard"] = self.index
+        row["region"] = [lo, hi]
+        row["reservations"] = sorted(self.reservations)
         return row
 
 
@@ -445,7 +444,7 @@ def build_shard(cfg: dict) -> ShardServer:
     if cfg.get("restore"):
         from repro.persist.snapshot import restore_latest
 
-        net, _path, _skipped = restore_latest(checkpoint_dir)
+        net, restored_from, _skipped = restore_latest(checkpoint_dir)
     else:
         config = DexConfig(
             seed=cfg["seed"],
@@ -459,6 +458,7 @@ def build_shard(cfg: dict) -> ShardServer:
             seed=cfg["seed"],
             id_base=shard_map.id_base(index),
         )
+        restored_from = None
     server = ShardServer(
         index,
         net,
@@ -473,6 +473,7 @@ def build_shard(cfg: dict) -> ShardServer:
     server.bind_policy(
         cfg.get("policy", "fixed"), cfg.get("queue_limit", DEFAULT_QUEUE_LIMIT)
     )
+    server.last_checkpoint = restored_from
     return server
 
 
@@ -481,45 +482,60 @@ def _handle_control(server: ShardServer, op: str, args: dict) -> dict:
     ``trace`` pair from the router; the shard-side work then records a
     ``shard.<op>`` span continuing that trace."""
     trace = args.pop("trace", None)
-    if trace is not None and _trace.current().enabled:
-        with _trace.span(
-            f"shard.{op}",
-            trace_id=trace[0],
-            parent_id=trace[1],
-            shard=server.index,
-        ):
-            return _control_dispatch(server, op, args)
-    return _control_dispatch(server, op, args)
+    traced = trace is not None and _trace.current().enabled
+    with (
+        _trace.span(f"shard.{op}", trace_id=trace[0], parent_id=trace[1], shard=server.index)
+        if traced
+        else contextlib.nullcontext()
+    ):
+        if op in ("reserve", "release", "pin", "unpin"):  # args: rid, node[, ttl_s]
+            return getattr(server, op)(**args)
+        if op == "stats":
+            return {"rid": args["rid"], "ok": True, "stats": server.stats()}
+        if op == "reset-metrics":
+            server.metrics.reset()
+            return {"rid": args["rid"], "ok": True}
+        if op == "audit":
+            audit = server.audit(include_nodes=args.get("include_nodes", False))
+            return {"rid": args["rid"], "ok": True, "audit": audit}
+        if op == "checkpoint":
+            path = server.checkpoint()
+            return {"rid": args["rid"], "ok": path is not None, "path": str(path) if path else None}
+        raise ShardError(f"unknown shard control op {op!r}")
 
 
-def _control_dispatch(server: ShardServer, op: str, args: dict) -> dict:
-    if op == "reserve":
-        return server.reserve(args["rid"], args["node"], args["ttl_s"])
-    if op == "release":
-        return server.release(args["rid"], args["node"])
-    if op == "pin":
-        return server.pin(args["rid"], args["node"], args["ttl_s"])
-    if op == "unpin":
-        return server.unpin(args["rid"], args["node"])
-    if op == "stats":
-        return {"rid": args["rid"], "ok": True, "stats": server.stats()}
-    if op == "reset-metrics":
-        server.metrics.reset()
-        return {"rid": args["rid"], "ok": True}
-    if op == "audit":
-        return {
-            "rid": args["rid"],
-            "ok": True,
-            "audit": server.audit(include_nodes=args.get("include_nodes", False)),
-        }
-    if op == "checkpoint":
-        path = server.checkpoint()
-        return {
-            "rid": args["rid"],
-            "ok": path is not None,
-            "path": str(path) if path else None,
-        }
-    raise ShardError(f"unknown shard control op {op!r}")
+def handle_message(
+    server: ShardServer,
+    kind: str,
+    payload: Any,
+    reply: Callable[[tuple[str, Any]], None],
+) -> bool:
+    """Apply one router message to ``server``: requests are queued (or
+    answered at the door), a control verb's answer goes out through
+    ``reply``.  ``True`` means the message was the ``drain`` verb -- the
+    caller finishes with :func:`finish_drain`.  The one dispatch of the
+    pipe protocol: the worker loop and
+    :class:`~repro.service.router.InlineShardHandle` both run it."""
+    if kind == MSG_REQUESTS:
+        for req in payload:
+            server.submit(*req)
+    elif kind == MSG_CONTROL:
+        op, args = payload
+        if op == "drain":
+            return True
+        reply((MSG_CTL_REPLY, _handle_control(server, op, args)))
+    return False
+
+
+def finish_drain(
+    server: ShardServer, reply: Callable[[tuple[str, Any]], None]
+) -> None:
+    """Answer the ``drain`` verb: the backlog's acks, then the final
+    stats (sent strictly after the covering checkpoint)."""
+    acks = server.drain()
+    if acks:
+        reply((MSG_ACKS, acks))
+    reply((MSG_DRAINED, server.stats()))
 
 
 def shard_worker_main(conn: Any, cfg: dict) -> None:
@@ -532,6 +548,12 @@ def shard_worker_main(conn: Any, cfg: dict) -> None:
     ``cfg["trace_path"]`` installs a *streaming* span recorder writing
     that JSONL file as spans finish: a SIGKILL'd worker still leaves a
     parseable trace with at most a truncated tail."""
+    import signal
+
+    # The router owns shutdown (the ``drain`` verb, or pipe EOF).  A
+    # terminal's Ctrl-C reaches the whole process group; a worker dying
+    # of it would miss the drain and its final covering checkpoint.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     stream = None
     if cfg.get("trace_path"):
         out = Path(cfg["trace_path"])
@@ -563,58 +585,26 @@ def _worker_loop(conn: Any, cfg: dict) -> None:
         # because a worker process is dedicated to its shard for life.
         gc.collect()
         gc.freeze()
-        conn.send(
-            (
-                MSG_READY,
-                {
-                    "shard": server.index,
-                    "size": server.net.size,
-                    "region": list(server.region),
-                    "nodes": sorted(server.net.nodes()),
-                    "restored": bool(cfg.get("restore")),
-                },
-            )
-        )
+        conn.send((MSG_READY, server.ready_report()))
         draining = False
         served_first = False
         while True:
-            timeout = server.poll_timeout()
-            if conn.poll(timeout if timeout is not None else None):
+            # Take the message that ended the wait and everything
+            # already buffered behind it before flushing.
+            pending = conn.poll(server.poll_timeout())
+            while pending:
                 kind, payload = conn.recv()
-                if kind == MSG_REQUESTS:
-                    if not served_first:
-                        # First traffic: re-anchor the shard's elapsed
-                        # clock so per-shard events/s excludes the idle
-                        # wait for the rest of the cluster to bootstrap.
-                        served_first = True
-                        server.metrics.reset_windows()
-                    for req in payload:
-                        server.submit(*req)
-                elif kind == MSG_CONTROL:
-                    op, args = payload
-                    if op == "drain":
-                        draining = True
-                    else:
-                        conn.send((MSG_CTL_REPLY, _handle_control(server, op, args)))
-                # Drain everything already buffered before flushing.
-                while conn.poll(0):
-                    kind, payload = conn.recv()
-                    if kind == MSG_REQUESTS:
-                        for req in payload:
-                            server.submit(*req)
-                    elif kind == MSG_CONTROL:
-                        op, args = payload
-                        if op == "drain":
-                            draining = True
-                        else:
-                            conn.send(
-                                (MSG_CTL_REPLY, _handle_control(server, op, args))
-                            )
+                if kind == MSG_REQUESTS and not served_first:
+                    # First traffic: re-anchor the shard's elapsed
+                    # clock so per-shard events/s excludes the idle
+                    # wait for the rest of the cluster to bootstrap.
+                    served_first = True
+                    server.metrics.reset_windows()
+                if handle_message(server, kind, payload, conn.send):
+                    draining = True
+                pending = conn.poll(0)
             if draining:
-                acks = server.drain()
-                if acks:
-                    conn.send((MSG_ACKS, acks))
-                conn.send((MSG_DRAINED, server.stats()))
+                finish_drain(server, conn.send)
                 return
             # Door rejections and sheds are answered at submit time:
             # ship them now even when no flush is due yet.

@@ -1,12 +1,22 @@
 """The ``serve``/``soak`` subcommands' crash-safety surface: checkpoint
-flags, the ``--restore`` path, and the guard rails around them.  The
-graceful-interrupt path itself is exercised end to end by the fault
-harness (signal delivery does not compose with in-process pytest runs)."""
+flags, the ``--restore`` path, the guard rails around them, and the
+graceful-interrupt path (a subprocess: signal delivery does not compose
+with in-process pytest runs) -- one code path for one gateway and for
+an N-shard cluster."""
 
 from __future__ import annotations
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import _serve_parser, _soak_parser, main
 from repro.persist import list_checkpoints
 
@@ -83,6 +93,64 @@ class TestServe:
                 self.SERVE
                 + ["--restore", "--checkpoint-dir", str(tmp_path / "nothing")]
             )
+
+
+class TestInterruptAndRestore:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_sigint_drains_to_final_checkpoints_then_restores(
+        self, tmp_path, capsys, shards
+    ):
+        root = tmp_path / "ckpt"
+        serve = [
+            "serve", "--n0", "48", "--rate", "300", "--max-batch", "8",
+            "--seed", "5", "--shards", str(shards),
+            "--checkpoint-dir", str(root), "--checkpoint-every", "2",
+            "--checkpoint-keep", "2",
+        ]
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *serve]
+            + ["--duration", "60", "--report-every", "0.2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            # mid-load: the second progress row means acks are flowing
+            seen: list[str] = []
+            deadline = time.monotonic() + 60.0
+            while sum(" acks (" in line for line in seen) < 2:
+                assert time.monotonic() < deadline, seen
+                line = proc.stdout.readline()
+                assert line, (seen, proc.stderr.read())  # exited early
+                seen.append(line)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                proc.wait()
+        out = "".join(seen) + out
+        assert proc.returncode == 0, (out, err)
+        assert "interrupt: draining" in out
+        assert re.search(r"cluster audit +\| ok", out), out
+        assert "Traceback" not in err, err
+        dirs = [root / f"shard-{i}" for i in range(shards)] if shards > 1 else [root]
+        for directory in dirs:
+            checkpoints = list_checkpoints(directory)
+            assert 1 <= len(checkpoints) <= 2, checkpoints  # --checkpoint-keep 2
+            # the newest one is the drain's final covering checkpoint
+            assert str(checkpoints[-1]) in out.split("final ", 1)[1]
+
+        restore = serve + ["--duration", "0.3", "--report-every", "0", "--restore"]
+        assert main(restore) == 0
+        second = capsys.readouterr().out
+        assert second.count("restored step") == shards
+        assert "cluster audit | ok" in second
+        for directory in dirs:
+            assert 1 <= len(list_checkpoints(directory)) <= 2
 
 
 class TestSoak:

@@ -139,30 +139,37 @@ class TestOverloadFault:
         """An offered-load spike mid-soak with no kill: the worker runs
         to completion, drains, and writes its final receipt -- proving
         no request future hung under the overload (a hung future would
-        wedge the drain and trip the no-kill timeout)."""
-        report = run_fault_scenario(
-            n0=64,
-            duration_s=1.2,
-            plan=FaultPlan(
-                kill=False,
-                overload_at_fraction=0.4,
-                overload_clients=96,
-            ),
-            checkpoint_every=2,
-            checkpoint_keep=4,
-            max_batch=16,
-            clients=16,
-            resume_s=0.3,
-            seed=31,
-            policy="shed-oldest",
-            root=tmp_path / "faults",
-        )
-        assert not report.killed
-        assert report.passed, report
-        assert report.overload is not None
-        snapshot = report.overload["snapshot"]
-        assert snapshot["events"] > 0
-        # The spike fleet saturated a queue the steady fleet never
-        # fills; the shed policy answered the excess at the door.
-        assert snapshot["backpressure"] + snapshot["shed"] > 0
-        assert report.journal_mismatches == []
+        wedge the drain and trip the no-kill timeout).  Under ``fixed``
+        with a fleet larger than the queue the door itself rejects: the
+        drill must then measure the overloaded gateway, not a rejected
+        client spinning on the event loop (every queued request would
+        wait out the rest of the spike, 720 ms here)."""
+        for policy, overload_clients in (("shed-oldest", 96), ("fixed", 256)):
+            report = run_fault_scenario(
+                n0=64,
+                duration_s=1.2,
+                plan=FaultPlan(
+                    kill=False,
+                    overload_at_fraction=0.4,
+                    overload_clients=overload_clients,
+                ),
+                checkpoint_every=2,
+                checkpoint_keep=4,
+                max_batch=16,
+                clients=16,
+                resume_s=0.3,
+                seed=31,
+                policy=policy,
+                root=tmp_path / f"faults-{policy}",
+            )
+            assert not report.killed
+            assert report.passed, report
+            assert report.overload is not None
+            snapshot = report.overload["snapshot"]
+            assert snapshot["events"] > 0
+            # The spike fleet saturated a queue the steady fleet never
+            # fills; the policy answered the excess at the door.
+            assert snapshot["backpressure"] + snapshot["shed"] > 0
+            assert snapshot["ack_p99_ms"] < 360, (policy, snapshot)
+            assert snapshot["backpressure"] < 20 * snapshot["events"], (policy, snapshot)
+            assert report.journal_mismatches == []

@@ -52,10 +52,16 @@ class TestReportPlumbing:
 
     def test_write_report_and_sweep_coexist(self, tmp_path):
         path = tmp_path / "bench.json"
-        perf.write_report(path, "lbl", {"n64": {"churn_per_step_ms": 0.5}}, [64], 30)
-        perf.write_sweep(path, "lbl", {"n64_s1": {"wall_s": 1.0}}, workers=2)
+        perf.write_section(
+            path, "runs", "lbl", {"n64": {"churn_per_step_ms": 0.5}},
+            top={"churn_steps": 30, "sizes": [64]},
+        )
+        perf.write_section(
+            path, "sweeps", "lbl", {"n64_s1": {"wall_s": 1.0}}, meta={"workers": 2}
+        )
         report = json.loads(path.read_text())
         assert report["schema"] == perf.SCHEMA
+        assert report["churn_steps"] == 30 and report["sizes"] == [64]
         assert report["runs"]["lbl"]["n64"]["churn_per_step_ms"] == 0.5
         assert report["sweeps"]["lbl"]["n64_s1"]["wall_s"] == 1.0
         assert "workers" in report["sweeps"]["lbl"]["meta"]
@@ -72,9 +78,10 @@ class TestReportPlumbing:
 
     def test_write_service_merges_under_service_key(self, tmp_path):
         path = tmp_path / "bench.json"
-        perf.write_report(path, "lbl", {"n64": {"churn_per_step_ms": 0.5}}, [64], 30)
-        perf.write_service(
-            path, "service", {"n64": {"events_per_s": 1000.0, "ack_p50_ms": 3.0}}
+        perf.write_section(path, "runs", "lbl", {"n64": {"churn_per_step_ms": 0.5}})
+        perf.write_section(
+            path, "service", "service",
+            {"n64": {"events_per_s": 1000.0, "ack_p50_ms": 3.0}}, merge=True,
         )
         report = json.loads(path.read_text())
         assert report["schema"] == perf.SCHEMA
@@ -85,12 +92,17 @@ class TestReportPlumbing:
         # a second invocation under the same label accumulates rows
         # instead of clobbering the earlier ones (soak + shard-sweep
         # runs share one label)
-        perf.write_service(
-            path, "service", {"n64/shards2": {"events_per_s": 1700.0}}
+        perf.write_section(
+            path, "service", "service",
+            {"n64/shards2": {"events_per_s": 1700.0}}, merge=True,
         )
         report = json.loads(path.read_text())
         assert report["service"]["service"]["n64"]["events_per_s"] == 1000.0
         assert report["service"]["service"]["n64/shards2"]["events_per_s"] == 1700.0
+        # without merge the label's entry is replaced (a re-recorded run)
+        perf.write_section(path, "service", "service", {"n8": {"events_per_s": 1.0}})
+        report = json.loads(path.read_text())
+        assert set(report["service"]["service"]) == {"n8", "meta"}
 
     def test_speedups_include_batch_metrics(self):
         runs = {
@@ -168,6 +180,29 @@ class TestBenchHelpers:
         assert row["ack_p99_ms"] >= row["ack_p50_ms"]
         assert row["batches"] > 0
         assert row["final_n"] >= 3
+        # the one soak driver: a single-process row is a cluster of one
+        assert row["shards"] == 1 and "handoffs" not in row
+        assert row["completed"] == row["offered"]
+        assert row["audit_ok"] and row["audit_errors"] == []
+
+    def test_cluster_soak_row_carries_the_overload_columns(self):
+        row = perf.bench_service_soak(
+            48,
+            shards=2,
+            duration_s=0.3,
+            max_batch=8,
+            clients=16,
+            seed=3,
+            policy="shed-oldest",
+            deadline_ms=500.0,
+        )
+        assert row["shards"] == 2 and row["policy"] == "shed-oldest"
+        assert row["deadline_ms"] == 500.0 and row["queue_limit"] == 8192
+        assert row["completed"] == row["offered"] > 0
+        assert row["audit_ok"], row["audit_errors"]
+        assert len(row["per_shard_events_per_s"]) == 2
+        assert row["batches"] > 0 and row["mean_batch"] > 0  # from the workers
+        assert row["handoffs"]["in_flight"] == 0
 
     def test_bench_service_records_per_request_baseline(self):
         row = perf.bench_service(

@@ -171,10 +171,10 @@ class TestCLI:
 class TestWriteCampaigns:
     def test_merges_alongside_runs_and_sweeps(self, tmp_path):
         path = tmp_path / "bench.json"
-        perf.write_report(path, "lbl", {"n64": {"churn_per_step_ms": 0.5}}, [64], 30)
-        perf.write_campaigns(
-            path, "lbl", {"flash-crowd/dex/n64_s7": {"events": 10}},
-            extra_meta={"workers": 2},
+        perf.write_section(path, "runs", "lbl", {"n64": {"churn_per_step_ms": 0.5}})
+        perf.write_section(
+            path, "campaigns", "lbl", {"flash-crowd/dex/n64_s7": {"events": 10}},
+            meta={"workers": 2},
         )
         report = json.loads(path.read_text())
         assert report["schema"] == perf.SCHEMA

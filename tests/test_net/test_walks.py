@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.net.topology import DynamicMultigraph
-from repro.net.walks import parallel_walks, random_walk, virtual_walk
+from repro.net.walks import random_walk, run_wave
 from repro.virtual.pcycle import PCycle
 
 
@@ -85,35 +85,17 @@ class TestRandomWalk:
         assert max(counts.values()) < 2000 * 10 / p  # nothing hogs the mass
 
 
-class TestVirtualWalk:
-    def test_hops_counted_only_across_hosts(self):
-        z = PCycle(23)
-        host_of = lambda v: v // 4  # noqa: E731  contiguous arcs
-        end, hops = virtual_walk(z, host_of, 0, 30, random.Random(5))
-        assert 0 <= end < 23
-        assert hops <= 30
-
-    def test_single_host_costs_nothing(self):
-        z = PCycle(23)
-        end, hops = virtual_walk(z, lambda v: 0, 0, 50, random.Random(6))
-        assert hops == 0
-
-    def test_stop_predicate(self):
-        z = PCycle(23)
-        end, hops = virtual_walk(
-            z, lambda v: v, 0, 500, random.Random(7), stop=lambda v, h: v == 11
-        )
-        assert end == 11
-
-
 class TestParallelWalks(object):
+    """Fixed-length waves: ``run_wave`` with an empty member set."""
+
     def test_all_tokens_complete(self):
         p = 53
         g = pcycle_graph(p)
         starts = list(range(p))
         length = 2 * math.ceil(math.log2(p))
-        ends, rounds = parallel_walks(g, starts, length, random.Random(8))
-        assert len(ends) == p
+        ends, founds, hops, rounds = run_wave(g, starts, length, (), random.Random(8))
+        assert len(ends) == p and not any(founds)
+        assert hops == p * length
         assert rounds >= length
 
     def test_lemma11_round_bound(self):
@@ -122,68 +104,35 @@ class TestParallelWalks(object):
         p = 101
         g = pcycle_graph(p)
         length = math.ceil(math.log2(p))
-        _, rounds = parallel_walks(g, list(range(p)), length, random.Random(9))
+        *_, rounds = run_wave(g, list(range(p)), length, (), random.Random(9))
         assert rounds <= 30 * math.ceil(math.log2(p)) ** 2
 
     def test_single_token_no_congestion(self):
         g = pcycle_graph(23)
-        _, rounds = parallel_walks(g, [0], 10, random.Random(10))
+        *_, rounds = run_wave(g, [0], 10, (), random.Random(10))
         assert rounds == 10
 
 
 class TestScheduledWalks:
-    """The token scheduler behind the batch healing engine."""
-
-    def test_stop_predicates_per_token(self):
-        from repro.net.walks import TokenSpec, scheduled_walks
-
-        g = pcycle_graph(53)
-        targets = set(range(0, 53, 2))
-        tokens = [
-            TokenSpec(start=u, length=200, stop=lambda m: m in targets)
-            for u in range(0, 53, 7)
-        ]
-        results, rounds = scheduled_walks(g, tokens, random.Random(5))
-        assert rounds >= 1
-        for r in results:
-            assert r.found
-            assert r.end in targets
-            assert r.hops >= 1
-
-    def test_excluded_nodes_respected(self):
-        from repro.net.walks import TokenSpec, scheduled_walks
-
-        g = pcycle_graph(23)
-        tokens = [
-            TokenSpec(start=0, length=30, excluded=frozenset({1}))
-            for _ in range(4)
-        ]
-        results, _ = scheduled_walks(g, tokens, random.Random(6))
-        assert all(r.end != 1 for r in results)
+    """Congestion scheduling of a wave (per-token stops and exclusions
+    are ``TestRunWave``'s)."""
 
     def test_zero_length_tokens_finish_instantly(self):
-        from repro.net.walks import TokenSpec, scheduled_walks
-
         g = pcycle_graph(23)
-        results, rounds = scheduled_walks(
-            g, [TokenSpec(start=3, length=0)], random.Random(7)
-        )
+        ends, founds, hops, rounds = run_wave(g, [3], 0, (), random.Random(7))
         assert rounds == 0
-        assert results[0].end == 3
-        assert results[0].hops == 0
+        assert ends == [3] and founds == [False]
+        assert hops == 0
 
     def test_congestion_blocks_are_retried(self):
-        """Two tokens forced over the same two-node bridge: with only
-        one directed edge each way, at most one advances per round, so
+        """Tokens forced over the same two-node bridge: with only one
+        directed edge each way, at most one advances per round, so
         completion takes more rounds than the walk length."""
-        from repro.net.walks import TokenSpec, scheduled_walks
-
         g = DynamicMultigraph()
         g.add_node(0)
         g.add_node(1)
         g.add_edge(0, 1)
-        tokens = [TokenSpec(start=0, length=4) for _ in range(3)]
-        _, rounds = scheduled_walks(g, tokens, random.Random(8))
+        *_, rounds = run_wave(g, [0, 0, 0], 4, (), random.Random(8))
         assert rounds > 4
 
 
@@ -191,8 +140,6 @@ class TestRunWave:
     """The specialized membership-set wave used by core.multi."""
 
     def test_found_tokens_end_in_member_set(self):
-        from repro.net.walks import run_wave
-
         g = pcycle_graph(53)
         members = set(range(0, 53, 3))
         ends, founds, hops, rounds = run_wave(
@@ -204,8 +151,6 @@ class TestRunWave:
         assert rounds >= 1
 
     def test_excluded_node_never_entered(self):
-        from repro.net.walks import run_wave
-
         g = pcycle_graph(23)
         # member set == the excluded node: the token can never stop there
         ends, founds, _, _ = run_wave(
@@ -215,8 +160,6 @@ class TestRunWave:
         assert ends[0] != 1
 
     def test_empty_member_set_walks_full_length(self):
-        from repro.net.walks import run_wave
-
         g = pcycle_graph(23)
         ends, founds, hops, rounds = run_wave(
             g, [0, 5], 12, frozenset(), random.Random(11)
@@ -252,8 +195,6 @@ class TestWaveEngines:
         return starts, length, members, excluded
 
     def test_engines_are_transcript_identical(self):
-        from repro.net.walks import run_wave
-
         for seed in range(40):
             rng = random.Random(seed)
             g = random_multigraph(rng)
@@ -276,8 +217,6 @@ class TestWaveEngines:
     def test_tokens_on_edgeless_rows_are_stuck_in_both_engines(self):
         # the only rows the wave ever reads are empty, so the vector
         # engine's neighbour pool has no entries at all
-        from repro.net.walks import run_wave
-
         g = DynamicMultigraph()
         for u in range(4):
             g.add_node(u)
@@ -290,8 +229,6 @@ class TestWaveEngines:
         assert list(results[0][0]) == [0, 1, 0] and results[0][2] == 0
 
     def test_auto_engine_matches_forced_engines(self):
-        from repro.net.walks import run_wave
-
         g = pcycle_graph(53)
         starts = list(range(53)) * 5  # above VECTOR_MIN_TOKENS
         members = set(range(0, 53, 9))
@@ -302,15 +239,11 @@ class TestWaveEngines:
         )
 
     def test_unknown_engine_rejected(self):
-        from repro.net.walks import run_wave
-
         g = pcycle_graph(23)
         with pytest.raises(TopologyError, match="wave engine"):
             run_wave(g, [0], 5, set(), random.Random(0), engine="simd")
 
     def test_dead_start_rejected_by_both_engines(self):
-        from repro.net.walks import run_wave
-
         g = pcycle_graph(23)
         for engine in ("scalar", "vector"):
             with pytest.raises(TopologyError, match="does not exist"):
@@ -322,8 +255,6 @@ class TestWaveEngines:
         """Lemma 11's congestion rule, checked from the transcript: in
         any round, at most one token crosses each directed edge (the
         edge-claim arrays must never double-book)."""
-        from repro.net.walks import run_wave
-
         rng = random.Random(seed)
         g = random_multigraph(rng)
         starts, length, members, excluded = self.wave_args(rng, g)
