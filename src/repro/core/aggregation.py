@@ -7,14 +7,19 @@ flood aggregates both counters (two O(log n)-bit fields per message,
 within the CONGEST budget).
 
 Fidelity follows :attr:`DexConfig.fidelity`: ``engine`` schedules every
-message on the synchronous engine; ``analytic`` charges the identical
-costs from BFS quantities (the equivalence is asserted by
-``tests/test_net/test_flood.py``).
+message on the synchronous engine and sums a per-node value; ``analytic``
+charges the identical costs (``net/flood.py`` says from where) and reads
+the aggregate the flood would return from what the simulator already
+holds -- n is ``graph.num_nodes``, |Spare| / |Low| the size of the
+layer's ``spare`` / ``low`` set, i.e. ``spare_count()`` / ``low_count()``
+(audited by ``LayerMapping.verify`` and I8, ``Coordinator.verify``).
+The equivalence is asserted by ``tests/test_net/test_flood.py`` and
+``tests/test_core/test_engine_fidelity.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Collection
 
 from repro.core.config import DexConfig
 from repro.core.overlay import Overlay
@@ -28,30 +33,32 @@ def _aggregate(
     origin: NodeId,
     config: DexConfig,
     ledger: CostLedger,
-    member: Callable[[NodeId], bool],
+    members: Collection[NodeId],
 ) -> tuple[int, int]:
-    def value_of(u: NodeId) -> int:
-        # Two counters packed in one flood: n in the high part, membership
-        # in the low part (the engine carries them as one payload value;
-        # a real implementation sends two O(log n)-bit fields).
-        return (1 << 32) | (1 if member(u) else 0)
-
-    flood = flood_echo_engine if config.fidelity == "engine" else flood_echo_analytic
-    packed = flood(overlay.graph, origin, value_of, ledger=ledger)
-    n = packed >> 32
-    count = packed & 0xFFFFFFFF
-    return n, count
+    # Two counters packed in one flood: n in the high part, membership
+    # in the low part (the engine carries them as one payload value;
+    # a real implementation sends two O(log n)-bit fields).
+    graph = overlay.graph
+    if config.fidelity == "engine":
+        packed = flood_echo_engine(
+            graph, origin, lambda u: (1 << 32) | (1 if u in members else 0), ledger=ledger
+        )
+    else:
+        packed = flood_echo_analytic(
+            graph, origin, (graph.num_nodes << 32) | len(members), ledger=ledger
+        )
+    return packed >> 32, packed & 0xFFFFFFFF
 
 
 def compute_spare(
     overlay: Overlay, origin: NodeId, config: DexConfig, ledger: CostLedger
 ) -> tuple[int, int]:
     """Returns ``(n, |Spare|)`` for the primary layer."""
-    return _aggregate(overlay, origin, config, ledger, overlay.old.in_spare)
+    return _aggregate(overlay, origin, config, ledger, overlay.old.spare)
 
 
 def compute_low(
     overlay: Overlay, origin: NodeId, config: DexConfig, ledger: CostLedger
 ) -> tuple[int, int]:
     """Returns ``(n, |Low|)`` for the primary layer."""
-    return _aggregate(overlay, origin, config, ledger, overlay.old.in_low)
+    return _aggregate(overlay, origin, config, ledger, overlay.old.low)

@@ -53,10 +53,8 @@ _ROUTING_SAMPLE = 48
 
 def _charge_broadcast(dex: "DexNetwork", origin: NodeId, ledger: CostLedger) -> None:
     """Flooding the inflation/deflation request to every node."""
-    dist = dex.graph.bfs_distances(origin)
-    ecc = max(dist.values()) if dist else 0
-    deg_sum = sum(dex.graph.connection_count(u) for u in dist)
-    ledger.charge_flood(rounds=ecc + 1, messages=deg_sum)
+    graph = dex.graph
+    ledger.charge_flood(rounds=graph.eccentricity(origin) + 1, messages=2 * graph.num_connections)
 
 
 def _charge_inverse_edges(

@@ -11,19 +11,25 @@ Two implementations with identical results:
 
 * :func:`flood_echo_engine` -- every message actually scheduled on the
   synchronous engine (used by tests and small runs),
-* :func:`flood_echo_analytic` -- the same aggregate computed directly,
-  with costs charged from the same quantities the engine would measure
-  (eccentricity of the origin, one flood + one ack per directed edge,
-  one echo per tree edge).
+* :func:`flood_echo_analytic` -- the same costs charged from the
+  quantities the engine would measure, each read where the graph
+  already holds it: ``ecc(origin)`` and the reached count from one
+  level-synchronous BFS over the array adjacency
+  (``DynamicMultigraph.eccentricity``, rows audited by
+  ``verify_sparse_cache``), the degree sum as ``2 * num_connections``
+  (audited by ``verify_caches`` / ``check_cached_aggregates``), the
+  aggregate from the caller's own counters when it has them.
 
-``tests/test_net/test_flood.py`` asserts the two agree on rounds,
-messages and the aggregate.
+Both raise :class:`~repro.errors.TopologyError` on a graph the flood
+cannot cover.  ``tests/test_net/test_flood.py`` asserts the two agree on
+rounds, messages, the flood count and the aggregate.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import TopologyError
 from repro.net.engine import SyncEngine
 from repro.net.message import Message
 from repro.net.metrics import CostLedger
@@ -67,7 +73,7 @@ class _FloodProc:
             else:  # pragma: no cover - defensive
                 raise AssertionError(f"unknown message kind {kind}")
         # Emit the echo once all children/acks are in.
-        if (node in self.waiting) and not self.waiting[node] and node not in ("_done",):
+        if (node in self.waiting) and not self.waiting[node]:
             parent = self.parent.get(node)
             total = self.partial[node]
             del self.waiting[node]  # emit only once
@@ -98,7 +104,7 @@ def flood_echo_engine(
     engine = SyncEngine(graph, proc, ledger=ledger)
     engine.run([Message.make(origin, origin, "start")])
     if proc.result is None:
-        raise AssertionError("flood/echo terminated without a result")
+        raise TopologyError("flood/echo terminated without a result")
     if ledger is not None:
         ledger.floods += 1
     return proc.result
@@ -107,28 +113,21 @@ def flood_echo_engine(
 def flood_echo_analytic(
     graph: DynamicMultigraph,
     origin: NodeId,
-    value_of: Callable[[NodeId], int],
+    value_of: Callable[[NodeId], int] | int,
     ledger: CostLedger | None = None,
 ) -> int:
-    """Compute the same aggregate directly and charge engine-equivalent
-    costs: the flood sends one message per directed connection out of
-    every node (minus the one toward the parent), each non-tree flood is
-    declined (one message), and each tree edge carries one echo."""
-    total = 0
-    n = 0
-    dist = graph.bfs_distances(origin)
-    for node in dist:
-        total += value_of(node)
-        n += 1
-    if n != graph.num_nodes:
-        raise AssertionError("flood on disconnected graph")
+    """The same aggregate -- ``value_of`` summed over the nodes, or
+    ``value_of`` itself when the caller already holds the sum -- with
+    engine-equivalent costs: the flood sends one message per directed
+    connection out of every node (minus the one toward the parent), each
+    non-tree flood is declined (one message), and each tree edge carries
+    one echo."""
+    ecc = graph.eccentricity(origin)  # TopologyError unless every node is reached
     if ledger is not None:
         # flood messages: every node sends to all distinct neighbors except
         # its parent (origin has no parent): sum(deg) - (n - 1)
-        deg_sum = sum(graph.connection_count(u) for u in dist)
-        flood_msgs = deg_sum - (n - 1)
-        decline_msgs = flood_msgs - (n - 1)  # non-tree floods get declined
-        echo_msgs = n - 1
-        ecc = max(dist.values()) if dist else 0
-        ledger.charge_flood(rounds=2 * ecc + 2, messages=flood_msgs + decline_msgs + echo_msgs)
-    return total
+        tree_edges = graph.num_nodes - 1
+        flood_msgs = 2 * graph.num_connections - tree_edges
+        decline_msgs = flood_msgs - tree_edges  # non-tree floods get declined
+        ledger.charge_flood(rounds=2 * ecc + 2, messages=flood_msgs + decline_msgs + tree_edges)
+    return value_of if isinstance(value_of, int) else sum(map(value_of, graph.nodes()))

@@ -222,13 +222,13 @@ class _RowStore:
         mask[hit] = True
         return mask, len(self.slot_of) - len(hit)
 
-    def reach(self, visited: np.ndarray, want: int) -> np.ndarray:
-        """Slots reached by a frontier BFS from the first slot not yet
-        ``visited`` (marked as it goes), stopping once ``want`` slots are
-        in hand.  Sort-free: a level scatters ``True`` over every
+    def levels(self, visited: np.ndarray, start: int, want: int) -> list[np.ndarray]:
+        """Level by level, the slots a frontier BFS from slot ``start``
+        reaches (marking them ``visited``), stopping once ``want`` slots
+        are in hand.  Sort-free: a level scatters ``True`` over every
         neighbour of the frontier and the next frontier is whatever the
         mask gained, so duplicates never need a ``unique``."""
-        frontier = np.asarray([np.argmin(visited)])
+        frontier = np.asarray([start])
         visited[frontier] = True
         seen = visited.copy()
         levels = [frontier]
@@ -241,7 +241,12 @@ class _RowStore:
             seen[frontier] = True
             levels.append(frontier)
             got += frontier.size
-        return np.concatenate(levels)
+        return levels
+
+    def reach(self, visited: np.ndarray, want: int) -> np.ndarray:
+        """Slots :meth:`levels` reaches from the first slot not yet
+        ``visited``."""
+        return np.concatenate(self.levels(visited, int(np.argmin(visited)), want))
 
     def csr(self) -> tuple[list[NodeId], sp.csr_matrix]:
         """The id-sorted scipy CSR of the (fresh) rows, memoized until a
@@ -627,8 +632,11 @@ class DynamicMultigraph:
 
     def connection_count(self, u: NodeId) -> int:
         """Number of distinct real connections (what a deployed node's
-        file-descriptor table would show)."""
-        return sum(1 for v, m in self._require(u).items() if v != u and m > 0)
+        file-descriptor table would show): the adjacency entries bar the
+        self-loop.  Every mutator deletes an entry that reaches zero
+        (audited by :meth:`verify_caches`), so none needs filtering."""
+        nbrs = self._require(u)
+        return len(nbrs) - (u in nbrs)
 
     def distinct_neighbors(self, u: NodeId) -> list[NodeId]:
         return [v for v, m in self._require(u).items() if v != u and m > 0]
@@ -691,7 +699,7 @@ class DynamicMultigraph:
                 raise TopologyError(f"cached degree {self._degree.get(u)} != {degree} at node {u}")
             for v, m in nbrs.items():
                 if m <= 0:
-                    continue
+                    raise TopologyError(f"multiplicity {m} kept at ({u}, {v})")
                 if v == u:
                     edge_units += m
                 elif v > u:
@@ -732,10 +740,15 @@ class DynamicMultigraph:
         return dist
 
     def eccentricity(self, src: NodeId) -> int:
-        dist = self.bfs_distances(src)
-        if len(dist) != self.num_nodes:
+        """Distance from ``src`` to the farthest node: the level count of
+        one frontier BFS over the array adjacency (:meth:`bfs_distances`
+        is the dict oracle it is tested against)."""
+        self._require(src)
+        rows = self._array_adjacency()
+        levels = rows.levels(rows.dead.copy(), rows.slot_of[src], self.num_nodes)
+        if sum(level.size for level in levels) != self.num_nodes:
             raise TopologyError("graph is disconnected")
-        return max(dist.values())
+        return len(levels) - 1
 
     def is_connected(self) -> bool:
         if self.num_nodes == 0:

@@ -8,6 +8,8 @@ import pytest
 from repro.core.aggregation import compute_low, compute_spare
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
+from repro.core.multi import partition_delete_batch
+from repro.core.type1 import adopt_deleted
 from repro.net.metrics import CostLedger
 
 
@@ -36,6 +38,36 @@ class TestFidelityAgreement:
             engine.overlay, 0, engine.config, le
         )
         assert la.messages == le.messages
+
+    def test_same_aggregates_mid_batch(self):
+        """Between the adoption sweep and the redistribution waves --
+        adopters overloaded, victims gone, rows stale -- is where a
+        failed walk floods: the cached counts the analytic flood reads
+        must be what the engine's per-node sum finds."""
+        pair = [
+            DexNetwork.bootstrap(64, DexConfig(seed=37, fidelity=f, type2_mode="simplified"))
+            for f in ("analytic", "engine")
+        ]
+        answers = []
+        for net in pair:
+            for k in range(30):  # loads rise: some nodes leave Low ...
+                net.delete(sorted(net.nodes())[(7 * k) % net.size])
+            for _ in range(8):  # ... and one-vertex joiners are not in Spare
+                net.insert()
+            victims = sorted(net.nodes())[2:20:3]
+            legal, rejected, adopter = partition_delete_batch(net, victims)
+            assert len(legal) == 6 and not rejected
+            for u in legal[:-1]:
+                net.overlay.adopt_node(u, adopter[u])
+            adopt_deleted(net, legal[-1], CostLedger(), adopter=adopter[legal[-1]])
+            origin = adopter[legal[0]]
+            ledger = CostLedger()
+            spare = compute_spare(net.overlay, origin, net.config, ledger)
+            low = compute_low(net.overlay, origin, net.config, ledger)
+            assert spare[0] == low[0] == net.size == 36
+            assert 0 < spare[1] < 36 and 0 < low[1] < 36
+            answers.append((spare, low, ledger.messages, ledger.floods))
+        assert answers[0] == answers[1] and answers[0][3] == 2
 
     def test_engine_mode_full_churn(self):
         """A short full-churn run in engine fidelity stays correct (the

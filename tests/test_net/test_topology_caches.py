@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,6 +353,93 @@ def _ring(n: int) -> DynamicMultigraph:
         graph.add_edge(u, (u + 1) % n)
         graph.add_edge(u, (u + 7) % n)
     return graph
+
+
+def _connect(graph: DynamicMultigraph, rng: random.Random) -> None:
+    """Link every component to the first node's (more churn: the linked
+    rows go stale)."""
+    if not graph.num_nodes:
+        graph.add_node(0)
+    src = next(iter(graph.nodes()))
+    reached = graph.bfs_distances(src)
+    while len(reached) < graph.num_nodes:
+        outside = next(u for u in graph.nodes() if u not in reached)
+        graph.add_edge(rng.choice(sorted(reached)), outside)
+        reached = graph.bfs_distances(src)
+
+
+class TestEccentricity:
+    """The flood's level-counting BFS over the array adjacency against
+    the dict BFS."""
+
+    @staticmethod
+    def _agrees(graph: DynamicMultigraph, src: int) -> None:
+        assert graph.eccentricity(src) == max(graph.bfs_distances(src).values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), ops=st.integers(1, 80))
+    def test_matches_dict_bfs_under_churn(self, seed: int, ops: int):
+        """Joins, departures (slots reused by later joiners), self-loops
+        and multi-edges, round after round on one graph: the answer from
+        dirty, just-joined and long-clean sources, with the rows half
+        refreshed by a wave in between."""
+        rng = random.Random(seed)
+        graph = DynamicMultigraph()
+        _apply_random_ops(graph, rng, ops)
+        _connect(graph, rng)
+        self._agrees(graph, rng.choice(list(graph.nodes())))  # first sync: every row
+        for _round in range(3):
+            stamp = {u: graph.node_version(u) for u in graph.nodes()}
+            _apply_random_ops(graph, rng, rng.randrange(1, 12))
+            _connect(graph, rng)
+            live = list(graph.nodes())
+            joined = [u for u in live if u not in stamp]
+            dirty = [u for u in live if stamp.get(u, -1) not in (-1, graph.node_version(u))]
+            clean = [u for u in live if stamp.get(u) == graph.node_version(u)]
+            sources = [rng.choice(group) for group in (joined, dirty, clean) if group]
+            self._agrees(graph, sources[0])
+            _apply_random_ops(graph, rng, 3)
+            _connect(graph, rng)
+            rows = graph.csr_wave_view()  # a wave refreshes only what it visits
+            rows.refresh(np.asarray([rows.slot_of[u] for u in list(graph.nodes())[::2]]))
+            for src in sources:
+                if graph.has_node(src):
+                    self._agrees(graph, src)
+            for u in graph.nodes():
+                assert graph.connection_count(u) == len(graph.distinct_neighbors(u))
+            assert sum(map(graph.connection_count, graph.nodes())) == 2 * graph.num_connections
+            graph.verify_sparse_cache()
+            graph.verify_caches()
+
+    def test_single_node(self):
+        graph = DynamicMultigraph()
+        graph.add_node(4)
+        graph.add_edge(4, 4, mult=2)
+        assert graph.eccentricity(4) == 0
+
+    def test_cut_node_removed_raises(self):
+        graph = DynamicMultigraph()
+        for u in range(5):
+            graph.add_node(u)
+        for u in range(4):
+            graph.add_edge(u, u + 1)
+        assert graph.eccentricity(0) == 4 and graph.eccentricity(2) == 2
+        graph.drop_node_with_edges(2)
+        with pytest.raises(TopologyError):
+            graph.eccentricity(0)
+        with pytest.raises(TopologyError):
+            graph.eccentricity(2)  # departed source
+
+    def test_second_call_on_untouched_graph_emits_nothing(self):
+        graph = _ring(60)
+        assert graph.eccentricity(0) == graph.eccentricity(30)
+        before = graph.sync_stats
+        assert before["sync_rows"] == 60
+        graph.eccentricity(17)
+        assert graph.sync_stats == before
+        graph.add_edge(3, 40)
+        graph.eccentricity(17)
+        assert graph.sync_stats["sync_rows"] - before["sync_rows"] == 2
 
 
 class TestSyncProportionality:
