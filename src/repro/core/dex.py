@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+import numpy as np
+
 from repro.analysis.spectral import SpectralTracker
 from repro.core import invariants
 from repro.core.config import DexConfig
@@ -33,7 +35,7 @@ from repro.core.type2_staggered import StaggeredOp
 from repro.errors import AdversaryError, TopologyError
 from repro.net.metrics import CostLedger, MetricsLog
 from repro.net.topology import DynamicMultigraph
-from repro.types import Layer, NodeId, RecoveryType, StepKind, Vertex
+from repro.types import NodeId, RecoveryType, StepKind, Vertex
 from repro.virtual.pcycle import PCycle
 from repro.virtual.primes import deflation_prime, initial_prime
 
@@ -81,7 +83,13 @@ class DexNetwork:
         -- a balanced virtual mapping with loads in [4, 8].  ``id_base``
         offsets the bootstrap ids (and therefore every ``fresh_id`` that
         follows) so a sharded deployment can give each shard its own
-        contiguous, non-overlapping id region."""
+        contiguous, non-overlapping id region.
+
+        Order contract: nodes join in ascending id order and the state --
+        adjacency key order included -- is the one activating the
+        vertices 0 .. p0-1 one by one leaves
+        (:meth:`Overlay.activate_all`); snapshots and
+        ``state_fingerprint`` record that order."""
         config = config or DexConfig()
         if n0 < config.min_network_size:
             raise AdversaryError(
@@ -95,12 +103,11 @@ class DexNetwork:
         graph = DynamicMultigraph()
         layer = LayerMapping(pcycle, config.low_threshold)
         overlay = Overlay(graph, layer)
-        for u in range(n0):
-            graph.add_node(id_base + u)
-        bounds = [u * p0 // n0 for u in range(n0)] + [p0]
-        for u in range(n0):
-            for z in range(bounds[u], bounds[u + 1]):
-                overlay.activate(Layer.OLD, z, id_base + u)
+        for u in range(id_base, id_base + n0):
+            graph.add_node(u)
+        arcs = np.diff(np.arange(n0 + 1) * p0 // n0)  # vertices per node, in [4, 8]
+        own = np.fromiter(graph.nodes(), object, n0)  # repeated, not copied
+        overlay.activate_all(np.repeat(own, arcs).tolist())
         graph.topology_changes = 0  # bootstrap is free (Section 4 start)
         return cls(overlay, config, rng)
 

@@ -20,7 +20,10 @@ real multigraph whenever vertices activate, deactivate or move.
 from __future__ import annotations
 
 import random
+from itertools import compress, islice, repeat
 from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.errors import MappingError
 from repro.types import NodeId, Vertex
@@ -148,6 +151,37 @@ class LayerMapping:
         self.host[z] = u
         self.sim.setdefault(u, set()).add(z)
         self._sets_after_change(u)
+
+    def assign_all(self, hosts: dict[Vertex, NodeId]) -> None:
+        """Bulk load of an empty layer: the state ``assign(z, u)`` per
+        item of ``hosts`` leaves, without the per-vertex calls.  The dict
+        is *adopted* as :attr:`host` (not copied), ``sim`` holds its key
+        and value objects, and Spare/Low are computed from the loads, so
+        no ``on_counts_delta`` fires: listeners resnapshot afterwards."""
+        if self.host:
+            raise MappingError("bulk assignment needs an empty layer")
+        if hosts and not 0 <= min(hosts) <= max(hosts) < self.p:
+            raise MappingError(f"host assignment names a vertex outside Z_{self.p}")
+        self.host = hosts
+        # group the vertices by node with one stable argsort; indexing
+        # object arrays hands back the dict's own key and value objects
+        owners = np.fromiter(hosts.values(), object, len(hosts))
+        ids = owners.astype(np.int64)
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        loads = np.diff(starts, append=len(order))
+        vertices = iter(np.fromiter(hosts, object, len(hosts))[order].tolist())
+        nodes = owners[order[starts]].tolist()
+        self.sim = dict(zip(nodes, map(set, map(islice, repeat(vertices), loads.tolist()))))
+        self.spare.update(compress(nodes, (loads >= 2).tolist()))
+        self.low.update(compress(nodes, (loads <= self.low_threshold).tolist()))
+
+    def host_array(self) -> np.ndarray:
+        """:attr:`host` as an int64 array over ``Z_p``, -1 where the
+        vertex is inactive."""
+        out = np.full(self.p, -1, dtype=np.int64)
+        out[np.fromiter(self.host, np.int64, len(self.host))] = list(self.host.values())
+        return out
 
     def unassign(self, z: Vertex) -> NodeId:
         u = self.host_of(z)

@@ -27,13 +27,24 @@ real node contributes weight 2 (degree-preserving contraction).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Protocol
+from typing import Protocol, Sequence
+
+import numpy as np
 
 from repro.core.mapping import LayerMapping
 from repro.errors import MappingError
 from repro.net.topology import DynamicMultigraph
 from repro.types import Layer, NodeId, Vertex
 from repro.virtual.pcycle import PCycle
+
+
+def _projected(a: np.ndarray, b: np.ndarray, host: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real edges ``(u, v, multiplicity)`` of the virtual edges
+    ``(a[i], b[i])`` under ``host`` (vertex -> node), by the self-loop
+    conventions above: what ``_pair_add`` / ``_pair_remove`` (or, for a
+    virtual self-loop, one unit at its host) would be called with."""
+    us, vs = host[a], host[b]
+    return us, vs, np.where((us == vs) & (a != b), 2, 1)
 
 
 class OverlayListener(Protocol):
@@ -129,6 +140,23 @@ class Overlay:
                 self.graph.add_edge(node, node, mult=1)
             elif lm.is_active(nb):
                 self._pair_add(node, lm.host_of(nb))
+
+    def activate_all(self, owners: Sequence[NodeId]) -> None:
+        """``activate(Layer.OLD, z, owners[z])`` for z = 0 .. p-1 on the
+        still empty primary layer, as one array pass.  Order contract:
+        the real graph's rows get the keys, in the order, that sequence
+        of calls leaves (:meth:`DynamicMultigraph.add_edges`), and
+        ``old.host`` lists the vertices ascending."""
+        lm = self.old
+        if len(owners) != lm.p:
+            raise MappingError("bulk activation must cover every vertex")
+        lm.assign_all(dict(zip(range(lm.p), owners)))
+        nbrs = lm.pcycle.neighbor_arrays()
+        # z's own loop, or a neighbor active before it
+        wired = nbrs <= np.arange(lm.p)[:, None]
+        edges = _projected(np.nonzero(wired)[0], nbrs[wired], lm.host_array())
+        del nbrs, wired  # p-sized scratch, dropped before the bulk pass takes its own
+        self.graph.add_edges(*edges)
 
     def deactivate(self, which: Layer, z: Vertex) -> NodeId:
         """Remove ``z`` (phase 2 of staggered ops drops old vertices)."""
@@ -335,43 +363,37 @@ class Overlay:
         This is the one-shot replacement of the simplified procedures: it
         costs O(n) topology changes, which is exactly what Lemma 5(d)
         charges.
+
+        Order contract: the real graph ends as if every old virtual edge
+        had been removed and every new one added by its own scalar call,
+        each cycle in :meth:`PCycle.edges` order -- an edge that is not the
+        layer's (a pending insert's attachment) keeps its place in its
+        rows -- and ``hosts`` itself becomes ``old.host``.
         """
         if self.new is not None:
             raise MappingError("cannot replace the layer during a staggered op")
-        if set(hosts) != set(range(pcycle.p)):
+        if len(hosts) != pcycle.p:
             raise MappingError("host assignment must cover every vertex")
-        live_nodes = set(self.graph.nodes())
-        if set(hosts.values()) != live_nodes:
-            missing = live_nodes - set(hosts.values())
+        new_layer = LayerMapping(pcycle, self.old.low_threshold)
+        new_layer.assign_all(hosts)
+        graph = self.graph
+        if not all(map(graph.has_node, new_layer.sim)):
+            raise MappingError("assignment names a node that is not live")
+        if len(new_layer.sim) != graph.num_nodes:
+            missing = {u for u in graph.nodes() if u not in new_layer.sim}
             raise MappingError(f"assignment not surjective; empty nodes: {missing}")
         self._teardown_all_old_edges()
-        new_layer = LayerMapping(pcycle, self.old.low_threshold)
-        for z, node in hosts.items():
-            new_layer.assign(z, node)
         self.old.on_counts_delta = None
         self.old = new_layer
         self._wire_primary()
-        for a, b in pcycle.edges():
-            if a == b:
-                self.graph.add_edge(hosts[a], hosts[a], mult=1)
-            else:
-                self._pair_add(hosts[a], hosts[b])
+        graph.add_edges(*_projected(*pcycle.edge_arrays(), new_layer.host_array()))
         self._emit_primary_replaced()
 
     def _teardown_all_old_edges(self) -> None:
-        pcycle = self.old.pcycle
-        host = self.old.host
-        for a, b in pcycle.edges():
-            if not (a in host and b in host):
-                continue
-            if a == b:
-                self.graph.remove_edge(host[a], host[a], mult=1)
-            else:
-                self._pair_remove(host[a], host[b])
-        self.old.host.clear()
-        self.old.sim.clear()
-        self.old.spare.clear()
-        self.old.low.clear()
+        a, b = self.old.pcycle.edge_arrays()
+        host = self.old.host_array()
+        live = (host[a] >= 0) & (host[b] >= 0)
+        self.graph.remove_edges(*_projected(a[live], b[live], host))
 
     # ------------------------------------------------------------------
     # staggered layer management

@@ -30,17 +30,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.errors import RecoveryError
 from repro.net.metrics import CostLedger
 from repro.net.routing import permutation_routing
 from repro.types import NodeId, Vertex
-from repro.virtual.clouds import (
-    dominating_vertex,
-    inflation_cloud,
-    inflation_parent,
-)
 from repro.virtual.pcycle import PCycle
 from repro.virtual.primes import deflation_prime, inflation_prime
 
@@ -89,21 +86,13 @@ def _charge_inverse_edges(
     )
 
 
-def _chord_packets(
-    pcycle_new: PCycle,
-    parent_of: Callable[[Vertex, int, int], Vertex],
-    old_p: int,
-    new_p: int,
-) -> list[tuple[Vertex, Vertex]]:
+def _chord_packets(pcycle_new: PCycle, sources: np.ndarray) -> list[tuple[Vertex, Vertex]]:
     """One routing packet per chord edge of the new cycle, addressed
-    between the old vertices whose clouds host the endpoints."""
-    packets: list[tuple[Vertex, Vertex]] = []
-    for y in range(1, new_p):
-        inv = pcycle_new.chord_target(y)
-        if inv <= y:
-            continue  # each chord once, skip self-loops
-        packets.append((parent_of(y, old_p, new_p), parent_of(inv, old_p, new_p)))
-    return packets
+    between the old vertices (``sources``) whose hosts take the
+    endpoints."""
+    a, b = (ends[pcycle_new.p :] for ends in pcycle_new.edge_arrays())
+    chord = a != b  # each chord once, self-loops skipped
+    return list(zip(sources[a[chord]].tolist(), sources[b[chord]].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -183,39 +172,31 @@ def simplified_inflate(
 
     # ---- Phase 1: everyone computes the same new p-cycle ----
     _charge_broadcast(dex, origin, ledger)
-    hosts: dict[Vertex, NodeId] = {}
-    for x in range(p_old):
-        w = old.host_of(x)
-        for y in inflation_cloud(x, p_old, p_new):
-            hosts[y] = w
+    parents = np.arange(p_new) * p_old // p_new  # Eq. 7 inverted: y's cloud is its parent's
+    hosts = dict(enumerate(map(old.host_of, parents.tolist())))
     # Cycle edges come from old cycle adjacency: O(1) rounds, one message
     # per new vertex.
     ledger.charge_parallel(rounds=2, messages=p_new)
-    _charge_inverse_edges(
-        dex, old.pcycle, _chord_packets(pcycle_new, inflation_parent, p_old, p_new), ledger
-    )
+    _charge_inverse_edges(dex, old.pcycle, _chord_packets(pcycle_new, parents), ledger)
+    per_node: dict[NodeId, list[Vertex]] = defaultdict(list)
+    for y, w in hosts.items():
+        per_node[w].append(y)
 
     # Line 6: each freshly inserted node receives one newly generated
     # vertex from its attach point (or, should repeated donations drain
     # the attach point, from the currently fullest node -- every old
     # vertex spawned a >= 4-vertex cloud, so a donor always exists).
-    if pending_list:
-        owner_count = Counter(hosts.values())
-        for node, node_attach in pending_list:
-            donor = node_attach if node_attach is not None else dex.coordinator.node
-            if owner_count.get(donor, 0) < 2:
-                donor = max(owner_count, key=owner_count.get)
-            donated = _take_vertex_from(hosts, donor)
-            hosts[donated] = node
-            owner_count[donor] -= 1
-            owner_count[node] += 1
-            ledger.charge_route(1)
+    for node, node_attach in pending_list:
+        donor = node_attach if node_attach is not None else dex.coordinator.node
+        if len(per_node.get(donor, ())) < 2:
+            donor = max(per_node, key=lambda w: len(per_node[w]))
+        donated = _take_vertex_from(per_node, donor)
+        hosts[donated] = node
+        per_node[node].append(donated)
+        ledger.charge_route(1)
 
     # ---- Phase 2: rebalance loads above 4*zeta ----
     loads = Counter(hosts.values())
-    per_node: dict[NodeId, list[Vertex]] = defaultdict(list)
-    for y, w in hosts.items():
-        per_node[w].append(y)
     full: set[NodeId] = {w for w, load in loads.items() if load > config.low_threshold}
 
     def excess_tokens() -> list[NodeId]:
@@ -277,19 +258,10 @@ def simplified_deflate(dex: "DexNetwork", ledger: CostLedger) -> None:
 
     # ---- Phase 1 ----
     _charge_broadcast(dex, origin, ledger)
-    hosts: dict[Vertex, NodeId] = {
-        y: old.host_of(dominating_vertex(y, p_old, p_new)) for y in range(p_new)
-    }
+    dominating = -(np.arange(p_new) * -p_old // p_new)  # ceil(y * alpha), Section 4.4.2
+    hosts = dict(enumerate(map(old.host_of, dominating.tolist())))
     ledger.charge_parallel(rounds=2, messages=p_new)
-    _charge_inverse_edges(
-        dex,
-        old.pcycle,
-        [
-            (dominating_vertex(a, p_old, p_new), dominating_vertex(b, p_old, p_new))
-            for a, b in _new_chords(pcycle_new)
-        ],
-        ledger,
-    )
+    _charge_inverse_edges(dex, old.pcycle, _chord_packets(pcycle_new, dominating), ledger)
 
     # ---- Phase 2: ensure surjectivity ----
     per_node: dict[NodeId, list[Vertex]] = defaultdict(list)
@@ -336,22 +308,12 @@ def simplified_deflate(dex: "DexNetwork", ledger: CostLedger) -> None:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _new_chords(pcycle_new: PCycle) -> list[tuple[Vertex, Vertex]]:
-    chords = []
-    for y in range(1, pcycle_new.p):
-        inv = pcycle_new.chord_target(y)
-        if inv > y:
-            chords.append((y, inv))
-    return chords
-
-
-def _take_vertex_from(hosts: dict[Vertex, NodeId], donor: NodeId) -> Vertex:
-    candidates = sorted(y for y, w in hosts.items() if w == donor and y != 0)
-    if not candidates:
-        candidates = sorted(y for y, w in hosts.items() if w == donor)
-    if not candidates:
+def _take_vertex_from(per_node: dict[NodeId, list[Vertex]], donor: NodeId) -> Vertex:
+    """The donor's largest vertex (its list ascends), so vertex 0 leaves
+    its host only when nothing else is left."""
+    if not per_node.get(donor):
         raise RecoveryError(f"attach node {donor} has no vertex to donate")
-    return candidates[-1]
+    return per_node[donor].pop()
 
 
 def _pop_vertex(per_node: dict[NodeId, list[Vertex]], owner: NodeId) -> Vertex:

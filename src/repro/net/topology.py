@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
@@ -42,6 +42,13 @@ from repro.types import NodeId
 #: spare entries a row is given beyond its length when it is (re)placed
 ROW_SLACK = 2
 
+#: edges one bulk pass regroups at a time: bounds its scratch arrays (the
+#: bulk calls compose sequentially, so no result depends on the value)
+BULK_EDGES = 1 << 16
+
+#: what :meth:`DynamicMultigraph._regrouped` hands a bulk pass
+_Regrouped = tuple[list[NodeId], list[int], list[int], list[NodeId], list[int], int]
+
 
 def _extended(arr: np.ndarray, size: int, fill: object = None) -> np.ndarray:
     """``arr`` in a longer array (the tail untouched without ``fill``)."""
@@ -50,6 +57,11 @@ def _extended(arr: np.ndarray, size: int, fill: object = None) -> np.ndarray:
     if fill is not None:
         out[arr.size :] = fill
     return out
+
+
+def _run_starts(arr: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in the non-empty ``arr``."""
+    return np.flatnonzero(np.concatenate(([True], arr[1:] != arr[:-1])))
 
 
 class _RowStore:
@@ -468,6 +480,123 @@ class DynamicMultigraph:
             del av[u]
             self.topology_changes += 1
             self._connections -= 1
+
+    # ------------------------------------------------------------------
+    # bulk edges (whole-overlay builds: bootstrap, simplified type-2)
+    # ------------------------------------------------------------------
+    def add_edges(self, us: np.ndarray, vs: np.ndarray, mults: np.ndarray) -> None:
+        """``add_edge(u, v, m)`` per triple, in order, as array passes.
+        By contract the outcome is the scalar sequence's: the same rows
+        -- a new key joins its row where the sequence first touches it
+        (the call for ``(u, v)`` writes row ``u``, then row ``v``), a key
+        already there keeps its place -- holding the graph's own id
+        objects, the same aggregates and ``topology_changes``, and the
+        same error, raised by the scalar calls themselves."""
+        self._in_bulk(self.add_edge, self._add_rows, us, vs, mults)
+
+    def remove_edges(self, us: np.ndarray, vs: np.ndarray, mults: np.ndarray) -> None:
+        """``remove_edge(u, v, m)`` per triple, in order, as array
+        passes; the contract of :meth:`add_edges` (a key whose
+        multiplicity is not used up keeps its place)."""
+        self._in_bulk(self.remove_edge, self._remove_rows, us, vs, mults)
+
+    def _in_bulk(
+        self, one: Callable[..., None], rows: Callable[[_Regrouped], bool], *triples: np.ndarray
+    ) -> None:
+        arrays = [np.asarray(column, dtype=np.int64) for column in triples]
+        for at in range(0, arrays[0].size, BULK_EDGES):
+            part = [column[at : at + BULK_EDGES] for column in arrays]
+            regrouped = self._regrouped(*part)
+            if regrouped is None or not rows(regrouped):
+                # a triple the scalar call rejects: it raises, in place
+                for triple in zip(*map(np.ndarray.tolist, part)):
+                    one(*triple)
+                continue
+            self._stamp += 1  # one touch per rewritten row
+            self._version.update(dict.fromkeys(regrouped[0], self._stamp))
+            self._dirty.update(regrouped[0])
+
+    def _regrouped(self, us: np.ndarray, vs: np.ndarray, mults: np.ndarray) -> _Regrouped | None:
+        """The adjacency writes of the scalar calls for these triples,
+        regrouped by row: the rows touched (the graph's own id objects),
+        per row its number of entries and their multiplicity sum, every
+        row's entries back to back as key objects and multiplicities --
+        a row's keys in the order the sequence first touches them -- and
+        the edge units in all.  ``None`` when a triple names an unknown
+        node or a multiplicity that is not positive."""
+        if mults.min() <= 0:
+            return None
+        ids, index = np.unique(np.concatenate((us, vs)), return_inverse=True)
+        try:
+            at = map(self._node_pos.__getitem__, ids.tolist())
+            own = np.fromiter(map(self._nodes.__getitem__, at), object, ids.size)
+        except KeyError:
+            return None
+        # write 2i is row u / key v, write 2i + 1 is row v / key u (a
+        # self-loop makes the first only)
+        ends = index.reshape(2, -1)
+        keep = np.stack((np.ones(us.size, dtype=bool), us != vs), axis=1).ravel()
+        row, key = ends.T.ravel()[keep], ends[::-1].T.ravel()[keep]
+        pair = row * ids.size + key
+        order = np.argsort(pair, kind="stable")
+        heads = _run_starts(pair[order])
+        total = np.add.reduceat(np.repeat(mults, 2)[keep][order], heads)
+        first = order[heads]
+        row, key = row[first], key[first]
+        starts = _run_starts(row)
+        by_touch = np.lexsort((first, row))
+        keys = own[key[by_touch]].tolist()  # indexing objects: no new ints
+        counts = np.diff(np.append(starts, row.size)).tolist()
+        sums = np.add.reduceat(total, starts).tolist()
+        return own.tolist(), counts, sums, keys, total[by_touch].tolist(), int(mults.sum())
+
+    def _add_rows(self, regrouped: _Regrouped) -> bool:
+        rows, counts, sums, keys, vals, units = regrouped
+        fill, loops, degree = dict.update, dict.__contains__, self._degree
+        aus = list(map(self._adj.__getitem__, rows))
+        was = sum(map(len, aus)) - sum(map(loops, aus, rows))
+        at = 0
+        for au, count in zip(aus, counts):
+            ks, ms = keys[at : at + count], vals[at : at + count]
+            at += count
+            if au and not au.keys().isdisjoint(ks):  # a key there keeps its place
+                ms = [au.get(k, 0) + m for k, m in zip(ks, ms)]
+            fill(au, zip(ks, ms))
+        born = sum(map(len, aus)) - sum(map(loops, aus, rows)) - was
+        degree.update(zip(rows, map(int.__add__, map(degree.__getitem__, rows), sums)))
+        self._edge_units += units
+        self._connections += born // 2
+        self.topology_changes += born // 2
+        return True
+
+    def _remove_rows(self, regrouped: _Regrouped) -> bool:
+        rows, counts, sums, keys, vals, units = regrouped
+        same, drop, degree = dict.__eq__, dict.__delitem__, self._degree
+        entries = zip(keys, vals)
+        plan = []
+        for u, count in zip(rows, counts):
+            au, gone = self._adj[u], dict(islice(entries, count))
+            whole = same(au, gone)  # exactly the row: it can be cleared
+            if not whole and any(au.get(k, 0) < m for k, m in gone.items()):
+                return False
+            plan.append((au, gone, whole))
+        died = 0
+        for u, loss, (au, gone, whole) in zip(rows, sums, plan):
+            was = len(au) - (u in au)
+            if whole:
+                au.clear()
+            else:
+                for k, m in gone.items():
+                    if au[k] == m:
+                        drop(au, k)
+                    else:
+                        au[k] -= m
+            died += was - len(au) + (u in au)
+            degree[u] -= loss
+        self._edge_units -= units
+        self._connections -= died // 2
+        self.topology_changes += died // 2
+        return True
 
     def move_loop_unit(self, old: NodeId, new: NodeId) -> None:
         """Transfer one unit of self-loop weight from ``old`` to ``new``

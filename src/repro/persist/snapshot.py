@@ -454,27 +454,7 @@ def _assemble(path: Path) -> DexNetwork:
         raise CorruptSnapshot(
             f"{path}: host map names dead nodes {sorted(foreign)[:5]}"
         )
-    layer.host.update(host)
-    # sim / spare / low are pure functions of the host map (which nodes
-    # simulate which vertices, at what load); group the host entries by
-    # node once with an argsort instead of a per-entry setdefault loop
-    if len(raw_node):
-        order = np.argsort(raw_node, kind="stable")
-        by_node = raw_node[order]
-        by_vertex = raw_vertex[order].tolist()
-        group_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(by_node)) + 1)
-        )
-        loads = np.diff(np.concatenate((group_starts, [len(by_node)])))
-        owners = by_node[group_starts]
-        position = 0
-        for u, load in zip(owners.tolist(), loads.tolist()):
-            layer.sim[u] = set(by_vertex[position:position + load])
-            position += load
-        layer.spare.update(owners[loads >= 2].tolist())
-        layer.low.update(
-            owners[(loads >= 1) & (loads <= layer.low_threshold)].tolist()
-        )
+    layer.assign_all(host)  # sim / spare / low are functions of the host map
 
     # ---- network: the coordinator resnapshots its counters (I8) ----
     overlay = Overlay(graph, layer)

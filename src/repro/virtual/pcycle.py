@@ -22,6 +22,7 @@ which explores O(sqrt(p)) vertices on this family.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -41,17 +42,39 @@ _MIN_P = 5
 _TABLE_MAX_P = 1 << 18
 
 
+def _primitive_root(p: int) -> int:
+    """The smallest generator ``g`` of the multiplicative group mod
+    ``p``: ``g^e != 1`` for every proper divisor ``e`` of ``p - 1``."""
+    n = p - 1
+    proper = [e for d in range(2, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)]
+    return next(g for g in range(2, p) if all(pow(g, e, p) != 1 for e in proper))
+
+
+@lru_cache(maxsize=2)
+def _inverse_array(p: int) -> np.ndarray:
+    """All multiplicative inverses mod ``p`` (entry 0 is 0) as a
+    read-only int64 array, at any ``p`` the products fit in: the powers
+    ``g^0 .. g^(p-2)`` of a primitive root are filled in by doubling
+    (``g^(m+k) = g^m * g^k``), and ``g^k`` inverts to ``g^(p-1-k)``."""
+    if p >= 1 << 31:
+        raise VirtualGraphError(f"p = {p} overflows the int64 inverse table")
+    powers = np.ones(p - 1, dtype=np.int64)
+    filled, step = 1, _primitive_root(p)
+    while filled < p - 1:
+        take = min(filled, p - 1 - filled)
+        powers[filled : filled + take] = powers[:take] * step % p
+        filled, step = filled + take, step * step % p
+    inv = np.zeros(p, dtype=np.int64)
+    inv[powers] = np.roll(powers[::-1], 1)
+    inv.setflags(write=False)
+    return inv
+
+
 @lru_cache(maxsize=16)
 def _inverse_table(p: int) -> list[int]:
-    """All multiplicative inverses mod ``p`` in O(p) total time via the
-    classic recurrence ``inv[i] = -(p // i) * inv[p % i] mod p`` -- far
-    cheaper than one Fermat ``pow`` per neighbor query on the hot path."""
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (-(p // i) * inv[p % i]) % p
-    return inv
+    """:func:`_inverse_array` as a list of Python ints -- far cheaper
+    than one Fermat ``pow`` per neighbor query on the hot path."""
+    return _inverse_array(p).tolist()
 
 
 @lru_cache(maxsize=16)
@@ -175,6 +198,24 @@ class PCycle:
             if y >= x:  # each chord once; includes self-loops (y == x)
                 yield (x, y)
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`edges` as two int64 arrays, in the same order: the
+        ``p`` cycle edges first, then the chords."""
+        x = np.arange(self.p)
+        y = np.roll(x, -1)
+        inv = _inverse_array(self.p)
+        chord = inv >= x
+        return (
+            np.concatenate((np.minimum(x, y), x[chord])),
+            np.concatenate((np.maximum(x, y), inv[chord])),
+        )
+
+    def neighbor_arrays(self) -> np.ndarray:
+        """:meth:`neighbor_multiset` of every vertex: a ``(p, 3)`` int64
+        array whose row ``x`` is ``(x - 1, x + 1, chord_target(x))``."""
+        x = np.arange(self.p)
+        return np.stack((np.roll(x, 1), np.roll(x, -1), _inverse_array(self.p)), axis=1)
+
     def num_edges(self) -> int:
         """Number of undirected edges (self-loops counted once): 3p/2
         rounded to account for the three self-loops."""
@@ -187,16 +228,8 @@ class PCycle:
         """Sparse adjacency with multi-edge multiplicities and self-loops
         counted once; every row sums to 3."""
         p = self.p
-        rows = np.empty(3 * p, dtype=np.int64)
-        cols = np.empty(3 * p, dtype=np.int64)
-        k = 0
-        for x in range(p):
-            for y in self.neighbor_multiset(x):
-                rows[k] = x
-                cols[k] = y
-                k += 1
-        data = np.ones(3 * p, dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(p, p))
+        rows, cols = np.repeat(np.arange(p), 3), self.neighbor_arrays().ravel()
+        return sp.csr_matrix((np.ones(3 * p), (rows, cols)), shape=(p, p))
 
     # ------------------------------------------------------------------
     # shortest paths (locally computable by every node in the paper)

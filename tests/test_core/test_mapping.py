@@ -120,3 +120,34 @@ class TestPropertyBookkeeping:
         assert lm.spare == {u for u, l in loads.items() if l >= 2}
         assert lm.low == {u for u, l in loads.items() if 1 <= l <= LOW}
         lm.verify()
+
+
+class TestAssignAll:
+    @given(st.dictionaries(st.integers(0, 22), st.sampled_from([0, 3, 2**40, 2**40 + 1])))
+    @settings(max_examples=80)
+    def test_equals_assign_per_item(self, hosts):
+        """The bulk loader against ``assign`` per item (any vertex
+        subset, any order): the same host order, sets and loads, with the
+        dict adopted and its own objects in ``sim``."""
+        one_by_one, bulk = fresh_mapping(), fresh_mapping()
+        for z, u in hosts.items():
+            one_by_one.assign(z, u)
+        bulk.assign_all(hosts)
+        assert bulk.host is hosts
+        assert list(bulk.host.items()) == list(one_by_one.host.items())
+        for name in ("sim", "spare", "low"):
+            assert getattr(bulk, name) == getattr(one_by_one, name), name
+        bulk.verify()
+        assert bulk.host_array().tolist() == [hosts.get(z, -1) for z in range(23)]
+        own = {id(x) for x in hosts} | {id(x) for x in hosts.values()}
+        assert all(id(x) in own for u, vs in bulk.sim.items() for x in (u, *vs))
+
+    def test_rejects_a_loaded_layer_and_a_foreign_vertex(self):
+        lm = fresh_mapping()
+        for bad in ({23: 0}, {-1: 0, 4: 1}):
+            with pytest.raises(MappingError):
+                lm.assign_all(bad)
+        assert lm.active_count == 0
+        lm.assign(3, 7)
+        with pytest.raises(MappingError):
+            lm.assign_all({4: 7})

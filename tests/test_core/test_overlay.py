@@ -150,6 +150,79 @@ class TestReplacePrimary:
         with pytest.raises(MappingError):
             overlay.replace_primary(PCycle(97), hosts)
 
+    def test_replace_rejects_a_vertex_outside_the_cycle(self):
+        overlay = build_overlay()
+        hosts = {y: y % 6 for y in range(96)} | {97: 0}  # 97 vertices, one >= p
+        with pytest.raises(MappingError):
+            overlay.replace_primary(PCycle(97), hosts)
+        assert_faithful(overlay)  # rejected before anything was torn down
+        assert overlay.old.p == 23
+
+    def test_replace_rejects_an_owner_that_is_not_live(self):
+        overlay = build_overlay()
+        hosts = {y: y % 7 for y in range(97)}  # node 6 does not exist
+        with pytest.raises(MappingError):
+            overlay.replace_primary(PCycle(97), hosts)
+        assert_faithful(overlay)
+
+    @given(seed=st.integers(0, 10**6), p=st.sampled_from([29, 97, 131]))
+    @settings(max_examples=40, deadline=None)
+    def test_replace_equals_the_per_edge_rebuild(self, seed, p):
+        """On an overlay whose rows also carry pending inserts'
+        attachment edges (which must survive in place), against the
+        per-edge body ``replace_primary`` had before the array pass."""
+        rng = random.Random(seed)
+        pending = [(6 + i, rng.randrange(6)) for i in range(rng.randrange(3))]
+        owners = list(range(6)) + [u for u, _attach in pending]
+        hosts = {y: rng.choice(owners) for y in range(p)}
+        hosts.update(zip(rng.sample(range(p), len(owners)), owners))  # surjective
+        if seed % 2:  # the plan's own order is what ``old.host`` keeps
+            hosts = dict(rng.sample(sorted(hosts.items()), p))
+        twins = build_overlay(), build_overlay()
+        for overlay in twins:
+            moves = random.Random(seed)
+            for _ in range(10):
+                overlay.move(Layer.OLD, moves.randrange(23), moves.randrange(6))
+            for u, attach in pending:
+                overlay.graph.add_node(u)
+                overlay.graph.add_edge(u, attach)
+        _replace_primary_per_edge(twins[0], PCycle(p), dict(hosts))
+        twins[1].replace_primary(PCycle(p), dict(hosts))
+        graphs = [overlay.graph for overlay in twins]
+        rows = [[(u, list(row.items())) for u, row in g._adj.items()] for g in graphs]
+        assert rows[0] == rows[1]
+        for name in ("_degree", "_nodes", "num_edge_units", "num_connections", "topology_changes"):
+            assert getattr(graphs[0], name) == getattr(graphs[1], name), name
+        layers = [overlay.old for overlay in twins]
+        assert list(layers[0].host.items()) == list(layers[1].host.items())
+        for name in ("sim", "spare", "low"):
+            assert getattr(layers[0], name) == getattr(layers[1], name), name
+        graphs[1].verify_caches()
+        layers[1].verify()
+
+
+def _replace_primary_per_edge(overlay: Overlay, pcycle: PCycle, hosts: dict[int, int]) -> None:
+    """``Overlay.replace_primary`` as it was when it made one scalar
+    call per virtual edge: the oracle for the array pass."""
+    graph, old = overlay.graph, overlay.old
+    for a, b in old.pcycle.edges():
+        if a == b:
+            graph.remove_edge(old.host[a], old.host[a], mult=1)
+        else:
+            overlay._pair_remove(old.host[a], old.host[b])
+    new_layer = LayerMapping(pcycle, old.low_threshold)
+    for z, node in hosts.items():
+        new_layer.assign(z, node)
+    old.on_counts_delta = None
+    overlay.old = new_layer
+    overlay._wire_primary()
+    for a, b in pcycle.edges():
+        if a == b:
+            graph.add_edge(hosts[a], hosts[a], mult=1)
+        else:
+            overlay._pair_add(hosts[a], hosts[b])
+    overlay._emit_primary_replaced()
+
 
 class TestPropertyFaithfulness:
     @given(st.lists(st.tuples(st.integers(0, 22), st.integers(0, 5)), max_size=50))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
+from repro.net import topology
 from repro.net.topology import DynamicMultigraph
 
 
@@ -576,3 +577,130 @@ class TestAuditCatchesDrift:
         graph.csr_wave_view().garbage += 1
         with pytest.raises(TopologyError, match="garbage"):
             graph.verify_sparse_cache()
+
+
+Triple = tuple[int, int, int]
+
+
+def _state(graph: DynamicMultigraph) -> tuple:
+    """Everything the bulk contract covers, row key order included."""
+    return (
+        [(u, list(row.items())) for u, row in graph._adj.items()],
+        graph._degree,
+        graph.num_edge_units,
+        graph.num_connections,
+        graph.topology_changes,
+        graph._nodes,
+    )
+
+
+def _arrays(triples: list[Triple]) -> list[np.ndarray]:
+    return [np.array(column, dtype=np.int64) for column in zip(*triples)] or [np.empty(0)] * 3
+
+
+def _both(scalar: DynamicMultigraph, bulk: DynamicMultigraph, op: str, triples: list[Triple]):
+    """``op`` per triple on ``scalar`` -- the oracle -- and in bulk on
+    its twin: the same state and the same error, or none."""
+    errors = []
+    for run in (
+        lambda: [getattr(scalar, op)(u, v, m) for u, v, m in triples],
+        lambda: getattr(bulk, op + "s")(*_arrays(triples)),
+    ):
+        try:
+            run()
+            errors.append(None)
+        except TopologyError as exc:
+            errors.append(str(exc))
+    assert errors[0] == errors[1]
+    assert _state(scalar) == _state(bulk), (op, triples)
+    return errors[0]
+
+
+class TestBulkEdges:
+    """``add_edges`` / ``remove_edges`` against the scalar call per
+    triple, in order, on a twin graph."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), chunk=st.integers(1, 6), base=st.sampled_from([0, 2**40]))
+    def test_same_rows_aggregates_and_errors_as_the_scalar_loop(self, seed, chunk, base):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 8)
+        twins = DynamicMultigraph(), DynamicMultigraph()
+        for graph in twins:
+            for u in range(n):
+                graph.add_node(base + u)
+
+        def pair() -> tuple[int, int]:
+            u = rng.randrange(n)
+            return base + u, base + (u if rng.random() < 0.25 else rng.randrange(n))
+
+        clean = True
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology, "BULK_EDGES", chunk)
+            for _round in range(3):  # later rounds meet rows that hold entries
+                # one shorter than, equal to and one longer than a chunk, and beyond
+                count = rng.choice([chunk - 1, chunk, chunk + 1, rng.randrange(3 * chunk + 4)])
+                adds = [(*pair(), rng.randrange(1, 3)) for _ in range(count)]
+                if adds and rng.random() < 0.15:
+                    bad = (base + n + 2, base, 1) if rng.random() < 0.5 else (*pair(), 0)
+                    adds[rng.randrange(len(adds))] = bad
+                clean &= _both(*twins, "add_edge", adds) is None
+                removals: list[Triple] = []
+                for u, row in twins[0]._adj.items():
+                    for v, m in row.items():
+                        fate = rng.random()
+                        if v < u or fate < 0.4:
+                            continue
+                        if fate < 0.7:  # to zero, in one call or two
+                            removals += [(u, v, m)] if m == 1 else [(u, v, 1), (v, u, m - 1)]
+                        elif fate < 0.9 and m > 1:
+                            removals.append((v, u, m - 1))  # partial: the key keeps its place
+                        elif fate > 0.97:
+                            removals.append((u, v, m + 1))  # more than is there
+                rng.shuffle(removals)
+                clean &= _both(*twins, "remove_edge", removals) is None
+                # pairs taken to zero come back at the end of their rows
+                again = [(u, v, 1) for u, v, _m in removals[::2] if rng.random() < 0.5]
+                clean &= _both(*twins, "add_edge", again) is None
+        bulk = twins[1]
+        bulk.verify_caches()
+        bulk.to_sparse_adjacency()
+        bulk.verify_sparse_cache()
+        if clean:  # the rows hold the graph's own id objects, not copies
+            own = {id(u) for u in bulk._nodes}
+            assert all(id(k) in own for row in bulk._adj.values() for k in row)
+
+    def test_first_touch_fixes_the_key_order(self):
+        scalar, bulk = DynamicMultigraph(), DynamicMultigraph()
+        for graph in (scalar, bulk):
+            for u in range(4):
+                graph.add_node(u)
+            graph.add_edge(0, 3)  # an entry the bulk pass must leave in place
+        triples = [(2, 0, 1), (0, 1, 1), (0, 0, 2), (1, 0, 1), (0, 3, 1), (2, 2, 1)]
+        assert _both(scalar, bulk, "add_edge", triples) is None
+        assert list(bulk._adj[0].items()) == [(3, 2), (2, 1), (1, 2), (0, 2)]
+        assert bulk.topology_changes == scalar.topology_changes == 4 + 1 + 2
+        # (0, 3) to zero and back: the key moves to the end of both rows
+        assert _both(scalar, bulk, "remove_edge", [(3, 0, 2), (0, 1, 1)]) is None
+        assert _both(scalar, bulk, "add_edge", [(3, 0, 1)]) is None
+        assert list(bulk._adj[0]) == [2, 1, 0, 3]
+
+    def test_whole_row_removal_clears_only_on_an_exact_match(self):
+        scalar, bulk = DynamicMultigraph(), DynamicMultigraph()
+        for graph in (scalar, bulk):
+            for u in range(3):
+                graph.add_node(u)
+            graph.add_edges(*_arrays([(0, 1, 2), (0, 2, 1), (0, 0, 2), (1, 2, 1)]))
+        # row 0 but for one unit of (0, 1): nothing may be cleared
+        assert _both(scalar, bulk, "remove_edge", [(0, 1, 1), (2, 0, 1), (0, 0, 2)]) is None
+        assert list(bulk._adj[0].items()) == [(1, 1)]
+        message = _both(scalar, bulk, "remove_edge", [(1, 2, 1), (0, 1, 2)])
+        assert message == "edge (0, 1) has multiplicity 1 < 2"
+        assert bulk.multiplicity(1, 2) == 0  # the triples before the bad one went through
+
+    def test_empty_sequence_is_a_no_op(self):
+        graph = _ring(5)
+        before = (_state(graph)[0], graph.topology_changes, graph.node_version(0))
+        graph.add_edges(*_arrays([]))
+        graph.remove_edges(*_arrays([]))
+        assert (_state(graph)[0], graph.topology_changes, graph.node_version(0)) == before

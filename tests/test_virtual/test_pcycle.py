@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VirtualGraphError
-from repro.virtual.pcycle import PCycle, cached_pcycle
+from repro.virtual.pcycle import PCycle, _inverse_array, _inverse_table, cached_pcycle
+from repro.virtual.primes import is_prime
 from tests.conftest import SMALL_PRIMES
 
 primes = st.sampled_from(SMALL_PRIMES)
@@ -94,6 +95,40 @@ class TestStructure:
             z.neighbor_multiset(23)
         with pytest.raises(VirtualGraphError):
             z.neighbor_multiset(-1)
+
+
+class TestArrayForms:
+    """The whole-cycle arrays the bulk overlay builders read, against the
+    per-vertex methods (and Fermat's ``pow``) they stand for."""
+
+    def test_every_prime_below_600(self):
+        for p in filter(is_prime, range(5, 600)):
+            z = PCycle(p)
+            assert _inverse_array(p).tolist() == [0] + [pow(x, p - 2, p) for x in range(1, p)]
+            assert _inverse_table(p) == _inverse_array(p).tolist()
+            a, b = z.edge_arrays()
+            assert a.dtype == b.dtype == np.int64
+            assert list(zip(a.tolist(), b.tolist())) == list(z.edges()), p
+            nbrs = [list(z.neighbor_multiset(x)) for x in z.vertices()]
+            assert z.neighbor_arrays().tolist() == nbrs, p
+
+    def test_past_the_table_cutoff(self):
+        p = 262147  # p0(65536) = 2^18 + 3: no cached list, ``pow`` per query
+        z = PCycle(p)
+        assert z._inv is None
+        inv = _inverse_array(p)
+        assert inv[0] == 0 and (np.arange(1, p) * inv[1:] % p == 1).all()
+        a, b = z.edge_arrays()
+        assert a.size == z.num_edges() and (a[:p] == np.arange(p) % (p - 1)).all()
+        sample = list(range(0, a.size, 997)) + [p - 1, p, a.size - 1]
+        edges = list(z.edges())
+        assert [(int(a[i]), int(b[i])) for i in sample] == [edges[i] for i in sample]
+        for x in (0, 1, 2, p // 2, p - 2, p - 1):
+            assert tuple(z.neighbor_arrays()[x]) == z.neighbor_multiset(x)
+
+    def test_arrays_are_read_only_where_shared(self):
+        with pytest.raises(ValueError):
+            _inverse_array(23)[3] = 0
 
 
 class TestPaths:
