@@ -183,6 +183,25 @@ def check_trace(args: argparse.Namespace) -> str:
     )
 
 
+def check_bench_trace(args: argparse.Namespace) -> str:
+    """A traced ``bench/run.py --trace 1 --out`` report: every row correct
+    (``valid`` here is the contract line's ``correct``), every shim
+    boundary resolved, and the single-step walks attributed -- a refactor
+    that routes them around the module-level ``random_walk`` the frozen
+    tracer patches reads 0 scalar walks, not an error."""
+    rows = _load(args.report, schema=False)
+    assert rows, "no rows in the report"
+    walks = {}
+    for row in rows:
+        metrics = {name: entry["value"] for name, entry in row["metrics"].items()}
+        name = row["workload"]
+        assert row["valid"] and row["failed"] == 0, (name, row["errors"], row["failed"])
+        assert metrics["trace.unresolved_boundaries"] == 0, (name, metrics)
+        walks[name] = metrics["net.walks.scalar_walks_per_event"] or 0
+        assert walks[name] > 0, f"{name}: no scalar walk reached the tracer"
+    return f"bench trace ok: scalar walks per event {walks}"
+
+
 def check_staticcheck(args: argparse.Namespace) -> str:
     from repro.analysis.staticcheck import SCHEMA as STATICCHECK_SCHEMA
 
@@ -267,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="floor on recorded spans (guards against a "
                         "silently disabled recorder)")
     p.set_defaults(check=check_trace)
+
+    p = sub.add_parser("bench-trace", help="traced bench/run.py --out report")
+    p.add_argument("report")
+    p.set_defaults(check=check_bench_trace)
 
     p = sub.add_parser("staticcheck", help="staticcheck findings report")
     p.add_argument("report")

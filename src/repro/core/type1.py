@@ -145,9 +145,7 @@ def insertion_recovery(
             continue
         # The Algorithm 4.2 token: from the attach point ``v``, seek a
         # node in Spare, never stepping onto the fresh node ``u``.
-        w = walk_for(
-            dex, v, dex.overlay.old.in_spare, ledger, frozenset((u,)), attempt
-        )
+        w = walk_for(dex, v, dex.overlay.old.spare.__contains__, ledger, frozenset((u,)), attempt)
         if w is not None and resolve_insertion(dex, u, w):
             return RecoveryType.TYPE1
         # Walk failed: decide between type-2 recovery and retrying.
@@ -244,7 +242,7 @@ def deletion_recovery(
                 break  # a deflate started mid-redistribution
             # The Algorithm 4.3 token: from the adopter ``v``, seek a
             # Low node willing to take one of the deleted node's vertices.
-            w = walk_for(dex, v, dex.overlay.old.in_low, ledger, attempt=attempt)
+            w = walk_for(dex, v, dex.overlay.old.low.__contains__, ledger, attempt=attempt)
             if w is not None and resolve_redistribution(dex, z, w):
                 placed = True
                 break

@@ -378,6 +378,9 @@ class StaggeredOp:
         within bound, else the operation is force-completed."""
         overlay = self.dex.overlay
         config = self.dex.config
+        # Low of the primary layer, live: no walk or move below swaps
+        # that layer (only advance() / force_complete() promote one)
+        low = overlay.old.low
 
         for x in old_vertices:
             if not overlay.old.is_active(x) or overlay.old.host_of(x) != v:
@@ -385,7 +388,7 @@ class StaggeredOp:
             placed = self._place_with_retries(
                 ledger,
                 start=v,
-                primary=lambda m: m != v and overlay.old.in_low(m),
+                primary=lambda m: m != v and m in low,
                 fallback=lambda m: m != v
                 and overlay.total_load(m) < config.stagger_max_load,
                 apply=lambda m, x=x: self.move_old(x, m),

@@ -779,7 +779,9 @@ class DynamicMultigraph:
         neighbor id, cached under the node's version stamp.  The walk
         sampler bisects the cumulative array, so a hop is O(log degree)
         with the O(degree log degree) build paid once per topology change
-        at the node."""
+        at the node.  Rows hold no non-positive multiplicity
+        (:meth:`verify_caches` audits that), so the build is C-level
+        ``sorted`` + ``accumulate`` over the row as stored."""
         try:
             stamp = self._version[u]
         except KeyError:
@@ -787,13 +789,10 @@ class DynamicMultigraph:
         entry = self._cdf_cache.get(u)
         if entry is not None and entry[0] == stamp:
             return entry[1], entry[2], entry[3]
-        items = sorted((v, m) for v, m in self._adj[u].items() if m > 0)
-        neighbors = [v for v, _ in items]
-        cumulative: list[int] = []
-        total = 0
-        for _, m in items:
-            total += m
-            cumulative.append(total)
+        row = self._adj[u]
+        neighbors = sorted(row)
+        cumulative = list(accumulate(map(row.__getitem__, neighbors)))
+        total = cumulative[-1] if cumulative else 0
         self._cdf_cache[u] = (stamp, neighbors, cumulative, total)
         return neighbors, cumulative, total
 

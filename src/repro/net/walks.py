@@ -52,7 +52,6 @@ class WalkResult:
     end: NodeId
     hops: int
     found: bool
-    trace: tuple[NodeId, ...] = ()
 
 
 def _weighted_step(
@@ -61,38 +60,25 @@ def _weighted_step(
     rng: random.Random,
     excluded: frozenset[NodeId],
 ) -> NodeId | None:
-    """One weighted hop via the topology's cached neighbor CDF.
-
-    The cache stores neighbors in sorted order with cumulative
-    multiplicities, so the common path (no exclusions) is a single
-    ``randrange`` plus a bisect -- the same RNG draw sequence as the
-    historical sort-per-hop implementation, so walks are bit-for-bit
-    reproducible for a fixed seed.  Exclusions (only the freshly inserted
-    node during Algorithm 4.2) fall back to an O(degree) filtered scan of
-    the cached arrays.
-    """
-    neighbors, cumulative, total = graph.neighbor_cdf(at)
-    if excluded:
-        acc = 0
-        options: list[tuple[NodeId, int]] = []
-        prev = 0
-        for v, cum in zip(neighbors, cumulative):
-            m = cum - prev
-            prev = cum
-            if v not in excluded:
-                acc += m
-                options.append((v, acc))
-        if not options:
-            return None
-        pick = rng.randrange(acc)
-        for v, cum in options:
-            if pick < cum:
-                return v
-        raise AssertionError("unreachable")  # pragma: no cover
-    if total == 0:
+    """One weighted hop that never steps onto an ``excluded`` node: an
+    O(degree) filtered scan of the cached CDF (``None``: nowhere to go)."""
+    neighbors, cumulative, _ = graph.neighbor_cdf(at)
+    acc = 0
+    options: list[tuple[NodeId, int]] = []
+    prev = 0
+    for v, cum in zip(neighbors, cumulative):
+        m = cum - prev
+        prev = cum
+        if v not in excluded:
+            acc += m
+            options.append((v, acc))
+    if not options:
         return None
-    pick = rng.randrange(total)
-    return neighbors[bisect_right(cumulative, pick)]
+    pick = rng.randrange(acc)
+    for v, cum in options:
+        if pick < cum:
+            return v
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def random_walk(
@@ -102,7 +88,6 @@ def random_walk(
     rng: random.Random,
     stop: Callable[[NodeId], bool] | None = None,
     excluded: frozenset[NodeId] = frozenset(),
-    keep_trace: bool = False,
 ) -> WalkResult:
     """Forward a token for at most ``length`` hops from ``start``.
 
@@ -110,25 +95,46 @@ def random_walk(
     node *after* at least one hop, mirroring Algorithm 4.2 where the token
     is generated at the initiator and examined at each receiving node.
     ``excluded`` nodes are never stepped onto (Algorithm 4.2 excludes the
-    freshly inserted node).
+    freshly inserted node); a token with nowhere to go stays put.
+
+    Draw protocol: per hop one integer, drawn exactly as
+    ``rng.randrange(total)`` draws it, bisected into the node's cached
+    cumulative multiplicities.  Exclusions matter only at a node with an
+    excluded neighbor (adjacency is symmetric), where the hop is
+    :func:`_weighted_step`'s filtered scan; anywhere else that scan keeps
+    every weight and picks what the bisect picks from the same integer.
     """
     if length < 0:
         raise TopologyError(f"walk length must be non-negative, got {length}")
+    # neighbor_cdf's cache read inline: the graph is frozen for the walk
+    cache_get, version = graph._cdf_cache.get, graph._version
+    getrandbits = rng.getrandbits
+    near = {w for x in excluded for w in graph._adj.get(x, ())}
     at = start
-    trace = [start] if keep_trace else []
     for hop in range(1, length + 1):
-        nxt = _weighted_step(graph, at, rng, excluded)
-        if nxt is None:
-            # Token is stuck (all neighbors excluded); it stays put.
-            return WalkResult(end=at, hops=hop - 1, found=False, trace=tuple(trace))
+        if at in near:
+            nxt = _weighted_step(graph, at, rng, excluded)
+            if nxt is None:
+                return WalkResult(at, hop - 1, False)
+        else:
+            entry = cache_get(at)
+            if entry is not None and entry[0] == version[at]:
+                _, neighbors, cumulative, total = entry
+            else:
+                neighbors, cumulative, total = graph.neighbor_cdf(at)
+            if total == 0:
+                return WalkResult(at, hop - 1, False)
+            # CPython's Random._randbelow_with_getrandbits(total), which
+            # randrange(total) calls, copied; test_walks pins the copy
+            k = total.bit_length()
+            r = getrandbits(k)
+            while r >= total:
+                r = getrandbits(k)
+            nxt = neighbors[bisect_right(cumulative, r)]
         at = nxt
-        if keep_trace:
-            trace.append(at)
         if stop is not None and stop(at):
-            return WalkResult(end=at, hops=hop, found=True, trace=tuple(trace))
-    return WalkResult(
-        end=at, hops=length, found=(stop is None), trace=tuple(trace)
-    )
+            return WalkResult(at, hop, True)
+    return WalkResult(at, length, stop is None)
 
 
 def _filtered_redraw(
@@ -446,43 +452,15 @@ def run_wave(
         and HAVE_NUMPY
         and len(starts) >= VECTOR_MIN_TOKENS
     )
-    if _trace.current().enabled:
-        with _trace.span(
-            "net.wave",
-            engine="vector" if use_vector else "scalar",
-            tokens=len(starts),
-            length=length,
-        ) as sp:
-            if use_vector:
-                result = _wave_vector(
-                    graph,
-                    starts,
-                    length,
-                    members,
-                    active,
-                    gen,
-                    rng,
-                    excl,
-                    transcript,
-                )
-            else:
-                result = _wave_scalar(
-                    graph,
-                    starts,
-                    length,
-                    members,
-                    active,
-                    gen,
-                    rng,
-                    excl,
-                    transcript,
-                )
-            sp.set(hops=result[2], rounds=result[3])
-            return result
-    if use_vector:
-        return _wave_vector(
-            graph, starts, length, members, active, gen, rng, excl, transcript
-        )
-    return _wave_scalar(
-        graph, starts, length, members, active, gen, rng, excl, transcript
-    )
+    args = (graph, starts, length, members, active, gen, rng, excl, transcript)
+    if not _trace.current().enabled:
+        return _wave_vector(*args) if use_vector else _wave_scalar(*args)
+    with _trace.span(
+        "net.wave",
+        engine="vector" if use_vector else "scalar",
+        tokens=len(starts),
+        length=length,
+    ) as sp:
+        result = _wave_vector(*args) if use_vector else _wave_scalar(*args)
+        sp.set(hops=result[2], rounds=result[3])
+        return result

@@ -3,16 +3,20 @@ congestion-limited parallel walks of Lemma 11."""
 
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
+from repro.net import walks
 from repro.net.topology import DynamicMultigraph
 from repro.net.walks import random_walk, run_wave
 from repro.virtual.pcycle import PCycle
+from tests.test_net.test_topology_caches import _apply_random_ops
 
 
 def pcycle_graph(p: int) -> DynamicMultigraph:
@@ -51,10 +55,15 @@ class TestRandomWalk:
     def test_excluded_nodes_never_visited(self):
         g = pcycle_graph(23)
         excluded = frozenset({1, 22})  # both neighbors on the ring of 0
-        result = random_walk(
-            g, 0, 50, random.Random(3), excluded=excluded, keep_trace=True
-        )
-        assert excluded.isdisjoint(result.trace)
+        visited: list[int] = []
+
+        def record(u: int) -> bool:
+            visited.append(u)
+            return False
+
+        random_walk(g, 0, 50, random.Random(3), stop=record, excluded=excluded)
+        assert len(visited) == 50
+        assert excluded.isdisjoint(visited)
 
     def test_stuck_token_stays(self):
         g = DynamicMultigraph()
@@ -83,6 +92,130 @@ class TestRandomWalk:
         )
         assert len(counts) > p // 2  # visited most of the graph
         assert max(counts.values()) < 2000 * 10 / p  # nothing hogs the mass
+
+
+def reference_walk(
+    graph: DynamicMultigraph,
+    start: int,
+    length: int,
+    rng: random.Random,
+    stop: Callable[[int], bool] | None = None,
+    excluded: frozenset[int] = frozenset(),
+) -> tuple[int, int, bool]:
+    """The walk as one ``_weighted_step`` call per hop, as it stood
+    before the loop was inlined -- with the row's CDF recomputed from the
+    multiplicities instead of read from the topology's cache."""
+
+    def step(at: int) -> int | None:
+        items = sorted(graph.neighbor_multiplicities(at))
+        neighbors = [v for v, _ in items]
+        cumulative, total = [], 0
+        for _, m in items:
+            total += m
+            cumulative.append(total)
+        if excluded:
+            acc = 0
+            options = []
+            prev = 0
+            for v, cum in zip(neighbors, cumulative):
+                m = cum - prev
+                prev = cum
+                if v not in excluded:
+                    acc += m
+                    options.append((v, acc))
+            if not options:
+                return None
+            pick = rng.randrange(acc)
+            for v, cum in options:
+                if pick < cum:
+                    return v
+        if total == 0:
+            return None
+        return neighbors[bisect_right(cumulative, rng.randrange(total))]
+
+    at = start
+    for hop in range(1, length + 1):
+        nxt = step(at)
+        if nxt is None:
+            return at, hop - 1, False
+        at = nxt
+        if stop is not None and stop(at):
+            return at, hop, True
+    return at, length, stop is None
+
+
+class TestWalkMatchesReference:
+    """``random_walk`` is the reference loop, draw for draw: same end,
+    hops and outcome, and the same rng state afterwards."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ops=st.integers(1, 120),
+        length=st.integers(0, 40),
+        exclude=st.sampled_from(["none", "start", "adjacent", "apart"]),
+        stop=st.sampled_from(["none", "set", "never"]),
+    )
+    def test_same_walk_as_reference(
+        self, seed: int, ops: int, length: int, exclude: str, stop: str
+    ) -> None:
+        rng = random.Random(seed)
+        graph = DynamicMultigraph()
+        _apply_random_ops(graph, rng, ops)  # self-loops, multiplicities, stale CDFs
+        live = sorted(graph.nodes())
+        if not live:
+            return
+        start = rng.choice(live)
+        near = sorted({v for v, _ in graph.neighbor_multiplicities(start)} - {start})
+        apart = sorted(set(live) - set(near) - {start})
+        excluded = frozenset(
+            {"start": [start], "adjacent": near[:1], "apart": apart[:1]}.get(exclude, [])
+        )
+        members = {u for u in live if rng.random() < 0.3}
+        predicate = {"set": members.__contains__, "never": lambda u: False}.get(stop)
+        ours, theirs = random.Random(seed + 1), random.Random(seed + 1)
+        result = random_walk(graph, start, length, ours, stop=predicate, excluded=excluded)
+        expect = reference_walk(graph, start, length, theirs, stop=predicate, excluded=excluded)
+        assert (result.end, result.hops, result.found) == expect
+        assert ours.getstate() == theirs.getstate()
+
+    def test_filtered_scan_only_next_to_an_excluded_node(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        g = pcycle_graph(53)
+        excluded = frozenset({7})
+        scanned_at: list[int] = []
+        scan = walks._weighted_step
+
+        def spy(
+            graph: DynamicMultigraph, at: int, rng: random.Random, excl: frozenset[int]
+        ) -> int | None:
+            scanned_at.append(at)
+            return scan(graph, at, rng, excl)
+
+        monkeypatch.setattr(walks, "_weighted_step", spy)
+        rng = random.Random(5)
+        for start in range(0, 53, 4):
+            random_walk(g, start, 40, rng, excluded=excluded)
+        neighbors_of_7 = {v for v, _ in g.neighbor_multiplicities(7)}
+        assert scanned_at and set(scanned_at) <= neighbors_of_7
+
+    def test_inlined_draw_is_randrange(self) -> None:
+        """Tripwire for the copy of ``Random._randbelow_with_getrandbits``
+        in the walk loop: a one-hop walk from the centre of a star with
+        leaves ``1..n`` lands on leaf ``randrange(n) + 1``, with the rng
+        left where ``randrange`` leaves it.  If a CPython release changes
+        how ``randrange`` draws, this fails instead of the paper's cost
+        units drifting silently."""
+        g = DynamicMultigraph()
+        g.add_node(0)
+        pairs = [(random.Random(seed), random.Random(seed)) for seed in range(5)]
+        for n in range(1, 4097):
+            g.add_node(n)
+            g.add_edge(0, n)
+            for ours, theirs in pairs:
+                assert random_walk(g, 0, 1, ours).end == theirs.randrange(n) + 1
+                assert ours.getstate() == theirs.getstate()
 
 
 class TestParallelWalks(object):
