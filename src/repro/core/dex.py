@@ -103,8 +103,7 @@ class DexNetwork:
         graph = DynamicMultigraph()
         layer = LayerMapping(pcycle, config.low_threshold)
         overlay = Overlay(graph, layer)
-        for u in range(id_base, id_base + n0):
-            graph.add_node(u)
+        graph.add_nodes(range(id_base, id_base + n0))
         arcs = np.diff(np.arange(n0 + 1) * p0 // n0)  # vertices per node, in [4, 8]
         own = np.fromiter(graph.nodes(), object, n0)  # repeated, not copied
         overlay.activate_all(np.repeat(own, arcs).tolist())
@@ -263,13 +262,17 @@ class DexNetwork:
         recovery: RecoveryType,
         ledger: CostLedger,
         topo_before: int,
+        events: int = 1,
     ) -> StepReport:
         forced = False
-        # Staggered op: the recovery of every step advances one chunk
-        # (Procedures inflate/deflate), and may thereby complete.
+        # Staggered op: each adversarial event's recovery advances one chunk
+        # (Procedures inflate/deflate; Lemma 9 counts events) until it completes.
         if self.staggered is not None:
             op = self.staggered
-            op.advance(ledger)
+            for _ in range(events):
+                op.advance(ledger)
+                if self.staggered is not op:
+                    break
             forced = op.forced
         # Coordinator bookkeeping (Algorithm 4.7): the initiator reports
         # the step's deltas along a virtual shortest path (the counters

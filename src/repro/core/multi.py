@@ -244,6 +244,7 @@ def _insert_batch_impl(
         recovery,
         ledger,
         topo_before,
+        events=len(attachments),
     )
 
 
@@ -617,7 +618,8 @@ def _delete_batch_impl(
         for z, v in pending:
             by_adopter.setdefault(v, []).append(z)
         for v, leftovers in by_adopter.items():
-            dex.staggered.redistribute_after_deletion(v, leftovers, [], ledger)
+            if dex.staggered is not None:  # else completed: leftovers dropped
+                dex.staggered.redistribute_after_deletion(v, leftovers, [], ledger)
         pending = []
         recovery = RecoveryType.TYPE1_DURING_STAGGER
     if pending:
@@ -632,4 +634,5 @@ def _delete_batch_impl(
         recovery,
         ledger,
         topo_before,
+        events=len(victims),
     )

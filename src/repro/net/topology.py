@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
@@ -41,10 +41,6 @@ from repro.types import NodeId
 
 #: spare entries a row is given beyond its length when it is (re)placed
 ROW_SLACK = 2
-
-#: edges one bulk pass regroups at a time: bounds its scratch arrays (the
-#: bulk calls compose sequentially, so no result depends on the value)
-BULK_EDGES = 1 << 16
 
 #: what :meth:`DynamicMultigraph._regrouped` hands a bulk pass
 _Regrouped = tuple[list[NodeId], list[int], list[int], list[NodeId], list[int], int]
@@ -78,12 +74,21 @@ class _RowStore:
     slots from departed nodes to joiners and marks the live ones' rows
     *stale*; :meth:`refresh` rewrites stale rows before they are read --
     all of them for a traversal, the visited ones for a wave.  Both cost
-    O(rows) Python plus O(entries) scatter, nothing proportional to the
-    graph.  A row that outgrows its extent is re-appended at the pool
-    tail and the old extent becomes garbage; the pool is compacted once
-    more than half of it is garbage, so storage stays O(nnz) however wide
-    one row gets.  Every multiplicity change dirties both endpoints, so a
-    row that is not stale is current and references live slots only.
+    O(dirty), nothing proportional to the graph: ``reslot`` in Python,
+    ``refresh`` in C-level passes over the rows' entries plus one
+    ``slot_of`` lookup per key new to its row (or an id -> slot table,
+    when the entries are at least as many as its cells).  A row that
+    outgrows its extent is re-appended at the pool tail and the old
+    extent becomes garbage; the pool is compacted once more than half of
+    it is garbage, so storage stays O(nnz) however wide one row gets.
+    Every multiplicity change dirties both endpoints, so a row that is
+    not stale is current and references live slots only.
+
+    Slot reuse is exact: a stale row's previous emission still lies in its
+    extent (a slot that changes hands starts empty), and a slot ``s`` not
+    ``dead`` is ``slot_of[ids[s]]``.  So a key equal to ``ids`` of a live
+    slot of the old extent has that slot, however slots changed hands
+    since: a freed slot is ``dead``, a slot taken over carries the new id.
     """
 
     __slots__ = (
@@ -165,20 +170,34 @@ class _RowStore:
         if not slots.size:
             return
         self.stale[slots] = False
-        # Python emission, O(rows): neighbours in ascending id order (as
-        # slots) and their running multiplicity sums.
-        lens_l: list[int] = []
-        nbr_l: list[int] = []
-        cum_l: list[int] = []
-        slot = self.slot_of.__getitem__
-        for u in self.ids[slots].tolist():
-            nbrs = self.adj[u]
-            keys = sorted(nbrs)
-            lens_l.append(len(keys))
-            nbr_l.extend(map(slot, keys))
-            cum_l.extend(accumulate(map(nbrs.__getitem__, keys)))
-        lens = np.asarray(lens_l, dtype=np.int64)
-        cum = np.asarray(cum_l, dtype=np.int32)
+        # The rows flattened as stored, each put in ascending id order by
+        # one argsort on the combined key (row, id - lo); then ids to slots.
+        rows = list(map(self.adj.__getitem__, self.ids[slots].tolist()))
+        lens = np.fromiter(map(len, rows), np.int64, slots.size)
+        ends = np.cumsum(lens)
+        keys = np.fromiter(chain.from_iterable(rows), np.int64, int(ends[-1]))
+        mults = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.int64, keys.size)
+        row = np.repeat(np.arange(slots.size), lens)
+        lo, width = (int(keys.min()), int(np.ptp(keys)) + 1) if keys.size else (0, 1)
+        table = keys.size >= max(width, self.ids.size)  # an entry per id -> slot table cell
+        nbr = np.full(keys.size, -1, dtype=np.int64)
+        if slots.size * width < 1 << 62:
+            pair = row * width + keys - lo
+            order = np.argsort(pair, kind="stable")
+            if not table:  # what the rows' previous emission knows
+                nbr = self._known_slots(slots, pair[order], lo, width)
+        else:  # ids too far apart for an int64 combined key: no reuse
+            order = np.lexsort((keys, row))
+        keys = keys[order]
+        if table:  # a first emission, a rebuilt cycle, a big flush: one gather
+            cells = np.full(width, -1, dtype=np.int64)  # id - lo -> slot
+            live = np.flatnonzero(~self.dead & (self.ids >= lo) & (self.ids - lo < width))
+            cells[self.ids[live] - lo] = live
+            nbr = cells[keys - lo]
+        miss = np.flatnonzero(nbr < 0)
+        nbr[miss] = list(map(self.slot_of.__getitem__, keys[miss].tolist()))
+        run = np.concatenate(([0], np.cumsum(mults[order])))
+        cum = (run[1:] - np.repeat(run[ends - lens], lens)).astype(np.int32)
         # Placement, O(entries): in place where the row still fits
         # (giving back an extent it no longer half fills), else at the
         # tail with the old extent written off.
@@ -200,15 +219,25 @@ class _RowStore:
             self.tail = need
         self.len[slots] = lens
         dest = self.span(slots)
-        self.nbr[dest] = nbr_l
+        self.nbr[dest] = nbr
         self.cum[dest] = cum
-        self.tot[slots] = 0.0
-        filled = lens > 0
-        self.tot[slots[filled]] = cum[np.cumsum(lens)[filled] - 1]
+        self.tot[slots] = run[ends] - run[ends - lens]
         self.sync_rows += slots.size
-        self.sync_entries += len(nbr_l)
+        self.sync_entries += nbr.size
         if 2 * self.garbage > self.tail:
             self._compact()
+
+    def _known_slots(self, slots: np.ndarray, pair: np.ndarray, lo: int, width: int) -> np.ndarray:
+        """Per entry (``pair`` = row * ``width`` + id - ``lo``, ascending) its slot
+        in the row's previous emission, by the class docstring's rule; else -1."""
+        was = self.nbr[self.span(slots)]
+        ids = self.ids[was]
+        live = ~self.dead[was] & (ids >= lo) & (ids - lo < width)
+        known = (np.repeat(np.arange(slots.size) * width, self.len[slots]) + ids - lo)[live]
+        by = np.argsort(known, kind="stable")
+        known = np.append(known[by], 1 << 62)  # a sentinel past every pair
+        at = np.searchsorted(known, pair)
+        return np.where(known[at] == pair, np.append(was[live][by], -1)[at], -1)
 
     def _compact(self) -> None:
         """Repack the live rows back to back (each with its slack), in
@@ -220,6 +249,8 @@ class _RowStore:
         self.start[live] = np.cumsum(room) - room
         self.cap[live] = room
         self.tail = int(room.sum())
+        if self.tail > self.nbr.size:  # slack for rows that had none (empty, or grown into it)
+            self.nbr, self.cum = _extended(self.nbr, self.tail), _extended(self.cum, self.tail)
         dest = self.span(live)
         self.nbr[dest] = nbr
         self.cum[dest] = cum
@@ -343,6 +374,27 @@ class DynamicMultigraph:
         self._dirty.add(u)
         self.topology_changes += 1
         for listener in self.node_listeners:
+            listener(+1)
+
+    def add_nodes(self, us: Iterable[NodeId]) -> None:
+        """``add_node(u)`` per id, in order, in one pass: the same state,
+        listener calls and error (raised by the scalar calls themselves)."""
+        fresh = list(us)
+        if len(set(fresh)) < len(fresh) or not self._adj.keys().isdisjoint(fresh):
+            for u in fresh:
+                self.add_node(u)
+            return
+        n, at, stamp = len(fresh), len(self._nodes), self._stamp
+        # empty rows: Counter's Python-level __init__ has nothing to add
+        self._adj.update(zip(fresh, map(Counter.__new__, repeat(Counter, n))))
+        self._node_pos.update(zip(fresh, range(at, at + n)))
+        self._nodes.extend(fresh)
+        self._degree.update(dict.fromkeys(fresh, 0))
+        self._version.update(zip(fresh, range(stamp + 1, stamp + n + 1)))
+        self._stamp += n
+        self._dirty.update(fresh)
+        self.topology_changes += n
+        for listener in self.node_listeners * n:  # per node, as add_node calls
             listener(+1)
 
     def remove_node(self, u: NodeId) -> None:
@@ -485,7 +537,8 @@ class DynamicMultigraph:
     # bulk edges (whole-overlay builds: bootstrap, simplified type-2)
     # ------------------------------------------------------------------
     def add_edges(self, us: np.ndarray, vs: np.ndarray, mults: np.ndarray) -> None:
-        """``add_edge(u, v, m)`` per triple, in order, as array passes.
+        """``add_edge(u, v, m)`` per triple, in order, as array passes
+        that regroup the call once and write each row it touches once.
         By contract the outcome is the scalar sequence's: the same rows
         -- a new key joins its row where the sequence first touches it
         (the call for ``(u, v)`` writes row ``u``, then row ``v``), a key
@@ -504,17 +557,17 @@ class DynamicMultigraph:
         self, one: Callable[..., None], rows: Callable[[_Regrouped], bool], *triples: np.ndarray
     ) -> None:
         arrays = [np.asarray(column, dtype=np.int64) for column in triples]
-        for at in range(0, arrays[0].size, BULK_EDGES):
-            part = [column[at : at + BULK_EDGES] for column in arrays]
-            regrouped = self._regrouped(*part)
-            if regrouped is None or not rows(regrouped):
-                # a triple the scalar call rejects: it raises, in place
-                for triple in zip(*map(np.ndarray.tolist, part)):
-                    one(*triple)
-                continue
-            self._stamp += 1  # one touch per rewritten row
-            self._version.update(dict.fromkeys(regrouped[0], self._stamp))
-            self._dirty.update(regrouped[0])
+        if not arrays[0].size:
+            return
+        regrouped = self._regrouped(*arrays)
+        if regrouped is None or not rows(regrouped):
+            # a triple the scalar call rejects: it raises, in place
+            for triple in zip(*map(np.ndarray.tolist, arrays)):
+                one(*triple)
+            return
+        self._stamp += 1  # one touch per rewritten row
+        self._version.update(dict.fromkeys(regrouped[0], self._stamp))
+        self._dirty.update(regrouped[0])
 
     def _regrouped(self, us: np.ndarray, vs: np.ndarray, mults: np.ndarray) -> _Regrouped | None:
         """The adjacency writes of the scalar calls for these triples,
@@ -544,7 +597,7 @@ class DynamicMultigraph:
         first = order[heads]
         row, key = row[first], key[first]
         starts = _run_starts(row)
-        by_touch = np.lexsort((first, row))
+        by_touch = np.argsort(row * pair.size + first, kind="stable")  # near-sorted: timsort
         keys = own[key[by_touch]].tolist()  # indexing objects: no new ints
         counts = np.diff(np.append(starts, row.size)).tolist()
         sums = np.add.reduceat(total, starts).tolist()

@@ -7,10 +7,11 @@ uniform over the live nodes."""
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
@@ -579,6 +580,199 @@ class TestAuditCatchesDrift:
             graph.verify_sparse_cache()
 
 
+def _reference_rows(rows: topology._RowStore, slots: np.ndarray) -> tuple[list, list, list]:
+    """The per-row emission loop ``_RowStore.refresh`` ran before it became
+    array passes -- per row its keys sorted, each turned into its slot by
+    ``slot_of``, and their running multiplicity sums: lengths, slots,
+    cumulative sums."""
+    lens: list[int] = []
+    nbr: list[int] = []
+    cum: list[int] = []
+    slot = rows.slot_of.__getitem__
+    for u in rows.ids[slots].tolist():
+        nbrs = rows.adj[u]
+        keys = sorted(nbrs)
+        lens.append(len(keys))
+        nbr.extend(map(slot, keys))
+        cum.extend(accumulate(map(nbrs.__getitem__, keys)))
+    return lens, nbr, cum
+
+
+def _assert_rows_match_reference(rows: topology._RowStore) -> None:
+    """Every live row that is not stale holds what the reference loop
+    emits for it: ``len``, ``nbr``, ``cum`` and ``tot``."""
+    slots = np.flatnonzero(~rows.dead & ~rows.stale)
+    lens, nbr, cum = _reference_rows(rows, slots)
+    at = rows.span(slots)
+    assert rows.len[slots].tolist() == lens
+    assert rows.nbr[at].tolist() == nbr
+    assert rows.cum[at].tolist() == cum
+    ends = list(accumulate(lens))
+    assert rows.tot[slots].tolist() == [cum[e - 1] if n else 0 for e, n in zip(ends, lens)]
+
+
+class _CountingSlots(dict):
+    """``slot_of`` that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, u: int) -> int:
+        self.lookups += 1
+        return super().__getitem__(u)
+
+
+def _reused(monkeypatch: pytest.MonkeyPatch, refresh) -> bool:
+    """Run ``refresh``; did it take ids from the rows' previous emission?"""
+    calls = []
+    known = topology._RowStore._known_slots
+    monkeypatch.setattr(
+        topology._RowStore, "_known_slots", lambda *args: calls.append(1) or known(*args)
+    )
+    refresh()
+    return bool(calls)
+
+
+class TestRefreshMatchesReferenceEmission:
+    """``_RowStore.refresh`` -- array passes that reuse the slots a row's
+    previous emission knows -- against the per-row loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), ids=st.sampled_from(["dense", "base", "spread"]))
+    @example(seed=43, ids="dense")  # compaction once overran the pool: empty rows got slack
+    def test_every_sync_matches_the_per_row_loop(self, seed: int, ids: str):
+        """Churn with departures, rejoins under an old id, empty rows,
+        full and partial (a wave's) refreshes; ids from 0, from 2^40, or
+        spread so far that the combined (row, id) key would overflow."""
+        rng = random.Random(seed)
+        graph = DynamicMultigraph()
+        first = {"dense": 0, "base": 2**40, "spread": 2**62}[ids]
+        graph.add_nodes(range(first, first + 40))  # later ids lie above them
+        if ids == "spread":
+            graph.add_node(0)
+            graph.add_edge(0, first)
+        known: dict[int, list[int]] = {}  # each id's neighbours when last seen
+        for _round in range(6):
+            known.update((u, graph.distinct_neighbors(u)) for u in graph.nodes())
+            _apply_random_ops(graph, rng, rng.randrange(1, 30))
+            gone = sorted(u for u in known if not graph.has_node(u))
+            if gone and rng.random() < 0.7:  # an id that left rejoins its old neighbours
+                u = rng.choice(gone)
+                graph.add_node(u)
+                for v in known[u]:
+                    if graph.has_node(v):
+                        graph.add_edge(u, v, mult=rng.randrange(1, 3))
+            rows = graph.csr_wave_view()
+            if rng.random() < 0.5:
+                rows.refresh()
+            else:
+                live = list(graph.nodes())
+                some = rng.sample(live, len(live) // 2)
+                rows.refresh(np.asarray([rows.slot_of[u] for u in some], dtype=np.int64))
+            _assert_rows_match_reference(rows)
+        graph.to_sparse_adjacency()
+        _assert_rows_match_reference(graph.csr_wave_view())
+        graph.verify_sparse_cache()
+
+    def test_a_row_reuses_the_slots_it_knows(self):
+        graph = _ring(400)
+        rows = graph.csr_wave_view()
+        rows.slot_of = _CountingSlots(rows.slot_of)
+        rows.refresh()  # a first emission: ids to slots by one table
+        assert rows.slot_of.lookups == 0
+        _assert_rows_match_reference(rows)
+        graph.add_edge(10, 200)
+        graph.add_edge(11, 12, mult=2)
+        graph.remove_edge(20, 27)
+        rows = graph.csr_wave_view()
+        rows.slot_of.lookups = 0
+        rows.refresh()
+        # six rows: only key 200 in row 10 and key 10 in row 200 are new
+        assert graph.sync_stats["sync_rows"] == 406
+        assert rows.slot_of.lookups == 2
+        _assert_rows_match_reference(rows)
+        graph.verify_sparse_cache()
+
+    # n = 12: the refresh has an entry per id -> slot table cell; n = 64:
+    # fewer, so the ids come from the rows' previous emission
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_a_slot_taken_by_another_node(self, n: int, monkeypatch):
+        """A row's old extent names a slot whose node left and whose slot a
+        joiner took: the slot now answers for the joiner."""
+        graph = _ring(n)
+        rows = graph.csr_wave_view()
+        rows.refresh()
+        slot = rows.slot_of[5]
+        graph.drop_node_with_edges(5)
+        graph.csr_wave_view()  # 5's slot is freed; its neighbours' rows stay stale
+        graph.add_node(n)
+        graph.add_edge(n, 4)
+        graph.add_edge(n, 6, mult=3)
+        rows = graph.csr_wave_view()
+        assert rows.slot_of[n] == slot and not rows.dead[slot]
+        old = rows.nbr[rows.span(np.asarray([rows.slot_of[4]]))]
+        assert slot in old.tolist()  # row 4's previous emission names it
+        assert _reused(monkeypatch, rows.refresh) == (n == 64)
+        _assert_rows_match_reference(rows)
+        graph.verify_sparse_cache()
+
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_an_id_that_left_and_rejoined_elsewhere(self, n: int, monkeypatch):
+        """The old extent names a dead slot whose stale id is a live node's
+        again -- at another slot: the dead slot must not be used."""
+        graph = _ring(n)
+        rows = graph.csr_wave_view()
+        rows.refresh()
+        slot = rows.slot_of[5]
+        for u in (5, 7):  # two free slots (7 is not 4's neighbour): 5 takes 7's
+            graph.drop_node_with_edges(u)
+        rows = graph.csr_wave_view()
+        if rows.free[-1] == slot:
+            rows.free[-2:] = rows.free[-2:][::-1]
+        graph.add_node(5)
+        graph.add_edge(5, 4)
+        rows = graph.csr_wave_view()
+        assert rows.slot_of[5] != slot and rows.dead[slot] and rows.ids[slot] == 5
+        old = rows.nbr[rows.span(np.asarray([rows.slot_of[4]]))]
+        assert slot in old.tolist()
+        assert _reused(monkeypatch, rows.refresh) == (n == 64)
+        _assert_rows_match_reference(rows)
+        graph.verify_sparse_cache()
+
+    def test_ids_too_far_apart_for_one_key(self):
+        graph = DynamicMultigraph()
+        ids = [0, 1, 2**62, 2**62 + 1, 2**62 + 2]
+        graph.add_nodes(ids)
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            graph.add_edge(a, b)
+        graph.add_edge(1, 1, mult=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology._RowStore, "_known_slots", None)  # unreachable
+            rows = graph.csr_wave_view()
+            rows.refresh()
+            _assert_rows_match_reference(rows)
+            graph.add_edge(0, 2**62 + 1, mult=2)
+            graph.survivors_connected(set())
+        _assert_rows_match_reference(graph.csr_wave_view())
+        graph.verify_sparse_cache()
+
+    def test_empty_rows(self):
+        graph = DynamicMultigraph()
+        graph.add_nodes(range(5))
+        rows = graph.csr_wave_view()
+        rows.refresh()  # nothing but empty rows
+        assert rows.len[rows.slot_of[3]] == 0 and graph.sync_stats["sync_entries"] == 0
+        graph.add_edge(1, 2)
+        graph.add_edge(3, 3)
+        rows = graph.csr_wave_view()
+        rows.refresh()
+        graph.remove_edge(1, 2)  # a row with a previous emission empties
+        rows = graph.csr_wave_view()
+        rows.refresh()
+        _assert_rows_match_reference(rows)
+        assert rows.tot[rows.slot_of[1]] == 0 and rows.tot[rows.slot_of[3]] == 1
+        graph.verify_sparse_cache()
+
+
 Triple = tuple[int, int, int]
 
 
@@ -621,8 +815,8 @@ class TestBulkEdges:
     triple, in order, on a twin graph."""
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**6), chunk=st.integers(1, 6), base=st.sampled_from([0, 2**40]))
-    def test_same_rows_aggregates_and_errors_as_the_scalar_loop(self, seed, chunk, base):
+    @given(seed=st.integers(0, 10**6), base=st.sampled_from([0, 2**40]))
+    def test_same_rows_aggregates_and_errors_as_the_scalar_loop(self, seed, base):
         rng = random.Random(seed)
         n = rng.randrange(1, 8)
         twins = DynamicMultigraph(), DynamicMultigraph()
@@ -635,33 +829,29 @@ class TestBulkEdges:
             return base + u, base + (u if rng.random() < 0.25 else rng.randrange(n))
 
         clean = True
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(topology, "BULK_EDGES", chunk)
-            for _round in range(3):  # later rounds meet rows that hold entries
-                # one shorter than, equal to and one longer than a chunk, and beyond
-                count = rng.choice([chunk - 1, chunk, chunk + 1, rng.randrange(3 * chunk + 4)])
-                adds = [(*pair(), rng.randrange(1, 3)) for _ in range(count)]
-                if adds and rng.random() < 0.15:
-                    bad = (base + n + 2, base, 1) if rng.random() < 0.5 else (*pair(), 0)
-                    adds[rng.randrange(len(adds))] = bad
-                clean &= _both(*twins, "add_edge", adds) is None
-                removals: list[Triple] = []
-                for u, row in twins[0]._adj.items():
-                    for v, m in row.items():
-                        fate = rng.random()
-                        if v < u or fate < 0.4:
-                            continue
-                        if fate < 0.7:  # to zero, in one call or two
-                            removals += [(u, v, m)] if m == 1 else [(u, v, 1), (v, u, m - 1)]
-                        elif fate < 0.9 and m > 1:
-                            removals.append((v, u, m - 1))  # partial: the key keeps its place
-                        elif fate > 0.97:
-                            removals.append((u, v, m + 1))  # more than is there
-                rng.shuffle(removals)
-                clean &= _both(*twins, "remove_edge", removals) is None
-                # pairs taken to zero come back at the end of their rows
-                again = [(u, v, 1) for u, v, _m in removals[::2] if rng.random() < 0.5]
-                clean &= _both(*twins, "add_edge", again) is None
+        for _round in range(3):  # later rounds meet rows that hold entries
+            adds = [(*pair(), rng.randrange(1, 3)) for _ in range(rng.randrange(22))]
+            if adds and rng.random() < 0.15:
+                bad = (base + n + 2, base, 1) if rng.random() < 0.5 else (*pair(), 0)
+                adds[rng.randrange(len(adds))] = bad
+            clean &= _both(*twins, "add_edge", adds) is None
+            removals: list[Triple] = []
+            for u, row in twins[0]._adj.items():
+                for v, m in row.items():
+                    fate = rng.random()
+                    if v < u or fate < 0.4:
+                        continue
+                    if fate < 0.7:  # to zero, in one call or two
+                        removals += [(u, v, m)] if m == 1 else [(u, v, 1), (v, u, m - 1)]
+                    elif fate < 0.9 and m > 1:
+                        removals.append((v, u, m - 1))  # partial: the key keeps its place
+                    elif fate > 0.97:
+                        removals.append((u, v, m + 1))  # more than is there
+            rng.shuffle(removals)
+            clean &= _both(*twins, "remove_edge", removals) is None
+            # pairs taken to zero come back at the end of their rows
+            again = [(u, v, 1) for u, v, _m in removals[::2] if rng.random() < 0.5]
+            clean &= _both(*twins, "add_edge", again) is None
         bulk = twins[1]
         bulk.verify_caches()
         bulk.to_sparse_adjacency()
@@ -704,3 +894,41 @@ class TestBulkEdges:
         graph.add_edges(*_arrays([]))
         graph.remove_edges(*_arrays([]))
         assert (_state(graph)[0], graph.topology_changes, graph.node_version(0)) == before
+
+
+class TestBulkNodes:
+    """``add_nodes`` against ``add_node`` per id, in order, on a twin."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[], [7, 3, 2**40, 9], [5, 6, 5, 8], [8, 1, 2], list(range(100, 300))],
+        ids=["empty", "fresh", "repeated", "present", "many"],
+    )
+    def test_same_state_listener_calls_and_error_as_add_node(self, ids: list[int]):
+        twins = DynamicMultigraph(), DynamicMultigraph()
+        calls: tuple[list, list] = ([], [])
+        errors = []
+        for graph, log, bulk in zip(twins, calls, (False, True)):
+            graph.add_nodes([1, 4])
+            graph.add_edge(1, 4)
+            graph.node_listeners += [lambda d, log=log: log.append(("a", d)),
+                                     lambda d, log=log: log.append(("b", d))]  # fmt: skip
+            try:
+                if bulk:
+                    graph.add_nodes(iter(ids))
+                else:
+                    for u in ids:
+                        graph.add_node(u)
+                errors.append(None)
+            except TopologyError as exc:
+                errors.append(str(exc))
+        scalar, bulk = twins
+        assert errors[0] == errors[1]
+        assert calls[0] == calls[1]
+        assert _state(scalar) == _state(bulk)
+        for name in ("_node_pos", "_version", "_stamp", "_dirty"):
+            assert getattr(scalar, name) == getattr(bulk, name), name
+        assert list(bulk._node_pos) == list(scalar._node_pos)
+        bulk.verify_caches()
+        bulk.to_sparse_adjacency()
+        bulk.verify_sparse_cache()
