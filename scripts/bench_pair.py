@@ -22,9 +22,12 @@ fixes for the metric: ``over`` when head's median is worse than base's
 by more than that share.  Every run is listed first, so the table can be
 re-derived.
 
-Exit status: 0 when every run passed its benchmark's own gates, 1
-otherwise.  The verdicts never change it -- a CI job reads them, a
-person decides.
+Exit status: 1 when a run fails its benchmark's own gates, or when a
+metric is both ``worse`` and ``over`` -- base won at least nine tenths
+of the pairs, beyond base's inter-quartile distance, and by more than
+the metric's bound.  That is the regression gate: noise alone cannot
+trip it, and neither can a slowdown inside the bound ``BENCHMARK.json``
+sets for the metric.  0 otherwise.
 """
 
 from __future__ import annotations
@@ -81,7 +84,9 @@ def verdict(base: list[float], head: list[float], higher_is_better: bool) -> tup
     return wins, losses, "-"
 
 
-def compare(base_dir: Path, args: argparse.Namespace) -> None:
+def compare(base_dir: Path, args: argparse.Namespace) -> list[str]:
+    """Run the pairs and print the table; the metrics that regressed
+    (``worse`` and ``over``)."""
     contract = json.loads((HEAD / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict[str, float]]] = {"base": [], "head": []}
     sides = {"base": base_dir, "head": HEAD}
@@ -94,6 +99,7 @@ def compare(base_dir: Path, args: argparse.Namespace) -> None:
             shown = "  ".join(f"{m['name']}={row[m['name']]:.4g}" for m in contract)
             print(f"pair {pair + 1:>2} seed {seed} {side}: {shown}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs, --seconds {args.seconds:g}, base = {args.base}")
+    regressed: list[str] = []
     print(f"{'metric':<14}{'base med':>11}{'head med':>11}{'base IQR':>10}{'head IQR':>10}"
           f"{'head wins':>11}  {'verdict':<8}bound")  # fmt: skip
     for metric in contract:
@@ -104,9 +110,13 @@ def compare(base_dir: Path, args: argparse.Namespace) -> None:
         wins, _losses, word = verdict(base, head, higher)
         b, h = statistics.median(base), statistics.median(head)
         worse_by = (b - h if higher else h - b) / b if b else 0.0
-        bound = f"{'over' if worse_by > metric['bound'] else 'ok'} ({metric['bound']:.0%})"
+        over = worse_by > metric["bound"]
+        if word == "worse" and over:
+            regressed.append(name)
+        bound = f"{'over' if over else 'ok'} ({metric['bound']:.0%})"
         print(f"{name:<14}{b:>11.4g}{h:>11.4g}{iqr(base):>10.3g}{iqr(head):>10.3g}"
               f"{f'{wins}/{len(base)}':>11}  {word:<8}{bound}")  # fmt: skip
+    return regressed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,22 +129,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if (Path(args.base) / "bench" / "run.py").is_file():
-            compare(Path(args.base).resolve(), args)
-            return 0
-        with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-            tree = Path(tmp) / "base"
-            git = ["git", "-C", str(HEAD), "worktree"]
-            subprocess.run(
-                [*git, "add", "--detach", str(tree), args.base], check=True, stdout=sys.stderr
-            )
-            try:
-                compare(tree, args)
-            finally:
-                subprocess.run([*git, "remove", "--force", str(tree)], check=True)
-        return 0
+            regressed = compare(Path(args.base).resolve(), args)
+        else:
+            with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+                tree = Path(tmp) / "base"
+                git = ["git", "-C", str(HEAD), "worktree"]
+                subprocess.run(
+                    [*git, "add", "--detach", str(tree), args.base], check=True, stdout=sys.stderr
+                )
+                try:
+                    regressed = compare(tree, args)
+                finally:
+                    subprocess.run([*git, "remove", "--force", str(tree)], check=True)
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"bench_pair: {exc}", file=sys.stderr)
         return 1
+    if regressed:
+        print(f"bench_pair: {args.workload} regressed: {', '.join(regressed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ is a one-line change that CI picks up automatically.
 
 Usage (CI)::
 
-    python scripts/check_report.py perf-smoke /tmp/bench_smoke.json \
-        --label smoke --size 64
+    python scripts/check_report.py tracing /tmp/bench_trace.json \
+        --label ci-obs --size 256
     python scripts/check_report.py shard /tmp/bench_shard.json \
         --label ci-shard --size 256 --shards 2
 
@@ -42,16 +42,6 @@ def _load(path: str, *, schema: bool = True) -> dict:
             f"schema {report['schema']!r} != harness {SCHEMA!r}"
         )
     return report
-
-
-def check_perf_smoke(args: argparse.Namespace) -> str:
-    report = _load(args.report)
-    row = report["runs"][args.label][f"n{args.size}"]
-    assert row["churn_per_step_ms"] > 0, row
-    assert row["batch_churn_per_node_ms"] > 0, row
-    assert row["csr_patch_ms"] > 0, row
-    assert row["wave_hop_us"] > 0, row
-    return f"perf smoke ok: {row}"
 
 
 def check_scenario(args: argparse.Namespace) -> str:
@@ -156,6 +146,27 @@ def check_shard(args: argparse.Namespace) -> str:
     )
 
 
+#: ``perf --trace-overhead`` ceilings (percent): enabled tracing costs
+#: at most 5 % on the hot paths, disabled at most 1 %, on any machine.
+#: The disabled numbers are synthetic (guard cost x span sites); the
+#: enabled ones are best-of-repeats interleaved off/on measurements.
+TRACE_LIMITS: dict[str, float] = {
+    "trace_enabled_churn_overhead_pct": 5.0,
+    "trace_disabled_churn_overhead_pct": 1.0,
+    "trace_enabled_soak_overhead_pct": 5.0,
+    "trace_disabled_soak_overhead_pct": 1.0,
+}
+
+
+def check_tracing(args: argparse.Namespace) -> str:
+    report = _load(args.report)
+    row = report["tracing"][args.label][f"n{args.size}"]
+    over = [f"{m} {row[m]}% > {limit}%" for m, limit in TRACE_LIMITS.items() if row[m] > limit]
+    assert not over, "; ".join(over)
+    shown = ", ".join(f"{metric} {row[metric]}%" for metric in TRACE_LIMITS)
+    return f"tracing overhead ok: {shown}"
+
+
 def check_trace(args: argparse.Namespace) -> str:
     from repro.obs.render import load_trace
 
@@ -233,12 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
 
-    p = sub.add_parser("perf-smoke", help="microbenchmark smoke report")
-    p.add_argument("report")
-    p.add_argument("--label", default="smoke")
-    p.add_argument("--size", type=int, default=64)
-    p.set_defaults(check=check_perf_smoke)
-
     p = sub.add_parser("scenario", help="scenario campaign report")
     p.add_argument("report")
     p.add_argument("--label", default="ci-scenarios")
@@ -286,6 +291,12 @@ def main(argv: list[str] | None = None) -> int:
                    help="floor on recorded spans (guards against a "
                         "silently disabled recorder)")
     p.set_defaults(check=check_trace)
+
+    p = sub.add_parser("tracing", help="perf --trace-overhead report")
+    p.add_argument("report")
+    p.add_argument("--label", default="ci-obs")
+    p.add_argument("--size", type=int, default=256)
+    p.set_defaults(check=check_tracing)
 
     p = sub.add_parser("bench-trace", help="traced bench/run.py --out report")
     p.add_argument("report")

@@ -18,6 +18,9 @@ insertion and deletion, so the checker must quantify the same way):
 * **layering** -- the import DAG stays acyclic and ordered
   (core → net → service → harness; nothing imports ``cli``).
 
+One **hygiene** rule rides along: a module-level import the module never
+reads (ruff's F401, so that check also runs without ruff installed).
+
 Run it as ``python -m repro.analysis.staticcheck [paths]``; suppress a
 finding with ``# staticcheck: ignore[rule] -- reason`` (the reason is
 mandatory; a bare ignore is itself a finding).  See

@@ -14,6 +14,7 @@ from repro.analysis.staticcheck.rules.determinism import (
     UnseededRngRule,
     WallClockRule,
 )
+from repro.analysis.staticcheck.rules.hygiene import UnusedImportRule
 from repro.analysis.staticcheck.rules.layering import LayeringRule
 
 #: every active rule, in report order
@@ -24,6 +25,7 @@ ALL_RULES: list[Rule] = [
     BlockingCallRule(),
     FutureResolutionRule(),
     LayeringRule(),
+    UnusedImportRule(),
 ]
 
 
@@ -45,4 +47,5 @@ __all__ = [
     "UnseededRngRule",
     "WallClockRule",
     "LayeringRule",
+    "UnusedImportRule",
 ]

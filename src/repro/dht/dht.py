@@ -31,7 +31,7 @@ I9 (every stored key retrievable under any churn) is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any
 
 from repro.dht.hashing import hash_to_vertex
 from repro.errors import DHTError

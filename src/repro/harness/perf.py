@@ -1,47 +1,20 @@
-"""Perf-regression harness: hot-path timings -> ``BENCH_perf.json``.
+"""Perf harness for what ``bench/`` has no workload for -> ``BENCH_perf.json``.
 
-Times the hot paths of the simulator -- bootstrap, the insert/delete
-churn step, random-walk hops, repeated spectral-gap measurements, the
-batch-parallel healing engine and the incremental CSR refresh -- at
-several network sizes, and merges the results into a machine-readable
-report so successive PRs can compare against a recorded baseline
-instead of folklore.
+``bench/run.py`` (paired head-vs-base by ``scripts/bench_pair.py``) is
+the repo's benchmark and regression gate.  This module keeps the
+measurements it does not cover: the large-n multiprocess sweep, the
+overload-policy frontier, the single-gateway vs shard-cluster sweep,
+snapshot restore-vs-replay and the tracing-overhead receipt, plus the
+gateway soak row behind ``repro.cli soak``.  Each merges its rows into
+one machine-readable report.
 
 Report format (schema ``dex-perf/8``; ``dex-perf/1`` through
 ``dex-perf/7`` reports are upgraded in place, their recorded runs
-kept)::
+kept -- the ``runs`` / ``speedup`` sections of the retired hot-path
+suite included)::
 
     {
       "schema": "dex-perf/8",
-      "churn_steps": 200,              # steps per churn loop
-      "sizes": [256, 1024, 4096],
-      "runs": {
-        "<label>": {                   # e.g. "before" / "after" / "pr2"
-          "meta": {"python": "...", "platform": "...", "created": "..."},
-          "n4096": {
-            "bootstrap_s": 0.078,
-            "churn_total_s": 0.028,    # insert+delete loop, validation off
-            "churn_per_step_ms": 0.14,
-            "walk_us_per_hop": 3.1,
-            "spectral_ms_per_call": 32.3,
-            # --- batch-parallel healing engine (PR 2) ---
-            "batch_churn_per_node_ms": 0.04,   # waves, validation off
-            "batch_churn_validated_per_node_ms": 0.08,  # + batch validation
-            "seq_churn_per_node_ms": 0.13,     # same churn, one step/node
-            "batch_speedup_x": 3.2,            # seq / batch
-            # --- incremental CSR (PR 2) ---
-            "csr_patch_ms": 0.9,       # to_sparse_adjacency() under churn
-            "csr_rebuild_ms": 5.4,     # force_rebuild=True
-            "csr_speedup_x": 5.8,
-            # --- lockstep wave engine (PR 3) ---
-            "wave_hop_us": 0.3,        # vector engine, us per wave hop
-            "wave_scalar_hop_us": 1.2, # scalar reference, same wave
-            "wave_speedup_x": 4.0      # scalar / vector (identical hops)
-          },
-          ...
-        }
-      },
-      "speedup": {"n4096": {"churn": 6.5, ...}},  # before/after ratios
       "sweeps": {
         "<label>": {                   # one multiprocess run per label
           "meta": {..., "workers": 8},
@@ -53,79 +26,55 @@ kept)::
           }
         }
       },
-      "campaigns": {                   # scenario campaigns (PR 4); see
-        "<label>": {                   # repro.harness.scenarios
-          "meta": {"python": "...", "workers": 4, ...},
-          "flash-crowd/dex/n4096_s11": {
-            "events": 2048, "batches": 34, "heal_per_event_ms": 0.05,
-            "min_gap": 0.11, "final_gap": 0.13, "max_degree": 16,
-            "messages_total": 180321, "skipped": 0, "wall_s": 4.2,
-            # only with --compare-sequential:
-            "seq_heal_per_event_ms": 0.15, "campaign_speedup_x": 3.0
-            # only with --series: the full sampled time series
-            # {"gap": [[event, value], ...], "degree": ..., ...}
-          }
-        }
-      },
-      "service": {                     # membership-gateway soak (PR 5);
-        "<label>": {                   # repro.service / cli soak
-          "meta": {"python": "...", "created": "..."},
-          "n4096": {                   # one soak driver, either backend
+      "campaigns": {...},              # repro.harness.scenarios
+      "service": {
+        "<label>": {
+          "meta": {"python": "...", "created": "...", "benchmark": "..."},
+          # --- gateway soak (repro.cli soak): one soak driver, either
+          # backend, plus the per-request twin ---
+          "n4096": {
             "shards": 1, "duration_s": 2.0, "clients": 256,
             "max_batch": 128, "batch_window_ms": 2.0, "queue_limit": 8192,
             "policy": "fixed", "deadline_ms": null,
             "offered": 31873, "completed": 31873,    # == : nobody hung
             "audit_ok": true,          # I1-I8 (+ ownership in a cluster)
             "events": 31873, "events_per_s": 15936.0,
-            "goodput_per_s": 15730.0,  # healed acks only (PR 7)
+            "goodput_per_s": 15730.0,  # healed acks only
             "ack_p50_ms": 7.9, "ack_p99_ms": 16.2, "ack_max_ms": 31.0,
             "batches": 270, "mean_batch": 118.0,
             "rejected": 12, "backpressure": 0,
             "shed": 0, "deadline_timeouts": 0, "retries": 0,
             "final_n": 4103,
-            # the per-request twin (max_batch=1, window=0) and the
-            # micro-batching receipt:
             "per_request_events_per_s": 5213.0,
             "per_request_ack_p50_ms": 41.0,
             "service_speedup_x": 3.06
           },
-          # --- policy frontier sweep (PR 7): offered load x admission
+          # --- policy frontier (--frontier): offered load x admission
           # policy under an open loop; the capacity-planning curves ---
           "n4096/shed-oldest/r12000": {
             "policy": "shed-oldest", "offered_rate_hz": 12000.0,
-            "duration_s": 2.0, "offered": 23998, "completed": 23998,
-            "ok": 13890, "backpressure": 0, "shed": 9983,
-            "deadline_timeouts": 0, "retries": 0,
-            "shed_rate": 0.416, "goodput_per_s": 6903.0,
+            "offered": 23998, "completed": 23998, "ok": 13890,
+            "shed": 9983, "shed_rate": 0.416, "goodput_per_s": 6903.0,
             "events_per_s": 7012.0, "ack_p99_ms": 74.0,
-            "queue_depth_max": 520, "heal_utilization": 0.97,
-            "policy_state": {"policy": "shed-oldest", "high_water": 512,
-                             "shed_total": 9983},
-            "final_n": 4311
+            "queue_depth_max": 520, "heal_utilization": 0.97, ...
           },
-          # --- shard sweep (PR 8): the same soak row over the single
-          # gateway and over the cluster at each shard count, under one
-          # configuration (policy / deadline_ms included); a cluster
-          # row adds the handoff ledger and per-shard rates ---
-          "n16384/serial":    {"events_per_s": 9120.0, ...},
+          # --- shard sweep (--shard-sweep): the soak row over the single
+          # gateway and over the cluster at each shard count ---
+          "n16384/serial": {"events_per_s": 9120.0, ...},
           "n16384/shards4": {
-            "shards": 4, "duration_s": 4.0, "clients": 256,
-            "offered": 54000, "completed": 54000,   # == under saturation
-            "events": 54000, "events_per_s": 6400.0,
-            "goodput_per_s": 6180.0,
-            "ack_p50_ms": 8.1, "ack_p99_ms": 29.0, "ack_max_ms": 55.0,
+            ...,                         # the soak row's columns, plus
             "handoffs": {"attempted": 0, "committed": 0, "rejected": 0,
                          "expired": 0, "in_flight": 0, "shard_failures": 0},
-            "audit_ok": true,            # cluster-wide I1-I8 + ownership
-            "total_nodes": 16840,
+            "per_shard_events_per_s": [...],
             "shard_speedup_x": 0.70      # vs the single gateway's row
-          }                              #   (sub-1 on one core: workers
-                                         #    need real cores to win)
+          },
+          # --- snapshot restore vs replay (--snapshot) ---
+          "n100000": {"replay_s": 8.42, "restore_s": 0.43,
+                      "restore_speedup_x": 19.68, ...}
         }
       },
-      "tracing": {                     # obs overhead receipt (PR 10)
+      "tracing": {                     # --trace-overhead
         "<label>": {
-          "meta": {"python": "...", "created": "..."},
           "n256": {
             # batch-churn hot path, tracing off vs on (ring recorder),
             # best-of-repeats interleaved so machine drift cancels:
@@ -149,26 +98,13 @@ kept)::
       }
     }
 
-Timings use ``time.perf_counter``; batch-vs-sequential and CSR numbers
-are best-of-``repeats`` on fresh networks (the comparison is the PR's
-receipt, so it must not flake on machine noise).  Churn loops run with
-``validate_every_step=False`` and the batch engine is additionally
-timed with ``validate_batches=False``: single-node steps perform no
-batch-model validation, so that is the apples-to-apples comparison of
-the *healing engines*; the validated number is recorded alongside.
+Timings use ``time.perf_counter``.  Exactly one mode runs per call.
 
 CLI::
-
-    PYTHONPATH=src python -m repro.harness.perf \\
-        --label after --sizes 256 1024 4096 --steps 200 --out BENCH_perf.json
 
     # multiprocess scaling sweep, one worker per size x seed point:
     PYTHONPATH=src python -m repro.harness.perf --sweep \\
         --sweep-sizes 100000 --sweep-seeds 11 13 --out BENCH_perf.json
-
-    # membership-gateway soak (micro-batched vs per-request gateway):
-    PYTHONPATH=src python -m repro.harness.perf --soak \\
-        --soak-sizes 4096 --soak-duration 2 --out BENCH_perf.json
 
     # overload-control frontier: offered load x admission policy:
     PYTHONPATH=src python -m repro.harness.perf --frontier \\
@@ -179,8 +115,12 @@ CLI::
     PYTHONPATH=src python -m repro.harness.perf --shard-sweep \\
         --shard-sizes 16384 --shard-counts 2 4 --out BENCH_perf.json
 
+    # snapshot restore vs replaying the history that built the state:
+    PYTHONPATH=src python -m repro.harness.perf --snapshot \\
+        --snapshot-sizes 100000 --out BENCH_perf.json
+
     # tracing overhead: churn + soak hot paths, tracing off vs on,
-    # rows under the `tracing` key (scripts/perf_gate.py --trace-overhead):
+    # rows under the `tracing` key (scripts/check_report.py tracing):
     PYTHONPATH=src python -m repro.harness.perf --trace-overhead \\
         --trace-sizes 256 --out BENCH_perf.json
 """
@@ -203,16 +143,11 @@ from typing import Sequence
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
 from repro.errors import AdversaryError
-from repro.net.walks import random_walk, run_wave
 
 SCHEMA = "dex-perf/8"
-DEFAULT_SIZES = (256, 1024, 4096)
-DEFAULT_STEPS = 200
 DEFAULT_BATCH = 64
 DEFAULT_SWEEP_SIZES = (100_000,)
 DEFAULT_SWEEP_SEEDS = (11,)
-#: ratios are reported for these (label_before, label_after) pairs
-_SPEEDUP_PAIR = ("before", "after")
 
 
 def _build(n: int, seed: int, **overrides) -> DexNetwork:
@@ -220,52 +155,8 @@ def _build(n: int, seed: int, **overrides) -> DexNetwork:
     return DexNetwork.bootstrap(n, config=config, seed=seed)
 
 
-def bench_bootstrap(n: int, seed: int) -> float:
-    t0 = time.perf_counter()
-    _build(n, seed)
-    return time.perf_counter() - t0
-
-
-def bench_churn(n: int, steps: int, seed: int) -> tuple[float, DexNetwork]:
-    """Alternating insert/delete loop at size ~n; returns (seconds, net)."""
-    net = _build(n, seed)
-    t0 = time.perf_counter()
-    for i in range(steps):
-        if i % 2 == 0:
-            net.insert()
-        else:
-            net.delete(net.random_node())
-    return time.perf_counter() - t0, net
-
-
-def bench_walks(net: DexNetwork, tokens: int, length: int, seed: int) -> float:
-    """Microseconds per walk hop over ``tokens`` weighted walks."""
-    rng = random.Random(seed)
-    starts = [net.random_node() for _ in range(tokens)]
-    hops = 0
-    t0 = time.perf_counter()
-    for start in starts:
-        result = random_walk(net.graph, start, length, rng)
-        hops += max(result.hops, 1)
-    elapsed = time.perf_counter() - t0
-    return elapsed / max(hops, 1) * 1e6
-
-
-def bench_spectral(net: DexNetwork, repeats: int) -> float:
-    """Milliseconds per spectral-gap measurement under light churn (the
-    repeated-measurement pattern of the experiment runner)."""
-    t0 = time.perf_counter()
-    for i in range(repeats):
-        net.spectral_gap()
-        if i + 1 < repeats:  # perturb so repeats are not trivially cached
-            net.insert()
-            net.delete(net.random_node())
-    elapsed = time.perf_counter() - t0
-    return elapsed / max(repeats, 1) * 1e3
-
-
 # ----------------------------------------------------------------------
-# batch-parallel healing engine (PR 2)
+# batch churn (the sweep's and the tracing-overhead row's workload)
 # ----------------------------------------------------------------------
 def _draw_insert_batch(
     net: DexNetwork, batch: int, adversary: random.Random
@@ -319,149 +210,6 @@ def run_batch_churn(
             healed += batch
             break
     return healed, engine
-
-
-def _time_batch_churn(
-    n: int, batch: int, rounds: int, seed: int, validate: bool
-) -> float:
-    net = _build(n, seed, validate_batches=validate)
-    adversary = random.Random(seed + 1)
-    # One warmup round absorbs lazy imports and per-prime caches (the
-    # p-cycle routing tree) that would otherwise bill one-time costs to
-    # the engine.
-    run_batch_churn(net, batch, 1, adversary)
-    healed, engine = run_batch_churn(net, batch, rounds, adversary)
-    return engine / max(healed, 1) * 1e3
-
-
-def bench_batch_vs_seq(
-    n: int,
-    batch: int = DEFAULT_BATCH,
-    rounds: int = 8,
-    seed: int = 11,
-    repeats: int = 3,
-) -> dict[str, float]:
-    """Per-healed-node cost of the batch-parallel engine vs. the same
-    churn applied one step per node, best-of-``repeats`` on fresh
-    networks each (the ≥3x acceptance number of the PR 2 engine)."""
-    steps = rounds * 2 * batch
-
-    def seq_once() -> float:
-        net = _build(n, seed)
-        adversary = random.Random(seed + 1)
-        for _ in range(16):  # warmup, mirroring the batch measurement
-            net.insert(attach_to=net.sample_node(adversary))
-            net.delete(net.sample_node(adversary))
-        engine = 0.0
-        for i in range(steps):
-            if i % 2 == 0:
-                attach = net.sample_node(adversary)  # workload, untimed
-                t0 = time.perf_counter()
-                net.insert(attach_to=attach)
-            else:
-                victim = net.sample_node(adversary)
-                t0 = time.perf_counter()
-                net.delete(victim)
-            engine += time.perf_counter() - t0
-        return engine / steps * 1e3
-
-    seq = min(seq_once() for _ in range(repeats))
-    batched = min(
-        _time_batch_churn(n, batch, rounds, seed, validate=False)
-        for _ in range(repeats)
-    )
-    validated = min(
-        _time_batch_churn(n, batch, rounds, seed, validate=True)
-        for _ in range(repeats)
-    )
-    return {
-        "batch_churn_per_node_ms": round(batched, 6),
-        "batch_churn_validated_per_node_ms": round(validated, 6),
-        "seq_churn_per_node_ms": round(seq, 6),
-        "batch_speedup_x": round(seq / batched, 2) if batched else 0.0,
-    }
-
-
-# ----------------------------------------------------------------------
-# lockstep wave engine (PR 3)
-# ----------------------------------------------------------------------
-DEFAULT_WAVE_TOKENS = 1000
-
-
-def bench_wave(
-    n: int,
-    tokens: int = DEFAULT_WAVE_TOKENS,
-    seed: int = 11,
-    repeats: int = 3,
-) -> dict[str, float]:
-    """Vectorized lockstep wave vs. the scalar reference on the same
-    ``bench_walks``-style wave (full-length weighted walks, empty member
-    set, Lemma 11 congestion), best-of-``repeats``.
-
-    Both engines implement one draw protocol, so a fixed rng state gives
-    bit-identical hop counts -- the per-hop ratio *is* the wall-clock
-    ratio, and the comparison can never flake on divergent trajectories.
-    """
-    net = _build(n, seed)
-    workload = random.Random(seed + 2)
-    starts = [net.sample_node(workload) for _ in range(tokens)]
-    length = 4 * max(net.size, 2).bit_length()
-
-    def once(engine: str) -> float:
-        rng = random.Random(seed + 3)
-        t0 = time.perf_counter()
-        _ends, _founds, hops, _rounds = run_wave(
-            net.graph, starts, length, frozenset(), rng, engine=engine
-        )
-        return (time.perf_counter() - t0) / max(hops, 1) * 1e6
-
-    once("vector")  # warm the CSR wave view (billed to neither engine)
-    scalar_us = min(once("scalar") for _ in range(repeats))
-    vector_us = min(once("vector") for _ in range(repeats))
-    return {
-        "wave_hop_us": round(vector_us, 4),
-        "wave_scalar_hop_us": round(scalar_us, 4),
-        "wave_speedup_x": round(scalar_us / vector_us, 2) if vector_us else 0.0,
-    }
-
-
-# ----------------------------------------------------------------------
-# incremental CSR (PR 2)
-# ----------------------------------------------------------------------
-def bench_csr(
-    n: int, seed: int = 11, reps: int = 20, repeats: int = 3
-) -> dict[str, float]:
-    """``to_sparse_adjacency`` after light churn -- sync of the dirty
-    rows plus CSR assembly -- vs. a from-scratch re-emission of every
-    row (``force_rebuild``): the repeated spectral-sampling access
-    pattern, best-of-``repeats``."""
-
-    def once() -> tuple[float, float]:
-        net = _build(n, seed)
-        net.graph.to_sparse_adjacency()  # warm the cache
-        patch = rebuild = 0.0
-        for _ in range(reps):
-            net.insert()
-            net.delete(net.random_node())
-            t0 = time.perf_counter()
-            net.graph.to_sparse_adjacency()
-            patch += time.perf_counter() - t0
-        for _ in range(reps):
-            net.insert()
-            net.delete(net.random_node())
-            t0 = time.perf_counter()
-            net.graph.to_sparse_adjacency(force_rebuild=True)
-            rebuild += time.perf_counter() - t0
-        return patch / reps * 1e3, rebuild / reps * 1e3
-
-    samples = [once() for _ in range(repeats)]
-    patch_ms = min(s[0] for s in samples)
-    rebuild_ms = min(s[1] for s in samples)
-    return {
-        "csr_patch_ms": round(patch_ms, 6),
-        "csr_rebuild_ms": round(rebuild_ms, 6),
-        "csr_speedup_x": round(rebuild_ms / patch_ms, 2) if patch_ms else 0.0,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1046,40 +794,6 @@ def bench_trace_overhead(
 
 
 # ----------------------------------------------------------------------
-# suite
-# ----------------------------------------------------------------------
-def run_suite(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    churn_steps: int = DEFAULT_STEPS,
-    seed: int = 11,
-    spectral_repeats: int = 5,
-    batch: int = DEFAULT_BATCH,
-    progress: bool = False,
-) -> dict:
-    """Run every benchmark at every size; returns the per-size mapping."""
-    suite: dict[str, dict[str, float]] = {}
-    for n in sizes:
-        boot = bench_bootstrap(n, seed)
-        churn_s, net = bench_churn(n, churn_steps, seed)
-        walk_us = bench_walks(net, tokens=50, length=4 * max(net.size, 2).bit_length(), seed=seed)
-        spectral_ms = bench_spectral(net, spectral_repeats)
-        row: dict[str, float] = {
-            "bootstrap_s": round(boot, 6),
-            "churn_total_s": round(churn_s, 6),
-            "churn_per_step_ms": round(churn_s / max(churn_steps, 1) * 1e3, 6),
-            "walk_us_per_hop": round(walk_us, 3),
-            "spectral_ms_per_call": round(spectral_ms, 3),
-        }
-        row.update(bench_batch_vs_seq(n, batch=min(batch, max(1, n // 8)), seed=seed))
-        row.update(bench_csr(n, seed=seed))
-        row.update(bench_wave(n, tokens=min(DEFAULT_WAVE_TOKENS, max(64, 2 * n)), seed=seed))
-        suite[f"n{n}"] = row
-        if progress:
-            print(f"  n={n}: {row}", file=sys.stderr)
-    return suite
-
-
-# ----------------------------------------------------------------------
 # multiprocess scaling sweep (one worker per size x seed point)
 # ----------------------------------------------------------------------
 def _sweep_point(args: tuple[int, int, int, int]) -> tuple[str, dict]:
@@ -1136,31 +850,6 @@ def run_sweep(
 # ----------------------------------------------------------------------
 # report plumbing
 # ----------------------------------------------------------------------
-def _speedups(runs: dict) -> dict:
-    before, after = (runs.get(label) for label in _SPEEDUP_PAIR)
-    if not before or not after:
-        return {}
-    out: dict[str, dict[str, float]] = {}
-    for key, b in before.items():
-        a = after.get(key)
-        if key == "meta" or not isinstance(b, dict) or not a:
-            continue
-        ratios: dict[str, float] = {}
-        for metric, short in (
-            ("churn_per_step_ms", "churn"),
-            ("bootstrap_s", "bootstrap"),
-            ("walk_us_per_hop", "walk"),
-            ("spectral_ms_per_call", "spectral"),
-            ("batch_churn_per_node_ms", "batch_churn"),
-            ("csr_patch_ms", "csr_patch"),
-            ("wave_hop_us", "wave"),
-        ):
-            if a.get(metric) and b.get(metric):
-                ratios[short] = round(b[metric] / a[metric], 2)
-        out[key] = ratios
-    return out
-
-
 def _meta() -> dict:
     return {
         "python": platform.python_version(),
@@ -1197,39 +886,32 @@ def write_section(
     *,
     merge: bool = False,
     meta: dict | None = None,
-    top: dict | None = None,
 ) -> dict:
     """The one report writer: put ``results`` (``{row_key: row}``) under
     ``report[section][label]`` in the report at ``path``, stamped with
     a ``meta`` row.  With ``merge`` the rows merge *into* an existing
     label entry (same row keys overwrite), so one label can accumulate
     soak, frontier and shard-sweep rows across invocations; without it
-    the label's entry is replaced.  ``top`` sets report-level keys (the
-    hot-path suite records ``churn_steps`` / ``sizes`` there); the
-    ``speedup`` block is recomputed whenever ``runs`` change."""
+    the label's entry is replaced."""
     report = load_report(path)
     labels = report.setdefault(section, {})
     entry = labels.get(label, {}) if merge else {}
     entry.update(results)
     entry["meta"] = {**_meta(), **(meta or {})}
     labels[label] = entry
-    report.update(top or {})
-    if section == "runs":
-        report["speedup"] = _speedups(labels)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="after", help="run label (e.g. before/after/pr2)")
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES))
-    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    parser.add_argument("--label", default="after", help="label the rows merge under")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--batch", type=int, default=DEFAULT_BATCH,
-                        help="batch size for the batch-churn benchmarks")
-    parser.add_argument("--sweep", action="store_true",
-                        help="run the multiprocess large-n scaling sweep instead of the suite")
+                        help="batch size of the sweep's batch churn")
+    modes = parser.add_mutually_exclusive_group(required=True)
+    modes.add_argument("--sweep", action="store_true",
+                       help="run the multiprocess large-n scaling sweep")
     parser.add_argument("--sweep-sizes", type=int, nargs="+",
                         default=list(DEFAULT_SWEEP_SIZES))
     parser.add_argument("--sweep-seeds", type=int, nargs="+",
@@ -1238,25 +920,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="insert+delete batch rounds per sweep point")
     parser.add_argument("--workers", type=int, default=None,
                         help="sweep worker processes (default: one per point, capped at CPUs)")
-    parser.add_argument("--soak", action="store_true",
-                        help="run the membership-gateway soak benchmark instead of the suite")
-    parser.add_argument("--soak-sizes", type=int, nargs="+", default=[4096])
     parser.add_argument("--soak-duration", type=float, default=DEFAULT_SOAK_DURATION,
                         help="seconds of saturating load per gateway run")
     parser.add_argument("--soak-clients", type=int, default=DEFAULT_SOAK_CLIENTS,
                         help="closed-loop client coroutines")
     parser.add_argument("--soak-max-batch", type=int, default=DEFAULT_SOAK_BATCH)
     parser.add_argument("--soak-window-ms", type=float, default=DEFAULT_SOAK_WINDOW_MS)
-    parser.add_argument("--soak-no-baseline", action="store_true",
-                        help="skip the per-request (max_batch=1) comparison run")
     parser.add_argument("--soak-policy", default="fixed",
-                        help="admission policy for the soak gateway")
+                        help="admission policy for the shard-sweep gateways")
     parser.add_argument("--soak-warmup", type=float, default=0.0,
                         help="seconds of unmetered load before the measured "
-                             "soak/shard-sweep window (metrics reset after)")
-    parser.add_argument("--frontier", action="store_true",
-                        help="run the offered-load x policy frontier sweep "
-                        "instead of the suite")
+                             "shard-sweep window (metrics reset after)")
+    modes.add_argument("--frontier", action="store_true",
+                       help="run the offered-load x policy frontier sweep")
     parser.add_argument("--frontier-sizes", type=int, nargs="+", default=[4096])
     parser.add_argument("--frontier-rates", type=float, nargs="+",
                         default=list(DEFAULT_FRONTIER_RATES),
@@ -1269,27 +945,26 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="seconds of open-loop load per point")
     parser.add_argument("--frontier-queue-limit", type=int, default=4096)
     parser.add_argument("--deadline-ms", type=float, default=None,
-                        help="per-request deadline for frontier/soak gateways")
-    parser.add_argument("--shard-sweep", action="store_true",
-                        help="soak the single gateway vs the N-shard cluster "
-                             "at each size (rows under the service key)")
+                        help="per-request deadline for frontier/shard-sweep gateways")
+    modes.add_argument("--shard-sweep", action="store_true",
+                       help="soak the single gateway vs the N-shard cluster "
+                            "at each size (rows under the service key)")
     parser.add_argument("--shard-sizes", type=int, nargs="+", default=[4096],
                         help="total bootstrap nodes per shard-sweep point")
     parser.add_argument("--shard-counts", type=int, nargs="+",
                         default=list(DEFAULT_SHARD_COUNTS),
                         help="shard counts to sweep")
-    parser.add_argument("--snapshot", action="store_true",
-                        help="run the snapshot restore-vs-replay benchmark "
-                        "instead of the suite")
+    modes.add_argument("--snapshot", action="store_true",
+                       help="run the snapshot restore-vs-replay benchmark")
     parser.add_argument("--snapshot-sizes", type=int, nargs="+", default=[100_000])
     parser.add_argument("--snapshot-steps", type=int, default=1000,
                         help="replayed churn steps (the history length)")
     parser.add_argument("--snapshot-repeats", type=int, default=3,
                         help="timed restores per size (median reported)")
-    parser.add_argument("--trace-overhead", action="store_true",
-                        help="measure tracing-off vs tracing-on overhead "
-                        "on the churn + soak hot paths (rows under the "
-                        "tracing key; gated by perf_gate --trace-overhead)")
+    modes.add_argument("--trace-overhead", action="store_true",
+                       help="measure tracing-off vs tracing-on overhead "
+                       "on the churn + soak hot paths (rows under the "
+                       "tracing key; gated by check_report.py tracing)")
     parser.add_argument("--trace-sizes", type=int, nargs="+", default=[256],
                         help="network sizes for the tracing-overhead rows")
     parser.add_argument("--trace-duration", type=float,
@@ -1371,14 +1046,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.shard_sizes,
             lambda n: bench_shard_sweep(n, args.shard_counts, progress=True, **soak),
         ),
-        "soak": (
-            args.soak,
-            "service",
-            args.soak_sizes,
-            lambda n: one_row(
-                n, bench_service(n, compare_per_request=not args.soak_no_baseline, **soak)
-            ),
-        ),
     }
     for benchmark, (selected, section, sizes, bench) in per_size_modes.items():
         if not selected:
@@ -1393,39 +1060,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    if args.sweep:
-        points = len(args.sweep_sizes) * len(args.sweep_seeds)
-        workers = args.workers or min(points, os.cpu_count() or 1)
-        print(
-            f"perf sweep: sizes={args.sweep_sizes} seeds={args.sweep_seeds} "
-            f"batch={args.batch} rounds={args.sweep_rounds} workers={workers} "
-            f"label={args.label!r}"
-        )
-        results = run_sweep(
-            args.sweep_sizes,
-            args.sweep_seeds,
-            batch=args.batch,
-            rounds=args.sweep_rounds,
-            workers=workers,
-            progress=True,
-        )
-        write_section(
-            args.out, "sweeps", args.label, results, meta={"workers": workers}
-        )
-        print(f"wrote {args.out}")
-        return 0
-
-    print(f"perf suite: sizes={args.sizes} steps={args.steps} label={args.label!r}")
-    suite = run_suite(args.sizes, args.steps, args.seed, batch=args.batch, progress=True)
-    report = write_section(
-        args.out,
-        "runs",
-        args.label,
-        suite,
-        top={"churn_steps": args.steps, "sizes": list(args.sizes)},
+    # the one mode left is --sweep: sizes x seeds, one process per point
+    points = len(args.sweep_sizes) * len(args.sweep_seeds)
+    workers = args.workers or min(points, os.cpu_count() or 1)
+    print(
+        f"perf sweep: sizes={args.sweep_sizes} seeds={args.sweep_seeds} "
+        f"batch={args.batch} rounds={args.sweep_rounds} workers={workers} "
+        f"label={args.label!r}"
     )
-    if report.get("speedup"):
-        print(f"speedup (before/after): {json.dumps(report['speedup'])}")
+    results = run_sweep(
+        args.sweep_sizes,
+        args.sweep_seeds,
+        batch=args.batch,
+        rounds=args.sweep_rounds,
+        workers=workers,
+        progress=True,
+    )
+    write_section(args.out, "sweeps", args.label, results, meta={"workers": workers})
     print(f"wrote {args.out}")
     return 0
 

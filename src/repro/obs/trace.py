@@ -15,7 +15,7 @@ Design constraints, in priority order:
    paths guard with a single attribute check (``current().enabled``)
    and the :func:`span` context manager short-circuits to a shared
    no-op span.  The perf harness measures this cost and
-   ``scripts/perf_gate.py`` fails CI if it exceeds ~1%.
+   ``scripts/check_report.py tracing`` fails CI if it exceeds ~1%.
 2. **Tracing must not perturb the engine.**  Span timing uses
    ``time.perf_counter`` (monotonic) only -- the staticcheck
    determinism rule enforces this for the ``obs`` layer -- and span

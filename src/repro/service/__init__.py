@@ -22,7 +22,6 @@ from repro.service.loadgen import (
     LoadStats,
     Population,
     RetryPolicy,
-    flash_crowd_load,
     poisson_load,
     saturating_load,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "LoadStats",
     "Population",
     "RetryPolicy",
-    "flash_crowd_load",
     "poisson_load",
     "saturating_load",
     "FlushRecord",

@@ -1,6 +1,6 @@
 """Client-side load generators for the membership gateway.
 
-Three traffic shapes, all driving real concurrent clients (one
+Two traffic shapes, both driving real concurrent clients (one
 coroutine per in-flight request) against a
 :class:`~repro.service.gateway.MembershipGateway`:
 
@@ -9,9 +9,6 @@ coroutine per in-flight request) against a
   answers, the standard model for independent users.  Ack latency under
   an open loop is the honest number -- a slow gateway builds queue and
   the percentiles show it.
-* :func:`flash_crowd_load` -- a ``surge`` of simultaneous joins at t=0
-  (the service-layer twin of the `flash-crowd` campaign scenario),
-  followed by open-loop mixed churn.
 * :func:`saturating_load` -- **closed loop**: ``clients`` workers each
   keep exactly one request in flight, back to back.  This measures
   sustained capacity (events/sec at full pressure) -- the number the
@@ -285,46 +282,6 @@ async def poisson_load(
             next_at += rng.expovariate(rate_hz)
     if clients:
         await asyncio.gather(*clients)
-    stats.elapsed_s = loop.time() - started
-    return stats
-
-
-async def flash_crowd_load(
-    gateway: "MembershipGateway",
-    *,
-    surge: int,
-    rate_hz: float,
-    duration_s: float,
-    join_fraction: float = 0.5,
-    seed: int = 0,
-    retry: RetryPolicy | None = None,
-) -> LoadStats:
-    """A ``surge`` of simultaneous join requests (all in flight before
-    the first flush can complete), then open-loop mixed churn for the
-    remaining ``duration_s``."""
-    rng = random.Random(seed)
-    stats = LoadStats()
-    population = Population(gateway.net.nodes(), rng)
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    surge_clients = [
-        asyncio.ensure_future(
-            _client(gateway, "join", None, population, stats, retry, rng)
-        )
-        for _ in range(surge)
-    ]
-    stats.offered += surge
-    steady = await poisson_load(
-        gateway,
-        rate_hz=rate_hz,
-        duration_s=duration_s,
-        join_fraction=join_fraction,
-        seed=seed + 1,
-        retry=retry,
-    )
-    if surge_clients:
-        await asyncio.gather(*surge_clients)
-    stats.merge(steady)
     stats.elapsed_s = loop.time() - started
     return stats
 

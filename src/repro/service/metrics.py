@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.obs.registry import (
-    Histogram,
     MetricsRegistry,
     exact_quantile,  # noqa: F401  (re-export: the historical home)
     quantile_sorted,

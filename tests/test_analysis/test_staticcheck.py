@@ -310,6 +310,73 @@ class TestLayeringRule:
         assert {f.rel for f in hits} == {"harness/bad.py", "__init__.py"}
 
 
+class TestUnusedImportRule:
+    RULE = "hygiene/unused-import"
+
+    def flagged(self, tmp_path, files: dict[str, str]) -> list[tuple[str, int]]:
+        make_tree(tmp_path, files)
+        return [(f.rel, f.line) for f in findings_of(check_paths([tmp_path]), self.RULE)]
+
+    def test_unread_import_is_flagged_and_read_ones_are_not(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    from __future__ import annotations
+
+                    import os.path
+                    import json
+                    from typing import TYPE_CHECKING, Any
+
+                    if TYPE_CHECKING:
+                        from repro.net.graph import Graph
+
+                    def size(g: "Graph") -> int:
+                        return len(os.path.join("a", "b"))
+                    """,
+            },
+        )
+        # os is read through os.path, Graph inside a string annotation
+        assert hits == [("core/mod.py", 5), ("core/mod.py", 6)]
+
+    def test_package_init_is_exempt(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/__init__.py": "from repro.core.mod import thing\n",
+                "core/other.py": "from repro.core.mod import thing\n",
+            },
+        )
+        assert hits == [("core/other.py", 1)]
+
+    def test_names_in_dunder_all_are_exempt(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    from repro.types import NodeId, Vertex
+
+                    __all__ = ["NodeId"]
+                    """,
+            },
+        )
+        assert hits == [("core/mod.py", 2)]
+
+    def test_noqa_f401_line_is_exempt(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    from repro.types import (
+                        NodeId,  # noqa: F401  (re-export)
+                        Vertex,
+                    )
+                    """,
+            },
+        )
+        assert hits == [("core/mod.py", 4)]
+
+
 class TestSuppressions:
     BAD_CORE = """
         import random

@@ -1,6 +1,6 @@
-"""The perf harness: schema-5 report plumbing, older-schema migration,
-batch, CSR, wave and gateway-soak benchmark helpers, and the sweep
-worker (in-process)."""
+"""The perf harness: report plumbing, older-schema migration, the
+batch-churn driver, gateway-soak and frontier benchmark helpers, and
+the sweep worker (in-process)."""
 
 from __future__ import annotations
 
@@ -52,16 +52,12 @@ class TestReportPlumbing:
 
     def test_write_report_and_sweep_coexist(self, tmp_path):
         path = tmp_path / "bench.json"
-        perf.write_section(
-            path, "runs", "lbl", {"n64": {"churn_per_step_ms": 0.5}},
-            top={"churn_steps": 30, "sizes": [64]},
-        )
+        perf.write_section(path, "runs", "lbl", {"n64": {"churn_per_step_ms": 0.5}})
         perf.write_section(
             path, "sweeps", "lbl", {"n64_s1": {"wall_s": 1.0}}, meta={"workers": 2}
         )
         report = json.loads(path.read_text())
         assert report["schema"] == perf.SCHEMA
-        assert report["churn_steps"] == 30 and report["sizes"] == [64]
         assert report["runs"]["lbl"]["n64"]["churn_per_step_ms"] == 0.5
         assert report["sweeps"]["lbl"]["n64_s1"]["wall_s"] == 1.0
         assert "workers" in report["sweeps"]["lbl"]["meta"]
@@ -104,52 +100,7 @@ class TestReportPlumbing:
         report = json.loads(path.read_text())
         assert set(report["service"]["service"]) == {"n8", "meta"}
 
-    def test_speedups_include_batch_metrics(self):
-        runs = {
-            "before": {"n64": {"churn_per_step_ms": 2.0,
-                               "batch_churn_per_node_ms": 1.0,
-                               "csr_patch_ms": 4.0}},
-            "after": {"n64": {"churn_per_step_ms": 1.0,
-                              "batch_churn_per_node_ms": 0.25,
-                              "csr_patch_ms": 1.0}},
-        }
-        out = perf._speedups(runs)
-        assert out["n64"]["churn"] == 2.0
-        assert out["n64"]["batch_churn"] == 4.0
-        assert out["n64"]["csr_patch"] == 4.0
-
-    def test_speedups_include_wave_metric(self):
-        runs = {
-            "before": {"n64": {"wave_hop_us": 1.0}},
-            "after": {"n64": {"wave_hop_us": 0.25}},
-        }
-        assert perf._speedups(runs)["n64"]["wave"] == 4.0
-
-
 class TestBenchHelpers:
-    def test_batch_vs_seq_returns_all_metrics(self):
-        row = perf.bench_batch_vs_seq(n=48, batch=6, rounds=2, seed=3, repeats=1)
-        assert set(row) == {
-            "batch_churn_per_node_ms",
-            "batch_churn_validated_per_node_ms",
-            "seq_churn_per_node_ms",
-            "batch_speedup_x",
-        }
-        assert all(v > 0 for v in row.values())
-
-    def test_bench_csr_metrics(self):
-        row = perf.bench_csr(n=48, seed=3, reps=4, repeats=1)
-        assert row["csr_patch_ms"] > 0
-        assert row["csr_rebuild_ms"] > 0
-        assert row["csr_speedup_x"] > 0
-
-    def test_bench_wave_metrics(self):
-        row = perf.bench_wave(n=48, tokens=64, seed=3, repeats=1)
-        assert set(row) == {"wave_hop_us", "wave_scalar_hop_us", "wave_speedup_x"}
-        assert row["wave_hop_us"] > 0
-        assert row["wave_scalar_hop_us"] > 0
-        assert row["wave_speedup_x"] > 0
-
     def test_run_batch_churn_heals_and_keeps_invariants(self):
         net = DexNetwork.bootstrap(32, DexConfig(validate_every_step=False), seed=5)
         healed, engine_s = perf.run_batch_churn(

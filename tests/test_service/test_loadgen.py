@@ -1,5 +1,5 @@
-"""Client load generators: population bookkeeping, open-loop Poisson,
-flash-crowd and closed-loop saturation against a live gateway."""
+"""Client load generators: population bookkeeping, open-loop Poisson
+and closed-loop saturation against a live gateway."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.service import (
     MembershipGateway,
     Population,
     RetryPolicy,
-    flash_crowd_load,
     poisson_load,
     saturating_load,
 )
@@ -75,24 +74,6 @@ class TestGenerators:
         assert stats.offered > 0
         assert stats.completed == stats.offered  # open loop, all answered
         assert stats.ok + stats.rejected == stats.completed
-        checked(net)
-
-    def test_flash_crowd_surge_heals(self):
-        async def scenario():
-            net = service_net()
-            before = net.size
-            async with MembershipGateway(
-                net, max_batch=32, batch_window_ms=2.0, seed=3
-            ) as gw:
-                stats = await flash_crowd_load(
-                    gw, surge=24, rate_hz=500.0, duration_s=0.1, seed=7
-                )
-            return net, before, stats
-
-        net, before, stats = asyncio.run(scenario())
-        assert stats.offered >= 24
-        assert stats.completed == stats.offered
-        assert net.size > before  # the surge grew the network
         checked(net)
 
     def test_saturating_load_keeps_clients_full(self):
