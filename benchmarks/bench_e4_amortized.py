@@ -27,9 +27,9 @@ def amortized_run(n0: int, seed: int):
     for _ in range(steps):
         if net.insert().recovery is RecoveryType.TYPE2_INFLATE:
             type2 += 1
-    rounds = net.metrics.amortized("rounds")
-    msgs = net.metrics.amortized("messages")
-    worst_msgs = net.metrics.worst("messages")
+    rounds = sum(r.rounds for r in net.reports) / len(net.reports)
+    msgs = sum(r.messages for r in net.reports) / len(net.reports)
+    worst_msgs = max(r.messages for r in net.reports)
     return net, type2, rounds, msgs, worst_msgs
 
 

@@ -31,13 +31,13 @@ def main() -> None:
 
     # The guarantees of Theorem 1, measured:
     print(f"n={net.size}  gap={net.spectral_gap():.4f}  max degree={net.max_degree()}")
-    totals = net.metrics.totals()
-    steps = len(net.metrics.ledgers)
+    costs = [step.costs for step in net.reports]
+    steps = len(costs)
     print(
         f"per-step averages over {steps} steps: "
-        f"{totals.rounds / steps:.1f} rounds, "
-        f"{totals.messages / steps:.1f} messages, "
-        f"{totals.topology_changes / steps:.1f} topology changes"
+        f"{sum(c.rounds for c in costs) / steps:.1f} rounds, "
+        f"{sum(c.messages for c in costs) / steps:.1f} messages, "
+        f"{sum(c.topology_changes for c in costs) / steps:.1f} topology changes"
     )
 
     # Invariants I1-I8 (DESIGN.md) hold at every step; verify explicitly:

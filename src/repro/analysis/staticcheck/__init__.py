@@ -18,15 +18,17 @@ insertion and deletion, so the checker must quantify the same way):
 * **layering** -- the import DAG stays acyclic and ordered
   (core → net → service → harness; nothing imports ``cli``).
 
-One **hygiene** rule rides along: a module-level import the module never
-reads (ruff's F401, so that check also runs without ruff installed).
+Two rules ride along so CI's ruff and mypy gates partly run offline:
+**hygiene** flags a module-level import the module never reads (ruff's
+F401), **typing** a ``def`` without full annotations in the packages
+``[tool.mypy]`` gates.
 
 Run it as ``python -m repro.analysis.staticcheck [paths]``; suppress a
 finding with ``# staticcheck: ignore[rule] -- reason`` (the reason is
 mandatory; a bare ignore is itself a finding).  See
 ``docs/staticcheck.md`` for the rule catalogue and how to add a rule.
 
-Deliberately stdlib-only (``ast`` + ``tokenize``): the checker sits in
+Deliberately stdlib-only (``ast``, ``tokenize``, ``tomllib``): the checker sits in
 the ``analysis`` layer and must not import upward.
 """
 

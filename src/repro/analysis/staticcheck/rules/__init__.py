@@ -16,6 +16,7 @@ from repro.analysis.staticcheck.rules.determinism import (
 )
 from repro.analysis.staticcheck.rules.hygiene import UnusedImportRule
 from repro.analysis.staticcheck.rules.layering import LayeringRule
+from repro.analysis.staticcheck.rules.typed import UntypedDefRule
 
 #: every active rule, in report order
 ALL_RULES: list[Rule] = [
@@ -26,6 +27,7 @@ ALL_RULES: list[Rule] = [
     FutureResolutionRule(),
     LayeringRule(),
     UnusedImportRule(),
+    UntypedDefRule(),
 ]
 
 
@@ -48,4 +50,5 @@ __all__ = [
     "WallClockRule",
     "LayeringRule",
     "UnusedImportRule",
+    "UntypedDefRule",
 ]

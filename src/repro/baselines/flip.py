@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AdversaryError
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.types import NodeId
 
 
@@ -37,7 +37,6 @@ class FlipChainOverlay:
         self.flips_per_step = flips_per_step
         self.rng = random.Random(seed)
         self.adj: dict[NodeId, set[NodeId]] = {u: set() for u in range(n0)}
-        self.metrics = MetricsLog()
         self._next_id = n0
         # initial ring + random chords for an almost-d-regular start
         nodes = list(range(n0))
@@ -96,7 +95,6 @@ class FlipChainOverlay:
             self._link(u, t)
             ledger.topology_changes += 1
         self._flip_mix(ledger)
-        self.metrics.append(ledger)
         return ledger
 
     def delete(self, node_id: NodeId):
@@ -117,7 +115,6 @@ class FlipChainOverlay:
                 ledger.messages += 1
         ledger.rounds = max(ledger.rounds, 1)
         self._flip_mix(ledger)
-        self.metrics.append(ledger)
         return ledger
 
     def _flip_mix(self, ledger: CostLedger) -> None:

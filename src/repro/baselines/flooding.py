@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AdversaryError
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.types import NodeId
 from repro.virtual.pcycle import PCycle
 from repro.virtual.primes import initial_prime
@@ -31,7 +31,6 @@ class FloodingExpander:
         if n0 < 3:
             raise AdversaryError("need at least 3 initial nodes")
         self.members: set[NodeId] = set(range(n0))
-        self.metrics = MetricsLog()
         self._next_id = n0
         self._rebuild()
 
@@ -71,7 +70,6 @@ class FloodingExpander:
         self.members.add(u)
         self._rebuild()
         ledger.topology_changes += len(before ^ self._edge_set())
-        self.metrics.append(ledger)
         return ledger
 
     def delete(self, node_id: NodeId):
@@ -84,7 +82,6 @@ class FloodingExpander:
         self.members.discard(node_id)
         self._rebuild()
         ledger.topology_changes += len(before ^ self._edge_set())
-        self.metrics.append(ledger)
         return ledger
 
     def _flood_cost(self) -> CostLedger:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AdversaryError
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.types import NodeId
 from repro.virtual.pcycle import PCycle
 from repro.virtual.primes import initial_prime
@@ -31,7 +31,6 @@ class GlobalKnowledgeExpander:
             raise AdversaryError("need at least 3 initial nodes")
         self.members: set[NodeId] = set(range(n0))
         self.leader: NodeId = 0
-        self.metrics = MetricsLog()
         self._next_id = n0
         self._rebuild()
 
@@ -68,7 +67,6 @@ class GlobalKnowledgeExpander:
         self.members.add(u)
         self._rebuild()
         ledger.topology_changes += 8  # leader instructs a local splice
-        self.metrics.append(ledger)
         return ledger
 
     def delete(self, node_id: NodeId):
@@ -88,7 +86,6 @@ class GlobalKnowledgeExpander:
             ledger.charge_route(int(np.ceil(np.log2(max(self.size, 2)))))
         self._rebuild()
         ledger.topology_changes += 8
-        self.metrics.append(ledger)
         return ledger
 
     def adjacency(self) -> sp.csr_matrix:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AdversaryError
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.types import NodeId
 
 
@@ -43,7 +43,6 @@ class LawSiuNetwork:
         #: successor/predecessor maps per cycle
         self.succ: list[dict[NodeId, NodeId]] = []
         self.pred: list[dict[NodeId, NodeId]] = []
-        self.metrics = MetricsLog()
         self._next_id = n0
         nodes = list(range(n0))
         for _ in range(d):
@@ -91,7 +90,6 @@ class LawSiuNetwork:
             succ[u] = nxt
             pred[nxt] = u
             ledger.topology_changes += 3  # drop (at,nxt), add (at,u),(u,nxt)
-        self.metrics.append(ledger)
         return ledger
 
     def delete(self, node_id: NodeId):
@@ -108,7 +106,6 @@ class LawSiuNetwork:
             ledger.messages += 2  # neighbors learn of the attack and patch
             ledger.rounds = max(ledger.rounds, 1)
             ledger.topology_changes += 3
-        self.metrics.append(ledger)
         return ledger
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AdversaryError
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.types import NodeId
 
 _MAX_LEVELS = 64
@@ -36,7 +36,6 @@ class SkipGraphOverlay:
             raise AdversaryError("skip graph needs at least 3 initial nodes")
         self.rng = random.Random(seed)
         self.membership: dict[NodeId, tuple[int, ...]] = {}
-        self.metrics = MetricsLog()
         self._next_id = 0
         for _ in range(n0):
             self._admit(self._next_id)
@@ -92,7 +91,6 @@ class SkipGraphOverlay:
         # join: one search + ring splice per level (costs of [2])
         ledger.charge_parallel(rounds=levels + search, messages=levels * search)
         ledger.topology_changes += 3 * levels
-        self.metrics.append(ledger)
         return ledger
 
     def delete(self, node_id: NodeId):
@@ -105,7 +103,6 @@ class SkipGraphOverlay:
         del self.membership[node_id]
         ledger.charge_parallel(rounds=2, messages=2 * levels)
         ledger.topology_changes += 3 * levels
-        self.metrics.append(ledger)
         return ledger
 
     # ------------------------------------------------------------------

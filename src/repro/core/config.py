@@ -36,7 +36,6 @@ class DexConfig:
     max_type1_retries: int = 60
     type2_mode: str = "staggered"  # "staggered" (worst-case) or "simplified" (amortized)
     fidelity: str = "analytic"  # "analytic" or "engine" cost accounting for primitives
-    stagger_chunk: int | None = None  # old vertices processed per step; default ceil(1/theta)
     min_network_size: int = 3
     validate_every_step: bool = False
     #: batched churn validates the adversary's batch up front (attach
@@ -70,8 +69,6 @@ class DexConfig:
             raise ConfigError(f"unknown wave_engine {self.wave_engine!r}")
         if self.min_network_size < 2:
             raise ConfigError("min_network_size must be >= 2")
-        if self.stagger_chunk is not None and self.stagger_chunk < 1:
-            raise ConfigError("stagger_chunk must be >= 1")
 
     # ------------------------------------------------------------------
     # derived thresholds
@@ -94,10 +91,9 @@ class DexConfig:
 
     @property
     def chunk_size(self) -> int:
-        """Old vertices processed per step of a staggered operation
-        (the paper's ``ceil(1/theta)`` active vertices)."""
-        if self.stagger_chunk is not None:
-            return self.stagger_chunk
+        """Old vertices processed per step of a staggered operation:
+        the paper's ``ceil(1/theta)`` active vertices, the value Lemma 9
+        is stated for."""
         return max(1, math.ceil(1.0 / self.theta))
 
     def walk_length(self, n: int) -> int:

@@ -33,7 +33,7 @@ from repro.core.overlay import Overlay
 from repro.core.type1 import deletion_recovery, insertion_recovery
 from repro.core.type2_staggered import StaggeredOp
 from repro.errors import AdversaryError, TopologyError
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.net.topology import DynamicMultigraph
 from repro.types import NodeId, RecoveryType, StepKind, Vertex
 from repro.virtual.pcycle import PCycle
@@ -60,7 +60,6 @@ class DexNetwork:
         self.staggered: StaggeredOp | None = None
         self.step_count = 0
         self.reports: list[StepReport] = []
-        self.metrics = MetricsLog()
         self._next_id = max(overlay.graph.nodes(), default=-1) + 1
         self._observers: list["DexDHT"] = []
         self._spectral = SpectralTracker()
@@ -303,7 +302,6 @@ class DexNetwork:
             forced_completion=forced or (op.forced if op is not None else False),
         )
         self.reports.append(report)
-        self.metrics.append(ledger)
         if self.config.validate_every_step:
             self.check_invariants()
         return report

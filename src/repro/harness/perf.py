@@ -721,14 +721,16 @@ def bench_trace_overhead(
     disabled-path cost (``guard_ns`` x spans the enabled run created).
     Off/on churn runs interleave within each repeat so thermal/machine
     drift cancels; the reported overhead is best-of-``repeats`` (the
-    receipt must not flake on noise).  The soak runs once per mode:
-    its duration already averages over thousands of acks."""
+    receipt must not flake on noise).  The off/on soaks interleave the
+    same way, one pair per repeat, best-of on events/s."""
     from repro.obs import trace as _trace
 
     assert not _trace.enabled(), "bench_trace_overhead needs tracing off"
     off_churn: list[float] = []
     on_churn: list[float] = []
-    spans_per_step = 0.0
+    off_soak: list[float] = []
+    on_soak: list[float] = []
+    spans_per_step = spans_per_event = 0.0
     for _ in range(max(1, repeats)):
         off_ms, _healed, _spans = _trace_churn_once(
             n, batch, rounds, seed, traced=False
@@ -739,26 +741,26 @@ def bench_trace_overhead(
         off_churn.append(off_ms)
         on_churn.append(on_ms)
         spans_per_step = spans / max(healed, 1)
+        soak_off = bench_service_soak(
+            n, duration_s=soak_duration_s, clients=clients, seed=seed
+        )
+        recorder = _trace.SpanRecorder(capacity=1_000_000)
+        _trace.install(recorder)
+        try:
+            soak_on = bench_service_soak(
+                n, duration_s=soak_duration_s, clients=clients, seed=seed
+            )
+        finally:
+            _trace.uninstall()
+        off_soak.append(soak_off["events_per_s"])
+        on_soak.append(soak_on["events_per_s"])
+        spans_per_event = len(recorder.spans) / max(soak_on["events"], 1)
     churn_off = min(off_churn)
     churn_on = min(on_churn)
     guard_ns = _guard_ns()
     guard_s = guard_ns * 1e-9
-
-    soak_off = bench_service_soak(
-        n, duration_s=soak_duration_s, clients=clients, seed=seed
-    )
-    recorder = _trace.SpanRecorder(capacity=1_000_000)
-    _trace.install(recorder)
-    try:
-        soak_on = bench_service_soak(
-            n, duration_s=soak_duration_s, clients=clients, seed=seed
-        )
-    finally:
-        _trace.uninstall()
-    soak_spans = len(recorder.spans)
-    spans_per_event = soak_spans / max(soak_on["events"], 1)
-    off_eps = soak_off["events_per_s"]
-    on_eps = soak_on["events_per_s"]
+    off_eps = max(off_soak)
+    on_eps = max(on_soak)
     return {
         "batch": batch,
         "rounds": rounds,
@@ -971,7 +973,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         default=DEFAULT_TRACE_SOAK_DURATION,
                         help="seconds of soak per tracing mode")
     parser.add_argument("--trace-repeats", type=int, default=5,
-                        help="interleaved off/on churn repeats (best-of)")
+                        help="interleaved off/on churn and soak repeats (best-of)")
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("BENCH_perf.json"))
     args = parser.parse_args(argv)
 

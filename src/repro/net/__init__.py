@@ -5,7 +5,7 @@ congestion-scheduled routing).
 """
 
 from repro.net.topology import DynamicMultigraph
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 from repro.net.message import Message
 from repro.net.engine import SyncEngine, NodeProc
 from repro.net.walks import WalkResult, random_walk
@@ -15,7 +15,6 @@ from repro.net.routing import route_cost, permutation_routing
 __all__ = [
     "DynamicMultigraph",
     "CostLedger",
-    "MetricsLog",
     "Message",
     "SyncEngine",
     "NodeProc",

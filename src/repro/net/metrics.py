@@ -1,15 +1,14 @@
 """Cost accounting: rounds, messages and topology changes per step.
 
 Theorem 1 bounds exactly these three quantities, so every primitive in
-the library reports its consumption into a :class:`CostLedger`, and the
-per-step ledgers accumulate into a :class:`MetricsLog` that the harness
-and the benchmarks summarize.
+the library reports its consumption into a :class:`CostLedger`.  One
+ledger is one step's value record; the step's report
+(``DexNetwork.reports[i].costs``) is where it is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 
 @dataclass
@@ -24,16 +23,6 @@ class CostLedger:
     retries: int = 0
     floods: int = 0
     coordinator_updates: int = 0
-
-    def add(self, other: "CostLedger") -> None:
-        self.rounds += other.rounds
-        self.messages += other.messages
-        self.topology_changes += other.topology_changes
-        self.walks += other.walks
-        self.walk_hops += other.walk_hops
-        self.retries += other.retries
-        self.floods += other.floods
-        self.coordinator_updates += other.coordinator_updates
 
     def charge_walk(self, hops: int) -> None:
         """A token walk of ``hops`` hops: one message and one round per hop
@@ -79,33 +68,3 @@ class CostLedger:
             "floods": self.floods,
             "coordinator_updates": self.coordinator_updates,
         }
-
-
-@dataclass
-class MetricsLog:
-    """Per-step history of ledgers plus derived summaries."""
-
-    ledgers: list[CostLedger] = field(default_factory=list)
-
-    def append(self, ledger: CostLedger) -> None:
-        self.ledgers.append(ledger)
-
-    def totals(self) -> CostLedger:
-        total = CostLedger()
-        for ledger in self.ledgers:
-            total.add(ledger)
-        return total
-
-    def series(self, attribute: str) -> list[int]:
-        return [getattr(ledger, attribute) for ledger in self.ledgers]
-
-    def amortized(self, attribute: str) -> float:
-        if not self.ledgers:
-            return 0.0
-        return sum(self.series(attribute)) / len(self.ledgers)
-
-    def worst(self, attribute: str) -> int:
-        return max(self.series(attribute), default=0)
-
-    def extend(self, other: Iterable[CostLedger]) -> None:
-        self.ledgers.extend(other)

@@ -1,13 +1,12 @@
 """One metrics registry: counters, gauges, and exact-quantile
 histograms with JSON and Prometheus-text exposition.
 
-Before this module each surface kept private counters --
-``ServiceMetrics`` its deques, ``CostLedger`` its ints, the policies
-their state dicts, the router its rid bookkeeping -- and every consumer
-(serve table, soak row, campaign series) re-derived summaries from a
-different window.  The registry is the meeting point: producers publish
-into named metrics, every exposition renders the *same* samples, so two
-views of one quantity can never disagree.
+The registry is the one store of every serving-tier count: producers
+update named instruments in place (``ServiceMetrics`` its ack histogram
+and counters, the flush core its checkpoint counters, the router its
+handoff ledger), and every view -- snapshot row, serve table,
+exposition -- reads the *same* instrument, so two views of one quantity
+can never disagree.
 
 Histograms keep a bounded sample window and compute **exact** quantiles
 (sort + linear interpolation, bit-matching ``numpy.quantile``'s default
@@ -56,9 +55,7 @@ def _prom_name(name: str) -> str:
 
 
 class Counter:
-    """A monotone total.  ``set_total`` exists for publish-on-read
-    producers that keep the authoritative count elsewhere (e.g.
-    ``CostLedger`` fields synced at exposition time)."""
+    """A monotone total."""
 
     __slots__ = ("name", "help", "value")
 
@@ -71,9 +68,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (by {amount})")
         self.value += amount
-
-    def set_total(self, total: float) -> None:
-        self.value = total
 
 
 class Gauge:
@@ -165,9 +159,6 @@ class Histogram:
         marks = self.window_samples
         self.window_samples = []
         return marks
-
-    def reset_window(self) -> None:
-        self.window_samples = []
 
     def clear(self) -> None:
         self.samples.clear()

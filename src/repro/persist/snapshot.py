@@ -73,6 +73,10 @@ SNAPSHOT_SCHEMA = "dex-snapshot/1"
 MANIFEST_NAME = "manifest.json"
 _CKPT_PREFIX = "ckpt-"
 
+#: a DexConfig field since removed, with the one value it ever held
+#: (the chunk then, as now, was ``ceil(1/theta)``)
+_REMOVED_FIELD = ("stagger_chunk", None)
+
 
 # ----------------------------------------------------------------------
 # low-level durability helpers
@@ -356,7 +360,10 @@ def _assemble(path: Path) -> DexNetwork:
     _check_pair_symmetry(path, src, dst, mult)
 
     try:
-        config = DexConfig(**manifest["config"])
+        # the removed field at its only value is dropped, so older
+        # checkpoints stay restorable; any other value is refused
+        fields = {k: v for k, v in manifest["config"].items() if (k, v) != _REMOVED_FIELD}
+        config = DexConfig(**fields)
     except Exception as exc:  # ConfigError or TypeError on foreign keys
         raise CorruptSnapshot(f"{path}: bad config: {exc}") from exc
 
@@ -529,6 +536,15 @@ def prune_checkpoints(root: str | Path, keep: int) -> list[Path]:
 # ----------------------------------------------------------------------
 # test oracle
 # ----------------------------------------------------------------------
+def _recorded_config(config: DexConfig) -> dict:
+    """``asdict(config)`` in the field layout the recorded state digests
+    hash: the removed field back in its place after ``fidelity``, so a
+    digest pins the state, not the dataclass's field list."""
+    items = list(dataclasses.asdict(config).items())
+    at = [key for key, _value in items].index("fidelity") + 1
+    return dict(items[:at] + [_REMOVED_FIELD] + items[at:])
+
+
 def state_fingerprint(net: DexNetwork) -> dict:
     """An order-sensitive structural digest of everything a snapshot
     round-trips: container contents *and iteration orders*, aggregates,
@@ -552,6 +568,6 @@ def state_fingerprint(net: DexNetwork) -> dict:
         "step_count": net.step_count,
         "next_id": net._next_id,
         "p": net.p,
-        "config": dataclasses.asdict(net.config),
+        "config": _recorded_config(net.config),
         "rng": net.rng.getstate(),
     }

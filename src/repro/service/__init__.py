@@ -25,12 +25,7 @@ from repro.service.loadgen import (
     poisson_load,
     saturating_load,
 )
-from repro.service.metrics import (
-    FlushRecord,
-    ServiceMetrics,
-    aggregate_snapshots,
-    exact_quantile,
-)
+from repro.service.metrics import ServiceMetrics, aggregate_snapshots, exact_quantile
 from repro.service.router import (
     InlineShardHandle,
     ProcessShardHandle,
@@ -118,7 +113,6 @@ __all__ = [
     "RetryPolicy",
     "poisson_load",
     "saturating_load",
-    "FlushRecord",
     "ServiceMetrics",
     "aggregate_snapshots",
     "exact_quantile",

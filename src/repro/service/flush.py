@@ -181,8 +181,12 @@ class FlushCore(Generic[R]):
         #: to the tap -- the property the fault harness's journal relies
         #: on.  Must not raise.
         self.on_ack = on_ack
-        self.checkpoints_written = 0
-        self.checkpoint_errors = 0
+        self._checkpoints_written = self.metrics.registry.counter(
+            "dex.checkpoints_written_total", "checkpoints written"
+        )
+        self._checkpoint_errors = self.metrics.registry.counter(
+            "dex.checkpoint_errors_total", "checkpoint attempts that failed"
+        )
         self.last_checkpoint: Path | None = None
         self._flushes_since_checkpoint = 0
         self._queue: deque[R] = deque()
@@ -240,6 +244,14 @@ class FlushCore(Generic[R]):
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
+
+    @property
+    def checkpoints_written(self) -> int:
+        return int(self._checkpoints_written.value)
+
+    @property
+    def checkpoint_errors(self) -> int:
+        return int(self._checkpoint_errors.value)
 
     def door_reason(self) -> str | None:
         """At-the-door admission: the hard queue limit first, then the
@@ -460,9 +472,7 @@ class FlushCore(Generic[R]):
                     request,
                     Ack(reason is None, kind, nodes[index], reason, latency, size),
                 )
-            self.metrics.record_flush(
-                kind, size, len(outcome.accepted), len(outcome.rejected), heal_s
-            )
+            self.metrics.record_flush(size, heal_s)
         if root is not None:
             rec.finish(root)
         now = self._clock()
@@ -583,7 +593,7 @@ class FlushCore(Generic[R]):
             self.on_before_checkpoint(self.net.step_count)
         path = save_snapshot(self.net, self.checkpoint_dir)
         prune_checkpoints(self.checkpoint_dir, self.checkpoint_keep)
-        self.checkpoints_written += 1
+        self._checkpoints_written.inc()
         self.last_checkpoint = path
         if self.on_checkpoint is not None:
             self.on_checkpoint(self.net.step_count, path)
@@ -601,5 +611,5 @@ class FlushCore(Generic[R]):
         try:
             return self.checkpoint_now()
         except (SnapshotError, OSError):
-            self.checkpoint_errors += 1
+            self._checkpoint_errors.inc()
             return None

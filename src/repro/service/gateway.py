@@ -351,17 +351,10 @@ class MembershipGateway(FlushCore[Request]):
         }
 
     def publish_registry(self) -> "MetricsRegistry":
-        """Sync the gateway's whole observable state -- service
-        counters, admission-policy state, checkpoint/queue gauges --
-        into the metrics registry and return it (the ``serve
-        --metrics-out`` exposition surface)."""
-        registry = self.metrics.publish_registry()
-        registry.counter(
-            "dex.checkpoints_written_total", "checkpoints written"
-        ).set_total(self.checkpoints_written)
-        registry.counter(
-            "dex.checkpoint_errors_total", "checkpoint attempts that failed"
-        ).set_total(self.checkpoint_errors)
+        """The registry every gateway instrument lives in, with the
+        gauges of live state -- queue depth, admission-policy state --
+        set now (the ``serve --metrics-out`` exposition surface)."""
+        registry = self.metrics.registry
         registry.gauge(
             "dex.queue_depth", "requests currently queued"
         ).set(len(self._queue))

@@ -132,18 +132,6 @@ class LoadStats:
         elif reason.startswith(_DEADLINE):
             self.deadline_timeouts += 1
 
-    def merge(self, other: "LoadStats") -> None:
-        self.offered += other.offered
-        self.completed += other.completed
-        self.ok += other.ok
-        self.rejected += other.rejected
-        self.backpressure += other.backpressure
-        self.shed += other.shed
-        self.deadline_timeouts += other.deadline_timeouts
-        self.retries += other.retries
-        for reason, count in other.reasons.items():
-            self.reasons[reason] = self.reasons.get(reason, 0) + count
-
     @property
     def completed_per_s(self) -> float:
         """Raw completion throughput: every answered request per second,

@@ -48,6 +48,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import GatewayClosed, ShardError
 from repro.obs import trace as _trace
+from repro.obs.registry import MetricsRegistry
 from repro.service.flush import DEADLINE_REASON, DEFAULT_QUEUE_LIMIT, Ack
 from repro.service.metrics import ServiceMetrics, aggregate_snapshots
 from repro.service.shard import (
@@ -261,12 +262,14 @@ class ShardRouter:
         #: shard -> its latest start report (``nodes`` dropped: the
         #: cluster view absorbed them) -- size, step, restored-from
         self.ready: dict[int, dict] = {}
-        # handoff accounting (audited: attempted == terminal outcomes)
-        self.handoffs_attempted = 0
-        self.handoffs_committed = 0
-        self.handoffs_rejected = 0
-        self.handoffs_expired = 0
-        self.shard_failures = 0
+        #: the handoff ledger, one registry counter per outcome (audited:
+        #: attempted == terminal outcomes + in flight) plus shard failures
+        self._handoffs = {
+            name: self.metrics.registry.counter(
+                f"dex.handoffs.{name}", f"two-phase handoff ledger: {name}"
+            )
+            for name in ("attempted", "committed", "rejected", "expired", "shard_failures")
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -383,7 +386,7 @@ class ShardRouter:
         if index in self._down:
             return
         self._down[index] = why
-        self.shard_failures += 1
+        self._handoffs["shard_failures"].inc()
         reason = f"shard {index} unavailable ({why})"
         for rid in [r for r, p in self._pending.items() if p.shard == index]:
             self._answer_pending(self._pending.pop(rid), reason)
@@ -770,7 +773,7 @@ class ShardRouter:
         deadline_ms: float | None,
         root: "_trace.Span | None",
     ) -> Ack:
-        self.handoffs_attempted += 1
+        self._handoffs["attempted"].inc()
         started_at = self._clock()
         deadline_at = (
             started_at + deadline_ms / 1e3 if deadline_ms is not None else None
@@ -792,10 +795,10 @@ class ShardRouter:
                 # fire-and-forget the unwind (the TTL backstops it)
                 self._control(owner, "release", rid=rid, node=node)
                 return self._expire_handoff(node, started_at)
-            self.handoffs_rejected += 1
+            self._handoffs["rejected"].inc()
             return self._door_ack("join", node, f"shard {owner} unavailable")
         if not reserve["ok"]:
-            self.handoffs_rejected += 1
+            self._handoffs["rejected"].inc()
             return self._door_ack("join", node, reserve["reason"])
         if self._handoff_expired(deadline_at):
             await self._control(owner, "release", rid=rid, node=node)
@@ -814,7 +817,7 @@ class ShardRouter:
             await self._control(owner, "release", rid=rid, node=node)
             if pin is None and self._handoff_expired(deadline_at):
                 return self._expire_handoff(node, started_at)
-            self.handoffs_rejected += 1
+            self._handoffs["rejected"].inc()
             reason = (
                 pin["reason"]
                 if pin is not None
@@ -842,11 +845,11 @@ class ShardRouter:
         )
         await self._control(hint_owner, "unpin", rid=rid, node=hint)
         if ack.ok:
-            self.handoffs_committed += 1
+            self._handoffs["committed"].inc()
         elif ack.reason == DEADLINE_REASON:
-            self.handoffs_expired += 1
+            self._handoffs["expired"].inc()
         else:
-            self.handoffs_rejected += 1
+            self._handoffs["rejected"].inc()
         return ack
 
     def _handoff_expired(self, deadline_at: float | None) -> bool:
@@ -860,7 +863,7 @@ class ShardRouter:
         return ttl_at if deadline_at is None else min(ttl_at, deadline_at)
 
     def _expire_handoff(self, node: NodeId, started_at: float) -> Ack:
-        self.handoffs_expired += 1
+        self._handoffs["expired"].inc()
         self.metrics.record_timeout()
         latency = self._clock() - started_at
         self.metrics.record_ack(latency, ok=False)
@@ -927,15 +930,15 @@ class ShardRouter:
             await wait
         self.metrics.reset()
 
-    def publish_registry(self):
-        """Sync router-side counters -- end-to-end service metrics, the
-        handoff ledger, rid bookkeeping -- into the registry and return
-        it."""
-        registry = self.metrics.publish_registry()
-        for name, value in self.handoff_stats().items():
-            registry.gauge(
-                f"dex.handoffs.{name}", f"two-phase handoff ledger: {name}"
-            ).set(value)
+    def publish_registry(self) -> MetricsRegistry:
+        """The registry every router instrument lives in (end-to-end
+        service metrics, the handoff ledger), with the gauges of live
+        state -- handoffs in flight, rid bookkeeping, down shards -- set
+        now."""
+        registry = self.metrics.registry
+        registry.gauge(
+            "dex.handoffs.in_flight", "two-phase handoff ledger: in_flight"
+        ).set(self.handoff_stats()["in_flight"])
         registry.gauge(
             "dex.router.pending_rids", "rid-correlated requests in flight"
         ).set(len(self._pending))
@@ -948,16 +951,15 @@ class ShardRouter:
         return registry
 
     def handoff_stats(self) -> dict:
+        count = {name: int(c.value) for name, c in self._handoffs.items()}
+        terminal = count["committed"] + count["rejected"] + count["expired"]
         return {
-            "attempted": self.handoffs_attempted,
-            "committed": self.handoffs_committed,
-            "rejected": self.handoffs_rejected,
-            "expired": self.handoffs_expired,
-            "in_flight": self.handoffs_attempted
-            - self.handoffs_committed
-            - self.handoffs_rejected
-            - self.handoffs_expired,
-            "shard_failures": self.shard_failures,
+            "attempted": count["attempted"],
+            "committed": count["committed"],
+            "rejected": count["rejected"],
+            "expired": count["expired"],
+            "in_flight": count["attempted"] - terminal,
+            "shard_failures": count["shard_failures"],
         }
 
     async def stats(self) -> dict:

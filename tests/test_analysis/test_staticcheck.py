@@ -377,6 +377,109 @@ class TestUnusedImportRule:
         assert hits == [("core/mod.py", 4)]
 
 
+class TestUntypedDefRule:
+    RULE = "typing/untyped-def"
+    PYPROJECT = """
+        [tool.mypy]
+        mypy_path = "src"
+        packages = ["pkg.core", "pkg.types"]
+        """
+
+    def flagged(self, tmp_path, files: dict[str, str], pyproject: bool = True) -> list:
+        tree = {f"src/pkg/{rel}": source for rel, source in files.items()}
+        if pyproject:
+            tree["pyproject.toml"] = self.PYPROJECT
+        make_tree(tmp_path, tree)
+        report = check_paths([tmp_path / "src" / "pkg"])
+        return [(f.rel, f.line, f.message) for f in findings_of(report, self.RULE)]
+
+    def test_scope_is_the_mypy_package_list(self, tmp_path):
+        untyped = "def f(x):\n    return x\n"
+        hits = self.flagged(
+            tmp_path,
+            {"core/mod.py": untyped, "types.py": untyped, "harness/mod.py": untyped},
+        )
+        # a listed package and a listed module are gated; harness is not
+        assert [(rel, line) for rel, line, _ in hits] == [("core/mod.py", 1), ("types.py", 1)]
+
+    def test_no_pyproject_gates_nothing(self, tmp_path):
+        assert self.flagged(tmp_path, {"core/mod.py": "def f(x):\n    pass\n"}, False) == []
+
+    def test_unparsable_pyproject_gates_nothing_and_does_not_crash(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text("[tool.mypy\n", encoding="utf-8")
+        assert self.flagged(tmp_path, {"core/mod.py": "def f(x):\n    pass\n"}, False) == []
+
+    def test_missing_return_is_flagged(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    def bad(x: int):
+                        return x
+
+                    async def good(x: int) -> int:
+                        return x
+                    """,
+            },
+        )
+        assert hits == [("core/mod.py", 2, "`bad` lacks annotations for: return")]
+
+    def test_every_parameter_but_a_leading_self_or_cls(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    class C:
+                        def method(self, a: int) -> None:
+                            pass
+
+                        @classmethod
+                        def build(cls) -> "C":
+                            return cls()
+
+                        def loose(self, a, *args: int, b, **kw) -> None:
+                            pass
+                    """,
+            },
+        )
+        assert hits == [("core/mod.py", 10, "`loose` lacks annotations for: a, b, kw")]
+
+    def test_nested_defs_are_checked(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    def outer() -> None:
+                        def typed(x: int) -> int:
+                            return x
+
+                        def helper(x):
+                            return x
+                    """,
+            },
+        )
+        assert [(line, message) for _, line, message in hits] == [
+            (6, "`helper` lacks annotations for: x, return")
+        ]
+
+    def test_init_return_may_go_once_a_parameter_is_annotated(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            {
+                "core/mod.py": """
+                    class A:
+                        def __init__(self, x: int):
+                            self.x = x
+
+                    class B:
+                        def __init__(self):
+                            self.x = 0
+                    """,
+            },
+        )
+        assert hits == [("core/mod.py", 7, "`__init__` lacks annotations for: return")]
+
+
 class TestSuppressions:
     BAD_CORE = """
         import random

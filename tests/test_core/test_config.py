@@ -30,10 +30,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DexConfig(fidelity="quantum")
 
-    def test_chunk_validated(self):
-        with pytest.raises(ConfigError):
-            DexConfig(stagger_chunk=0)
-
 
 class TestDerived:
     def test_load_thresholds(self):
@@ -54,7 +50,6 @@ class TestDerived:
 
     def test_chunk_default_is_inverse_theta(self):
         assert DexConfig(theta=0.02).chunk_size == 50
-        assert DexConfig(theta=0.02, stagger_chunk=7).chunk_size == 7
 
     def test_paper_preset(self):
         config = DexConfig.paper()

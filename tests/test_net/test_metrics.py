@@ -1,6 +1,6 @@
-"""Cost ledgers and the per-step metrics log."""
+"""Cost ledgers: what each charge adds to one step's record."""
 
-from repro.net.metrics import CostLedger, MetricsLog
+from repro.net.metrics import CostLedger
 
 
 class TestCostLedger:
@@ -33,42 +33,9 @@ class TestCostLedger:
         assert ledger.rounds == 7
         assert ledger.messages == 43
 
-    def test_add_accumulates_all_fields(self):
-        a = CostLedger(rounds=1, messages=2, topology_changes=3, walks=4)
-        b = CostLedger(rounds=10, messages=20, topology_changes=30, walks=40)
-        a.add(b)
-        assert (a.rounds, a.messages, a.topology_changes, a.walks) == (11, 22, 33, 44)
-
     def test_as_dict_roundtrip(self):
         ledger = CostLedger(rounds=5, retries=2)
         d = ledger.as_dict()
         assert d["rounds"] == 5 and d["retries"] == 2
         assert set(d) >= {"rounds", "messages", "topology_changes", "walks"}
 
-
-class TestMetricsLog:
-    def _log(self):
-        log = MetricsLog()
-        for messages in (10, 20, 60):
-            log.append(CostLedger(messages=messages, rounds=messages // 10))
-        return log
-
-    def test_totals(self):
-        assert self._log().totals().messages == 90
-
-    def test_series_and_amortized(self):
-        log = self._log()
-        assert log.series("messages") == [10, 20, 60]
-        assert log.amortized("messages") == 30.0
-        assert log.worst("messages") == 60
-
-    def test_empty_log(self):
-        log = MetricsLog()
-        assert log.amortized("messages") == 0.0
-        assert log.worst("rounds") == 0
-        assert log.totals().messages == 0
-
-    def test_extend(self):
-        log = MetricsLog()
-        log.extend([CostLedger(messages=1), CostLedger(messages=2)])
-        assert log.totals().messages == 3

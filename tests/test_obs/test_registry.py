@@ -26,11 +26,6 @@ class TestScalars:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_counter_set_total_for_publish_on_read(self):
-        c = Counter("c")
-        c.set_total(42)
-        assert c.value == 42
-
     def test_gauge_set_and_inc(self):
         g = Gauge("g")
         g.set(7)
@@ -137,14 +132,14 @@ class TestRegistry:
 
     def test_prometheus_exposition_shape(self):
         reg = MetricsRegistry()
-        reg.counter("dex.acks_total", "resolved requests").inc(5)
+        reg.counter("dex.shed_total", "shed requests").inc(5)
         reg.gauge("dex.queue-depth").set(2)
         h = reg.histogram("dex.ack_latency_seconds", "ack latency")
         h.observe(0.5)
         text = reg.render_prometheus()
-        assert "# HELP dex_acks_total resolved requests" in text
-        assert "# TYPE dex_acks_total counter" in text
-        assert "dex_acks_total 5" in text
+        assert "# HELP dex_shed_total shed requests" in text
+        assert "# TYPE dex_shed_total counter" in text
+        assert "dex_shed_total 5" in text
         assert "dex_queue_depth 2" in text  # dots and dashes normalised
         assert 'dex_ack_latency_seconds{quantile="0.5"} 0.5' in text
         assert "dex_ack_latency_seconds_count 1" in text

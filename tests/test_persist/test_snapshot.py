@@ -160,6 +160,27 @@ class TestCorruption:
         with pytest.raises(CorruptSnapshot, match="edge units"):
             load_snapshot(path)
 
+    def rewrite_config(self, path, **fields) -> None:
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["config"].update(fields)
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True))
+
+    def test_removed_chunk_field_at_its_old_default_still_restores(self, tmp_path):
+        """Manifests store ``asdict(config)``, so one written while
+        DexConfig still had ``stagger_chunk`` carries it as ``null``
+        (nothing ever set it); that checkpoint must stay restorable."""
+        net, path = self.checkpoint(tmp_path)
+        self.rewrite_config(path, stagger_chunk=None)
+        assert state_fingerprint(load_snapshot(path)) == state_fingerprint(net)
+
+    def test_removed_chunk_field_with_a_value_is_refused(self, tmp_path):
+        """A chunk other than ceil(1/theta) is a config this code cannot
+        honour: refused, not silently replaced by the derived chunk."""
+        _, path = self.checkpoint(tmp_path)
+        self.rewrite_config(path, stagger_chunk=7)
+        with pytest.raises(CorruptSnapshot, match="bad config"):
+            load_snapshot(path)
+
     def test_restore_latest_falls_back_to_older_checkpoint(self, tmp_path):
         net = make_net()
         churn(net, random.Random(2), 20)

@@ -98,9 +98,10 @@ class TestFakeClock:
             core.enqueue(Request("join", None, None, ticket))
         core.flush_once()
         assert [ack.ok for _t, ack in core.acks] == [True] * 3
-        assert core.metrics.flushes[-1].heal_s == pytest.approx(0.25)
         assert observed == [pytest.approx(0.25)]
-        assert core.metrics.heal_s == pytest.approx(0.25)
+        snap = core.metrics.snapshot()
+        assert snap["batches"] == 1
+        assert snap["heal_s"] == pytest.approx(0.25)
 
     def test_deadline_expiring_before_the_heal_is_answered_not_healed(self):
         clock = FakeClock()
@@ -117,7 +118,7 @@ class TestFakeClock:
         )
         assert net.graph.has_node(victim)  # never healed late
         assert answers["patient"].ok
-        assert core.metrics.deadline_timeouts == 1
+        assert core.metrics.snapshot()["deadline_timeouts"] == 1
 
     def test_engine_exception_fails_flushed_and_queued_and_closes_the_core(self):
         net = bootstrap()

@@ -154,9 +154,15 @@ class TestMicroBatching:
             return net, gw.metrics, acks
 
         net, metrics, acks = run(scenario())
-        # 8 interleaved requests -> exactly two kind-segregated flushes
-        assert [f.submitted for f in metrics.flushes] == [4, 4]
-        assert {f.kind for f in metrics.flushes} == {"join", "leave"}
+        # 8 interleaved requests -> exactly two kind-segregated flushes:
+        # one wave of 4 joins (n rises by 4), then one of 4 leaves
+        snap = metrics.snapshot()
+        assert snap["batches"] == 2 and snap["mean_batch"] == 4
+        assert snap["heal_s"] > 0
+        joins, leaves = net.reports[-2:]
+        assert len(net.reports) == 2
+        assert joins.n_after == 48 + 4
+        assert leaves.n_after < joins.n_after
         # every request resolved individually; the joins all heal, and a
         # leave may be legitimately rejected per-request (e.g. it would
         # strand a freshly joined neighbor) without poisoning its batch
@@ -229,7 +235,7 @@ class TestBackpressure:
             a.reason == MembershipGateway.BACKPRESSURE_REASON for a in rejected
         )
         assert all(a.batch_size == 0 for a in rejected)
-        assert metrics.backpressure_rejections == 6
+        assert metrics.snapshot()["backpressure"] == 6
         checked(net)
 
     def test_overload_raise_policy(self):
@@ -300,7 +306,7 @@ class TestOverloadDrain:
         net, metrics, stats = run(scenario())
         assert stats.completed == stats.offered  # nobody left hanging
         assert stats.ok > 0 and stats.backpressure > 0
-        assert metrics.backpressure_rejections == stats.backpressure
+        assert metrics.snapshot()["backpressure"] == stats.backpressure
         checked(net)
 
     def test_sustained_overload_raise_answers_everyone(self):

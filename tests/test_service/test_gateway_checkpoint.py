@@ -272,11 +272,12 @@ class TestFromCheckpoint:
         now = [1000.0]
         clock = lambda: now[0]  # noqa: E731 - injectable test clock
         stale = ServiceMetrics(clock=clock, started_at=0.0)
-        stale._window_acks = [0.5]  # stale samples from "before the crash"
+        stale.record_ack(0.5, ok=True)  # a stale sample from "before the crash"
         gateway = MembershipGateway.from_checkpoint(tmp_path, metrics=stale)
         # reset_windows re-anchored started_at at *now*, not at 0.0
         assert gateway.metrics.started_at == 1000.0
-        assert gateway.metrics._window_acks == []
+        hist = gateway.metrics.registry.histogram("dex.ack_latency_seconds")
+        assert hist.window_samples == []
         now[0] = 1002.0
         assert gateway.metrics.snapshot()["elapsed_s"] == 2.0
         assert gateway.metrics.window()["events"] == 0

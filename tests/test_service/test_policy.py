@@ -188,7 +188,7 @@ class TestShedOldestGateway:
         for ack in acks[:4]:
             assert ack.reason == MembershipGateway.SHED_REASON
             assert ack.batch_size == 0
-        assert gw.metrics.shed_events == 4
+        assert gw.metrics.snapshot()["shed"] == 4
         assert gw.policy.shed_total == 4
         assert net.size == 32 + 4
         checked(net)
@@ -269,7 +269,7 @@ class TestDeadlines:
         assert not ack.ok
         assert ack.reason == MembershipGateway.DEADLINE_REASON
         assert ack.latency_s >= 0.020
-        assert gw.metrics.deadline_timeouts == 1
+        assert gw.metrics.snapshot()["deadline_timeouts"] == 1
         assert net.size == size_before
         checked(net)
 

@@ -146,6 +146,29 @@ class TestHandoff:
 
         run(scenario())
 
+    def test_handoff_ledger_lives_in_the_registry(self):
+        """One store per fact: the handoff counters are registry
+        instruments, so with no publish step the registry holds what
+        handoff_stats() reports."""
+
+        async def scenario():
+            router, servers, _ = make_cluster()
+            await router.start()
+            try:
+                hint = min(servers[1].net.nodes())
+                ghost = servers[1].net.fresh_id()  # owned, not live
+                await router.join(node_id=servers[0].net.fresh_id(), attach_hint=hint)
+                await router.join(node_id=servers[0].net.fresh_id(), attach_hint=ghost)
+                return router.handoff_stats(), router.metrics.registry.as_dict()
+            finally:
+                await router.drain()
+
+        stats, exposed = run(scenario())
+        assert stats["attempted"] == 2
+        assert stats["committed"] == stats["rejected"] == 1
+        for name in ("attempted", "committed", "rejected", "expired", "shard_failures"):
+            assert exposed["counters"][f"dex.handoffs.{name}"] == stats[name]
+
     def test_missing_hint_unwinds_the_reservation(self):
         async def scenario():
             router, servers, _ = make_cluster()
@@ -190,7 +213,7 @@ class TestHandoff:
                     node_id=node, attach_hint=hint, deadline_ms=0.0
                 )
                 assert not ack.ok and ack.reason == DEADLINE_REASON
-                assert router.handoffs_expired == 1
+                assert router.handoff_stats()["expired"] == 1
                 assert not servers[0].reservations
                 assert not servers[0].net.graph.has_node(node)
             finally:
@@ -233,7 +256,7 @@ class TestFailureContainment:
                 router.handles[1].kill()
                 await asyncio.sleep(0.05)  # let the reader see EOF
                 assert not router.shard_is_live(1)
-                assert router.shard_failures == 1
+                assert router.handoff_stats()["shard_failures"] == 1
                 # the dead region answers -- a rejection, not a hang
                 ack = await router.leave(victim_node)
                 assert not ack.ok and "shard 1 unavailable" in ack.reason

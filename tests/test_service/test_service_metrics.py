@@ -80,8 +80,8 @@ class TestServiceMetrics:
         for latency in (0.010, 0.020, 0.030, 0.040):
             metrics.record_ack(latency, ok=True)
         metrics.record_ack(0.050, ok=False)
-        metrics.record_flush("join", 4, 4, 0, heal_s=0.004)
-        metrics.record_flush("leave", 1, 0, 1, heal_s=0.001)
+        metrics.record_flush(4, heal_s=0.004)
+        metrics.record_flush(1, heal_s=0.001)
         metrics.record_enqueue(3)
         metrics.record_enqueue(5)
         clock.now += 2.0
@@ -132,8 +132,6 @@ class TestServiceMetrics:
         clock = _FakeClock()
         metrics = ServiceMetrics(clock=clock)
         hist = metrics.registry.histogram("dex.ack_latency_seconds")
-        # the public deque IS the histogram's sample store
-        assert metrics.ack_latencies_s is hist.samples
         for latency in (0.010, 0.020, 0.030, 0.040, 0.050):
             metrics.record_ack(latency, ok=True)
         clock.now += 1.0
@@ -142,16 +140,16 @@ class TestServiceMetrics:
         assert snap["ack_p50_ms"] == pytest.approx(summary["p50"] * 1e3)
         assert snap["ack_p99_ms"] == pytest.approx(summary["p99"] * 1e3)
         assert snap["events"] == summary["count"]
-        text = metrics.render_exposition()
+        text = metrics.registry.render_prometheus()
         assert "dex_ack_latency_seconds_count 5" in text
         assert 'dex_ack_latency_seconds{quantile="0.5"} 0.03' in text
-        assert "dex_acks_total 5" in text
+        assert "dex_acks_accepted_total 5" in text
         # window() consumes the histogram's rolling mark
         row = metrics.window()
         assert row["events"] == 5
         assert hist.window_samples == []
         # exposition quantiles stay cumulative after the window reset
-        assert 'quantile="0.5"} 0.03' in metrics.render_exposition()
+        assert 'quantile="0.5"} 0.03' in metrics.registry.render_prometheus()
 
     def test_snapshot_quantiles_equal_naive_sort_every_call(self):
         """PR 10 satellite: the memoized sort is an optimisation, not an
@@ -162,6 +160,7 @@ class TestServiceMetrics:
 
         clock = _FakeClock()
         metrics = ServiceMetrics(clock=clock)
+        hist = metrics.registry.histogram("dex.ack_latency_seconds")
         rng = random.Random(41)
         for round_no in range(4):
             for _ in range(50):
@@ -169,7 +168,7 @@ class TestServiceMetrics:
             clock.now += 1.0
             for _ in range(2):  # second call exercises the memo path
                 snap = metrics.snapshot()
-                naive = sorted(metrics.ack_latencies_s)
+                naive = sorted(hist.samples)
                 for col, q in (
                     ("ack_p50_ms", 0.50),
                     ("ack_p90_ms", 0.90),
@@ -205,7 +204,7 @@ class TestServiceMetrics:
         clock = _FakeClock()
         metrics = ServiceMetrics(clock=clock)
         metrics.record_ack(0.010, ok=True)
-        metrics.record_flush("join", 1, 1, 0, 0.001)
+        metrics.record_flush(1, 0.001)
         clock.now += 50.0  # the old process's lifetime + restore time
         metrics.reset_windows()
         clock.now += 2.0
@@ -215,3 +214,68 @@ class TestServiceMetrics:
         window = metrics.window()
         assert window["events"] == 0
         assert window["elapsed_s"] == pytest.approx(2.0)  # since the reset, not 52
+
+    def test_registry_instruments_are_the_snapshot_store(self):
+        """One store per fact: recording updates registry instruments in
+        place, so with no publish step the registry's counters and
+        gauges are the snapshot's columns -- and reset() zeroes them."""
+        clock = _FakeClock()
+        metrics = ServiceMetrics(clock=clock)
+        metrics.record_enqueue(2)
+        metrics.record_enqueue(4)
+        metrics.record_ack(0.010, ok=True)
+        metrics.record_ack(0.030, ok=True)
+        metrics.record_ack(0.020, ok=False)
+        metrics.record_flush(3, heal_s=0.25)
+        metrics.record_shed()
+        metrics.record_timeout()
+        metrics.record_timeout()
+        metrics.record_backpressure()
+        metrics.record_retry()
+        metrics.record_flush(1, heal_s=0.5)
+        clock.now += 2.0
+        snap = metrics.snapshot()
+        exposed = metrics.registry.as_dict()
+        assert exposed["counters"] == {
+            "dex.acks_accepted_total": snap["accepted"],
+            "dex.acks_rejected_total": snap["rejected"],
+            "dex.backpressure_total": snap["backpressure"],
+            "dex.shed_total": snap["shed"],
+            "dex.deadline_timeouts_total": snap["deadline_timeouts"],
+            "dex.retries_total": snap["retries"],
+            "dex.batches_total": snap["batches"],
+        }
+        assert exposed["gauges"] == {
+            "dex.heal_seconds_total": snap["heal_s"],
+            "dex.queue_depth_max": snap["queue_depth_max"],
+        }
+        assert exposed["histograms"]["dex.ack_latency_seconds"]["count"] == snap["events"]
+        assert snap == {
+            "elapsed_s": 2.0,
+            "events": 3,
+            "events_per_s": 1.5,
+            "accepted": 2,
+            "rejected": 1,
+            "backpressure": 1,
+            "shed": 1,
+            "deadline_timeouts": 2,
+            "retries": 1,
+            "ack_p50_ms": 20.0,
+            "ack_p90_ms": 28.0,
+            "ack_p99_ms": 29.8,
+            "ack_max_ms": 30.0,
+            "ack_mean_ms": 20.0,
+            "batches": 2,
+            "mean_batch": 2.0,
+            "max_batch_seen": 3,
+            "queue_depth_max": 4,
+            "queue_depth_mean": 3.0,
+            "heal_s": 0.75,
+            "heal_utilization": 0.375,
+            "goodput_per_s": 1.0,
+        }
+        metrics.reset()
+        exposed = metrics.registry.as_dict()
+        assert set(exposed["counters"].values()) == {0}
+        assert set(exposed["gauges"].values()) == {0}
+        assert exposed["histograms"]["dex.ack_latency_seconds"]["count"] == 0

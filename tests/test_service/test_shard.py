@@ -133,7 +133,7 @@ class TestFlushLoop:
         assert acks[0]["reason"] == DEADLINE_REASON
         assert server.queue_depth == 0
         assert server.net.size == size_before
-        assert server.metrics.deadline_timeouts == 1
+        assert server.metrics.snapshot()["deadline_timeouts"] == 1
 
     def test_audit_passes_and_flags_stray_ids(self):
         server = make_server()
