@@ -14,7 +14,7 @@ from repro.analysis.staticcheck.rules.determinism import (
     UnseededRngRule,
     WallClockRule,
 )
-from repro.analysis.staticcheck.rules.hygiene import UnusedImportRule
+from repro.analysis.staticcheck.rules.hygiene import LineTooLongRule, UnusedImportRule
 from repro.analysis.staticcheck.rules.layering import LayeringRule
 from repro.analysis.staticcheck.rules.typed import UntypedDefRule
 
@@ -27,6 +27,7 @@ ALL_RULES: list[Rule] = [
     FutureResolutionRule(),
     LayeringRule(),
     UnusedImportRule(),
+    LineTooLongRule(),
     UntypedDefRule(),
 ]
 
@@ -50,5 +51,6 @@ __all__ = [
     "WallClockRule",
     "LayeringRule",
     "UnusedImportRule",
+    "LineTooLongRule",
     "UntypedDefRule",
 ]

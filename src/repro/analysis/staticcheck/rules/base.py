@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+import functools
+import tomllib
+from pathlib import Path
+from typing import Any, Iterable, Iterator
 
 from repro.analysis.staticcheck.engine import Finding, ModuleInfo
 
@@ -103,3 +106,18 @@ def type_checking_linenos(tree: ast.Module) -> set[int]:
                 end = stmt.end_lineno or stmt.lineno
                 lines.update(range(stmt.lineno, end + 1))
     return lines
+
+
+@functools.lru_cache(maxsize=None)
+def tool_config(directory: Path) -> tuple[Path, dict[str, Any]]:
+    """The folder of the nearest ``pyproject.toml`` at or above
+    ``directory`` and its ``[tool]`` table; an empty table when there is
+    none or it does not parse (a rule may not raise)."""
+    for folder in (directory, *directory.parents):
+        config = folder / "pyproject.toml"
+        if config.is_file():
+            try:
+                return folder, tomllib.loads(config.read_text(encoding="utf-8")).get("tool", {})
+            except tomllib.TOMLDecodeError:
+                return folder, {}
+    return directory, {}

@@ -1,12 +1,21 @@
-"""Hygiene rule: a module-level import the module never reads.
+"""Hygiene rules: a module-level import the module never reads, and a
+line longer than the project's line length.
 
-The offline twin of ruff's F401, so the check runs where ruff cannot be
-installed.  Exempt, as under the project's ruff configuration: package
-``__init__.py`` files (façades re-export), names listed in ``__all__``,
-and lines marked ``# noqa: F401`` (a deliberate re-export).  A name
-counts as read when it is loaded anywhere in the module -- function
-bodies included -- or named inside a string annotation
-(``net: "DexNetwork"`` under an ``if TYPE_CHECKING:`` import).
+The import rule is the offline twin of ruff's F401, so the check runs
+where ruff cannot be installed.  Exempt, as under the project's ruff
+configuration: package ``__init__.py`` files (façades re-export), names
+listed in ``__all__``, and lines marked ``# noqa: F401`` (a deliberate
+re-export).  A name counts as read when it is loaded anywhere in the
+module -- function bodies included -- or named inside a string
+annotation (``net: "DexNetwork"`` under an ``if TYPE_CHECKING:``
+import).
+
+The line rule is a project rule, stricter than the ruff lint selection
+(which leaves E501 out): no line may exceed ``[tool.ruff] line-length``
+of the nearest ``pyproject.toml`` (none: no limit), the width the
+formatter wraps to.  It takes E501's exemptions: a line that is one
+unbroken word, and a line whose last word is a URL (contains ``://``)
+that starts within the limit.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.staticcheck.engine import Finding, ModuleInfo
-from repro.analysis.staticcheck.rules.base import Rule
+from repro.analysis.staticcheck.rules.base import Rule, tool_config
 
 _NOQA = "noqa: F401"
 
@@ -90,4 +99,32 @@ class UnusedImportRule(Rule):
                 alias.col_offset,
                 f"`{name}` is imported but never read; delete the import "
                 "(or list it in __all__ / mark it `# noqa: F401` if it is a re-export)",
+            )
+
+
+class LineTooLongRule(Rule):
+    ids = ("hygiene/line-too-long",)
+    description = (
+        "a line longer than [tool.ruff] line-length in pyproject.toml "
+        "(one unbroken word, or a trailing URL starting within the limit, exempt)"
+    )
+
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        limit = tool_config(module.path.resolve().parent)[1].get("ruff", {}).get("line-length")
+        if not isinstance(limit, int):
+            return
+        for number, line in enumerate(module.lines, 1):
+            text = line.rstrip("\r\n")
+            if len(text) <= limit:
+                continue
+            words = text.split()
+            if len(words) < 2 or ("://" in words[-1] and len(text) - len(words[-1]) <= limit):
+                continue
+            yield Finding(
+                self.ids[0],
+                module.rel,
+                number,
+                limit,
+                f"line is {len(text)} characters long, over the {limit} "
+                "of [tool.ruff] line-length",
             )

@@ -14,31 +14,21 @@ parameter may omit the return.
 from __future__ import annotations
 
 import ast
-import functools
-import tomllib
 from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.staticcheck.engine import Finding, ModuleInfo
-from repro.analysis.staticcheck.rules.base import Rule
+from repro.analysis.staticcheck.rules.base import Rule, tool_config
 
 
-@functools.lru_cache(maxsize=None)
 def _gated_roots(directory: Path) -> tuple[Path, ...]:
     """Where the mypy-gated packages live, per the nearest
     ``pyproject.toml`` at or above ``directory`` (none, or one that does
-    not parse: nothing gated -- a rule may not raise)."""
-    for folder in (directory, *directory.parents):
-        config = folder / "pyproject.toml"
-        if config.is_file():
-            try:
-                tool = tomllib.loads(config.read_text(encoding="utf-8")).get("tool", {})
-            except tomllib.TOMLDecodeError:
-                return ()
-            mypy = tool.get("mypy", {})
-            base = folder / mypy.get("mypy_path", ".")
-            return tuple(base.joinpath(*p.split(".")) for p in mypy.get("packages", ()))
-    return ()
+    not parse: nothing gated)."""
+    folder, tool = tool_config(directory)
+    mypy = tool.get("mypy", {})
+    base = folder / mypy.get("mypy_path", ".")
+    return tuple(base.joinpath(*p.split(".")) for p in mypy.get("packages", ()))
 
 
 def _unannotated(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:

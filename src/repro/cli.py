@@ -162,7 +162,7 @@ def cmd_serve(argv: list[str]) -> int:
     import contextlib
     import signal as signal_module
 
-    from repro.service import open_service, poisson_load
+    from repro.service import open_service, poisson_load, quiesce
 
     args = _serve_parser().parse_args(argv)
     if args.restore and args.checkpoint_dir is None:
@@ -244,8 +244,12 @@ def cmd_serve(argv: list[str]) -> int:
                     await load
             else:
                 stats = await load
-            # Audited while the workers still exist; a cluster's are
-            # gone once it has drained.
+            # Audited once the requests queued at the interrupt have
+            # healed, so the audit sees the membership the drain leaves;
+            # and while the workers still exist (a cluster's are gone
+            # once it has drained).
+            if not await quiesce(service):
+                print("requests still queued: auditing before they heal")
             audit = await service.cluster_audit()
             summary = await service.drain()
             # Let clients the cancelled generator left behind observe

@@ -14,6 +14,7 @@ overload-control design.
 cluster -- started, behind one client and operator surface.
 """
 
+import asyncio
 from pathlib import Path
 
 from repro.service.flush import DEFAULT_QUEUE_LIMIT, Ack, FlushCore
@@ -103,8 +104,28 @@ async def open_service(
     return await gateway.start()
 
 
+# How long ``quiesce`` waits for the queue to empty before giving up.
+QUIESCE_TIMEOUT_S = 10.0
+
+
+async def quiesce(service: "MembershipGateway | ShardRouter") -> bool:
+    """Wait until every request already submitted to ``service`` (either
+    backend) has healed and been answered -- ``queue_depth`` reads 0 --
+    or ``QUIESCE_TIMEOUT_S`` has passed; whether the queue emptied.
+    With the load stopped, an audit taken afterwards sees the membership
+    that ``drain()`` leaves."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + QUIESCE_TIMEOUT_S
+    while service.queue_depth:
+        if loop.time() >= deadline:
+            return False
+        await asyncio.sleep(0.001)
+    return True
+
+
 __all__ = [
     "open_service",
+    "quiesce",
     "Ack",
     "FlushCore",
     "MembershipGateway",

@@ -377,6 +377,48 @@ class TestUnusedImportRule:
         assert hits == [("core/mod.py", 4)]
 
 
+class TestLineTooLongRule:
+    RULE = "hygiene/line-too-long"
+
+    def flagged(self, tmp_path, source: str, pyproject: str | None) -> list[tuple[int, str]]:
+        tree = {"src/pkg/core/mod.py": source}
+        if pyproject is not None:
+            tree["pyproject.toml"] = pyproject
+        make_tree(tmp_path, tree)
+        report = check_paths([tmp_path / "src" / "pkg"])
+        return [(f.line, f.message) for f in findings_of(report, self.RULE)]
+
+    def test_limit_is_ruffs_line_length(self, tmp_path):
+        hits = self.flagged(
+            tmp_path,
+            """
+            x = "exactly twenty"
+            y = "one over twenty"
+            # a comment well past the limit
+            """,
+            "[tool.ruff]\nline-length = 20\n",
+        )
+        assert [line for line, _ in hits] == [3, 4]
+        assert hits[0][1] == "line is 21 characters long, over the 20 of [tool.ruff] line-length"
+
+    def test_ruffs_e501_exemptions(self, tmp_path):
+        source = (
+            "#\n"
+            'url="https://example.org/long/path"\n'  # one unbroken word
+            "# https://example.org/a/very/long/path\n"  # URL starts within the limit
+            "# see the page at https://example.org/x\n"  # URL starts past the limit
+            "# https://example.org/x is the page to see\n"  # URL not last
+        )
+        hits = self.flagged(tmp_path, source, "[tool.ruff]\nline-length = 12\n")
+        assert [line for line, _ in hits] == [4, 5]
+
+    def test_no_configured_length_checks_nothing(self, tmp_path):
+        long_line = "x = " + "1 + " * 40 + "1\n"
+        assert self.flagged(tmp_path, long_line, None) == []
+        assert self.flagged(tmp_path, long_line, "[tool.ruff]\n") == []
+        assert self.flagged(tmp_path, long_line, "[tool.ruff\n") == []  # does not parse
+
+
 class TestUntypedDefRule:
     RULE = "typing/untyped-def"
     PYPROJECT = """

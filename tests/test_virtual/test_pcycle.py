@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import VirtualGraphError
-from repro.virtual.pcycle import PCycle, _inverse_array, _inverse_table, cached_pcycle
+from repro.virtual.pcycle import (
+    PCycle,
+    _inverse_array,
+    _inverse_table,
+    cached_pcycle,
+    zero_tree,
+)
 from repro.virtual.primes import is_prime
 from tests.conftest import SMALL_PRIMES
 
@@ -105,17 +111,19 @@ class TestArrayForms:
         for p in filter(is_prime, range(5, 600)):
             z = PCycle(p)
             assert _inverse_array(p).tolist() == [0] + [pow(x, p - 2, p) for x in range(1, p)]
-            assert _inverse_table(p) == _inverse_array(p).tolist()
+            assert _inverse_table(p).tolist() == _inverse_array(p).tolist()
             a, b = z.edge_arrays()
             assert a.dtype == b.dtype == np.int64
             assert list(zip(a.tolist(), b.tolist())) == list(z.edges()), p
             nbrs = [list(z.neighbor_multiset(x)) for x in z.vertices()]
             assert z.neighbor_arrays().tolist() == nbrs, p
 
-    def test_past_the_table_cutoff(self):
-        p = 262147  # p0(65536) = 2^18 + 3: no cached list, ``pow`` per query
+    def test_at_p0_of_65536(self):
+        p = 262147  # p0(65536) = 2^18 + 3: the same int32 table as every p
         z = PCycle(p)
-        assert z._inv is None
+        assert z._inv is _inverse_table(p) and z._inv.itemsize == 4
+        for x in (1, 2, 3, p // 2, p - 2, p - 1):
+            assert z.chord_target(x) == z.inverse(x) == pow(x, p - 2, p)
         inv = _inverse_array(p)
         assert inv[0] == 0 and (np.arange(1, p) * inv[1:] % p == 1).all()
         a, b = z.edge_arrays()
@@ -129,6 +137,62 @@ class TestArrayForms:
     def test_arrays_are_read_only_where_shared(self):
         with pytest.raises(ValueError):
             _inverse_array(23)[3] = 0
+
+
+def _reference_zero_tree(p: int) -> list[int]:
+    """The per-vertex loop the vectorized tree replaced, kept as its
+    reference: frontier in order, neighbors tried as (x - 1, x + 1,
+    x^-1), the first claimant wins."""
+    inv = _inverse_array(p).tolist()
+    parent = [-1] * p
+    parent[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            chord = inv[u] if u > 0 else 0
+            for w in ((u - 1) % p, (u + 1) % p, chord):
+                if parent[w] < 0:
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    return parent
+
+
+class TestZeroTree:
+    """The BFS tree of Z(p) rooted at 0: the loop's parents exactly,
+    plus preorder intervals that nest like the subtrees they stand for."""
+
+    @pytest.mark.parametrize("p", [*filter(is_prime, range(5, 600)), 16411, 262147])
+    def test_matches_the_reference_loop(self, p):
+        tree = zero_tree(p)
+        parent = _reference_zero_tree(p)
+        assert tree.parent.tolist() == parent
+        assert tree.parent_array.tolist() == parent
+        for table in (tree.parent_array, tree.pre, tree.size, tree.order):
+            assert table.dtype == np.int32 and table.size == p
+        x = np.arange(1, p)
+        up = np.array(parent)[x]
+        assert tree.size[0] == p and tree.pre[0] == 0
+        assert (tree.order[tree.pre] == np.arange(p)).all()
+        # each subtree interval sits strictly inside its parent's ...
+        assert (tree.pre[x] > tree.pre[up]).all()
+        assert (tree.pre[x] + tree.size[x] <= tree.pre[up] + tree.size[up]).all()
+        # ... and a subtree's size counts itself plus its children's
+        kids = np.bincount(up, weights=tree.size[x], minlength=p)
+        assert (tree.size == 1 + kids).all()
+
+    def test_paths_through_the_tree_are_shortest_at_p0_of_65536(self):
+        p = 262147
+        z = PCycle(p)
+        dist = z.bfs_distances(0)
+        rng = np.random.default_rng(5)
+        for x in [1, p - 1, p // 2, *rng.integers(1, p, 200).tolist()]:
+            path = z.shortest_path(x, 0)
+            assert path[0] == x and path[-1] == 0
+            assert all(b in z.distinct_neighbors(a) for a, b in zip(path, path[1:]))
+            assert len(path) - 1 == dist[x] == z.distance(0, x)
+            assert z.shortest_path(0, x) == path[::-1]
 
 
 class TestPaths:
