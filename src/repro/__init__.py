@@ -13,8 +13,9 @@ Quickstart::
     assert net.spectral_gap() > 0.01         # always an expander
     assert net.max_degree() <= 3 * 4 * 8     # always constant degree
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See ``docs/substitutions.md`` for where the reproduction departs from the
+paper and for the invariants it checks, and ``benchmarks/README.md`` for
+the paper's tables and figures as measured here.
 """
 
 from repro.core.config import DexConfig

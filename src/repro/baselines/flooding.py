@@ -129,4 +129,4 @@ class FloodingExpander:
         return int(np.asarray(A.sum(axis=1)).ravel()[order.index(u)])
 
     def load_of(self, u: NodeId) -> int:
-        return sum(1 for z, h in self.host.items() if h == u)
+        return sum(1 for h in self.host.values() if h == u)

@@ -13,7 +13,8 @@ succeed while ``|Spare| >= theta*n`` (insertions) or ``|Low| >= theta*n``
 the coordinator of the staggered variant triggers early at ``3*theta*n``
 (Section 4.4).  The proof needs ``theta <= 1/(68*zeta + 1)`` (Eq. 3);
 :meth:`DexConfig.paper` restores that value, while the default 0.02 keeps
-identical trigger structure at laptop-scale n (DESIGN.md substitution 3).
+identical trigger structure at laptop-scale n (substitution 3 of
+``docs/substitutions.md``).
 """
 
 from __future__ import annotations

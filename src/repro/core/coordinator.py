@@ -112,7 +112,8 @@ class Coordinator:
         vertices = lm.vertices_of(from_node)
         if vertices:
             src = min(vertices)
-            hops = route_cost(lm.pcycle, lm.host_of, src, 0)
+            # the routing layer is complete: every table entry is a host
+            hops = route_cost(lm.pcycle, lm.host.__getitem__, src, 0)
         else:
             # The initiator holds no vertex of the routable layer (it can
             # happen for a node inserted mid-stagger); its neighbor does,

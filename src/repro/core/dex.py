@@ -28,7 +28,7 @@ from repro.core import invariants
 from repro.core.config import DexConfig
 from repro.core.coordinator import Coordinator
 from repro.core.events import StepReport
-from repro.core.mapping import LayerMapping
+from repro.core.mapping import NODE_ID_LIMIT, LayerMapping
 from repro.core.overlay import Overlay
 from repro.core.type1 import deletion_recovery, insertion_recovery
 from repro.core.type2_staggered import StaggeredOp
@@ -96,16 +96,17 @@ class DexNetwork:
             )
         if id_base < 0:
             raise AdversaryError(f"id_base must be >= 0, got {id_base}")
+        if id_base + n0 > NODE_ID_LIMIT:
+            raise AdversaryError(f"bootstrap ids reach past 2**63 from id_base {id_base}")
         rng = random.Random(seed if seed is not None else config.seed)
         p0 = initial_prime(n0)
         pcycle = PCycle(p0)
         graph = DynamicMultigraph()
-        layer = LayerMapping(pcycle, config.low_threshold)
+        layer = LayerMapping(pcycle, config.low_threshold, graph.own)
         overlay = Overlay(graph, layer)
         graph.add_nodes(range(id_base, id_base + n0))
         arcs = np.diff(np.arange(n0 + 1) * p0 // n0)  # vertices per node, in [4, 8]
-        own = np.fromiter(graph.nodes(), object, n0)  # repeated, not copied
-        overlay.activate_all(np.repeat(own, arcs).tolist())
+        overlay.activate_all(np.repeat(id_base + np.arange(n0), arcs).tolist())
         graph.topology_changes = 0  # bootstrap is free (Section 4 start)
         return cls(overlay, config, rng)
 
@@ -184,6 +185,8 @@ class DexNetwork:
         existing one; the network heals (Algorithm 4.2)."""
         u = node_id if node_id is not None else self.fresh_id()
         v = attach_to if attach_to is not None else self.random_node()
+        if not 0 <= u < NODE_ID_LIMIT:
+            raise AdversaryError(f"node id {u} outside [0, 2**63)")
         if self.graph.has_node(u):
             raise AdversaryError(f"node id {u} already in the network")
         if not self.graph.has_node(v):
@@ -262,8 +265,11 @@ class DexNetwork:
         ledger: CostLedger,
         topo_before: int,
         events: int = 1,
+        forced: bool = False,
     ) -> StepReport:
-        forced = False
+        """Close one adversarial step.  ``forced`` carries a forced
+        completion of a staggered op the step already advanced (and maybe
+        finished) itself, so the report still shows it."""
         # Staggered op: each adversarial event's recovery advances one chunk
         # (Procedures inflate/deflate; Lemma 9 counts events) until it completes.
         if self.staggered is not None:
@@ -272,7 +278,7 @@ class DexNetwork:
                 op.advance(ledger)
                 if self.staggered is not op:
                     break
-            forced = op.forced
+            forced = forced or op.forced
         # Coordinator bookkeeping (Algorithm 4.7): the initiator reports
         # the step's deltas along a virtual shortest path (the counters
         # themselves are already current via the change-listener hooks).

@@ -1,4 +1,5 @@
-"""Runtime verification of the DEX invariants (DESIGN.md I1-I8).
+"""Runtime verification of the DEX invariants (I1-I8, listed in
+``docs/substitutions.md``).
 
 The paper *proves* these properties; the reproduction *checks* them after
 every step in tests (and on demand via :meth:`DexNetwork.check_invariants`).
@@ -124,11 +125,19 @@ def check_wave_engine_equivalence(overlay: Overlay) -> None:
     members = overlay.old.spare
     scalar_t: list = []
     vector_t: list = []
-    scalar = run_wave(
-        graph, starts, _WAVE_PROBE_LENGTH, members,
-        random.Random(_WAVE_PROBE_SEED), excluded,
-        engine="scalar", transcript=scalar_t,
-    )
+    # the scalar walks cache the CDFs they build; the audit puts the
+    # cache back as it found it
+    cache = graph._cdf_cache
+    kept = cache.copy()
+    try:
+        scalar = run_wave(
+            graph, starts, _WAVE_PROBE_LENGTH, members,
+            random.Random(_WAVE_PROBE_SEED), excluded,
+            engine="scalar", transcript=scalar_t,
+        )
+    finally:
+        cache.clear()
+        cache.update(kept)
     vector = run_wave(
         graph, starts, _WAVE_PROBE_LENGTH, members,
         random.Random(_WAVE_PROBE_SEED), excluded,

@@ -13,6 +13,14 @@ that learning is charged where it happens; the simulator state itself may
 be queried freely (it is the ground truth the paper's proofs reason
 about).
 
+Storage is flat: one fixed-size ``array('q')`` host table over ``Z_p``
+(-1 marks an inactive vertex) and, per node with load >= 1, a compact
+``array('i')`` of its vertices in no particular order -- about 32 bytes
+per vertex.  Array passes read the host table zero-copy through
+:meth:`LayerMapping.host_view`; the table is never resized, which keeps
+such views valid.  The per-node arrays are resized, so no view of one
+is ever kept.
+
 Edges are *not* handled here: :mod:`repro.core.overlay` synchronizes the
 real multigraph whenever vertices activate, deactivate or move.
 """
@@ -20,7 +28,8 @@ real multigraph whenever vertices activate, deactivate or move.
 from __future__ import annotations
 
 import random
-from itertools import compress, islice, repeat
+from array import array
+from itertools import chain, compress, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -28,6 +37,11 @@ import numpy as np
 from repro.errors import MappingError
 from repro.types import NodeId, Vertex
 from repro.virtual.pcycle import PCycle
+
+#: node ids are stored in the int64 host table, with -1 for "inactive",
+#: so every id must lie in ``[0, NODE_ID_LIMIT)``; the insert entry points
+#: refuse any other id before they mutate anything
+NODE_ID_LIMIT = 2**63
 
 
 class LayerMapping:
@@ -38,16 +52,26 @@ class LayerMapping:
         "low_threshold",
         "host",
         "sim",
+        "active_count",
         "spare",
         "low",
         "on_counts_delta",
+        "own",
     )
 
-    def __init__(self, pcycle: PCycle, low_threshold: int) -> None:
+    def __init__(
+        self,
+        pcycle: PCycle,
+        low_threshold: int,
+        own: Callable[[NodeId], NodeId],
+    ) -> None:
         self.pcycle = pcycle
         self.low_threshold = low_threshold
-        self.host: dict[Vertex, NodeId] = {}
-        self.sim: dict[NodeId, set[Vertex]] = {}
+        #: host node of every vertex of ``Z_p``, -1 where inactive
+        self.host: array[int] = array("q", [-1]) * pcycle.p
+        #: the vertices of every node with load >= 1
+        self.sim: dict[NodeId, array[int]] = {}
+        self.active_count = 0
         #: nodes with load >= 2 (Spare, Eq. 2)
         self.spare: set[NodeId] = set()
         #: nodes with 1 <= load <= low_threshold (Low, Eq. 1)
@@ -57,6 +81,11 @@ class LayerMapping:
         #: primary layer's hook to the coordinator's exact-delta counters
         #: (Algorithm 4.7)
         self.on_counts_delta: Callable[[NodeId, int, int], None] | None = None
+        #: the live nodes' own id objects, looked up by id
+        #: (:meth:`DynamicMultigraph.own`): a node becomes a new ``sim``
+        #: key or Spare/Low member as that object, not as an id just read
+        #: from :attr:`host`
+        self.own = own
 
     # ------------------------------------------------------------------
     # queries
@@ -65,14 +94,26 @@ class LayerMapping:
     def p(self) -> int:
         return self.pcycle.p
 
+    def host_view(self) -> np.ndarray:
+        """:attr:`host` as a read-only int64 array, zero-copy."""
+        view = np.frombuffer(self.host, dtype=np.int64)
+        view.flags.writeable = False
+        return view
+
     def is_active(self, z: Vertex) -> bool:
-        return z in self.host
+        try:
+            return self.host[z] >= 0 and z >= 0
+        except IndexError:
+            return False
 
     def host_of(self, z: Vertex) -> NodeId:
         try:
-            return self.host[z]
-        except KeyError:
-            raise MappingError(f"vertex {z} is not active") from None
+            u = self.host[z]
+        except IndexError:
+            u = -1
+        if u < 0 or z < 0:
+            raise MappingError(f"vertex {z} is not active")
+        return u
 
     def load(self, u: NodeId) -> int:
         vertices = self.sim.get(u)
@@ -82,14 +123,8 @@ class LayerMapping:
         return set(self.sim.get(u, ()))
 
     def active_vertices(self) -> Iterator[Vertex]:
-        return iter(self.host)
-
-    @property
-    def active_count(self) -> int:
-        return len(self.host)
-
-    def nodes_with_vertices(self) -> Iterator[NodeId]:
-        return iter(self.sim)
+        """The active vertices, ascending."""
+        return iter(np.flatnonzero(self.host_view() >= 0).tolist())
 
     def in_spare(self, u: NodeId) -> bool:
         return u in self.spare
@@ -129,14 +164,14 @@ class LayerMapping:
         low_delta = 0
         if load >= 2:
             if u not in spare:
-                spare.add(u)
+                spare.add(self.own(u))
                 spare_delta = 1
         elif u in spare:
             spare.remove(u)
             spare_delta = -1
         if 1 <= load <= self.low_threshold:
             if u not in low:
-                low.add(u)
+                low.add(self.own(u))
                 low_delta = 1
         elif u in low:
             low.remove(u)
@@ -144,52 +179,63 @@ class LayerMapping:
         if (spare_delta or low_delta) and self.on_counts_delta is not None:
             self.on_counts_delta(u, spare_delta, low_delta)
 
+    def _add_vertex(self, z: Vertex, u: NodeId) -> None:
+        """Put ``z`` in ``u``'s vertex array (host table untouched)."""
+        vertices = self.sim.get(u)
+        if vertices is None:
+            self.sim[self.own(u)] = array("i", (z,))
+        else:
+            vertices.append(z)
+
+    def _drop_vertex(self, z: Vertex, u: NodeId) -> None:
+        """Take ``z`` out of ``u``'s vertex array (host table untouched)."""
+        vertices = self.sim[u]
+        if len(vertices) == 1:
+            del self.sim[u]
+        else:
+            vertices.remove(z)
+
     def assign(self, z: Vertex, u: NodeId) -> None:
         self.pcycle.check_vertex(z)
-        if z in self.host:
+        if self.host[z] >= 0:
             raise MappingError(f"vertex {z} already active at {self.host[z]}")
         self.host[z] = u
-        self.sim.setdefault(u, set()).add(z)
+        self._add_vertex(z, u)
+        self.active_count += 1
         self._sets_after_change(u)
 
-    def assign_all(self, hosts: dict[Vertex, NodeId]) -> None:
-        """Bulk load of an empty layer: the state ``assign(z, u)`` per
-        item of ``hosts`` leaves, without the per-vertex calls.  The dict
-        is *adopted* as :attr:`host` (not copied), ``sim`` holds its key
-        and value objects, and Spare/Low are computed from the loads, so
-        no ``on_counts_delta`` fires: listeners resnapshot afterwards."""
-        if self.host:
+    def assign_all(self, table: array[int]) -> None:
+        """Bulk load of an empty layer: the state ``assign(z, table[z])``
+        for every ``table[z] >= 0`` leaves, without the per-vertex calls.
+        The table (an ``array('q')`` of length p) is *adopted* as
+        :attr:`host`, not copied.  Spare/Low are computed from the loads,
+        so no ``on_counts_delta`` fires: listeners resnapshot afterwards."""
+        if self.active_count:
             raise MappingError("bulk assignment needs an empty layer")
-        if hosts and not 0 <= min(hosts) <= max(hosts) < self.p:
-            raise MappingError(f"host assignment names a vertex outside Z_{self.p}")
-        self.host = hosts
-        # group the vertices by node with one stable argsort; indexing
-        # object arrays hands back the dict's own key and value objects
-        owners = np.fromiter(hosts.values(), object, len(hosts))
-        ids = owners.astype(np.int64)
-        order = np.argsort(ids, kind="stable")
-        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-        loads = np.diff(starts, append=len(order))
-        vertices = iter(np.fromiter(hosts, object, len(hosts))[order].tolist())
-        nodes = owners[order[starts]].tolist()
-        self.sim = dict(zip(nodes, map(set, map(islice, repeat(vertices), loads.tolist()))))
-        self.spare.update(compress(nodes, (loads >= 2).tolist()))
-        self.low.update(compress(nodes, (loads <= self.low_threshold).tolist()))
-
-    def host_array(self) -> np.ndarray:
-        """:attr:`host` as an int64 array over ``Z_p``, -1 where the
-        vertex is inactive."""
-        out = np.full(self.p, -1, dtype=np.int64)
-        out[np.fromiter(self.host, np.int64, len(self.host))] = list(self.host.values())
-        return out
+        view = np.frombuffer(table, dtype=np.int64)
+        if view.size != self.p or view.min() < -1:
+            raise MappingError(f"host table does not map Z_{self.p}")
+        active = np.flatnonzero(view >= 0)
+        # group the vertices by node with one stable argsort
+        order = np.argsort(view[active], kind="stable")
+        ids = view[active[order]]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        loads = np.diff(starts, append=order.size)
+        keys = list(map(self.own, ids[starts].tolist()))
+        # arrays from lists are allocated to size (from bytes they are not)
+        grouped = active[order].tolist()
+        rows = map(grouped.__getitem__, map(slice, starts.tolist(), (starts + loads).tolist()))
+        self.host = table
+        self.sim = dict(zip(keys, map(array, repeat("i"), rows)))
+        self.active_count = int(order.size)
+        self.spare.update(compress(keys, (loads >= 2).tolist()))
+        self.low.update(compress(keys, (loads <= self.low_threshold).tolist()))
 
     def unassign(self, z: Vertex) -> NodeId:
         u = self.host_of(z)
-        del self.host[z]
-        vertices = self.sim[u]
-        vertices.discard(z)
-        if not vertices:
-            del self.sim[u]
+        self.host[z] = -1
+        self._drop_vertex(z, u)
+        self.active_count -= 1
         self._sets_after_change(u)
         return u
 
@@ -203,9 +249,14 @@ class LayerMapping:
         vertices = self.sim.pop(u, None)
         if not vertices:
             return []
+        host = self.host
         for z in vertices:
-            self.host[z] = new_host
-        self.sim.setdefault(new_host, set()).update(vertices)
+            host[z] = new_host
+        target = self.sim.get(new_host)
+        if target is None:
+            self.sim[self.own(new_host)] = vertices
+        else:
+            target.extend(vertices)
         self._sets_after_change(u)
         self._sets_after_change(new_host)
         return sorted(vertices)
@@ -216,11 +267,8 @@ class LayerMapping:
         if old == new_host:
             return old
         self.host[z] = new_host
-        vertices = self.sim[old]
-        vertices.discard(z)
-        if not vertices:
-            del self.sim[old]
-        self.sim.setdefault(new_host, set()).add(z)
+        self._drop_vertex(z, old)
+        self._add_vertex(z, new_host)
         self._sets_after_change(old)
         self._sets_after_change(new_host)
         return old
@@ -229,18 +277,20 @@ class LayerMapping:
     # consistency (used by the invariant checker)
     # ------------------------------------------------------------------
     def verify(self) -> None:
-        for z, u in self.host.items():
-            if z not in self.sim.get(u, ()):  # pragma: no cover - defensive
-                raise MappingError(f"host/sim mismatch at vertex {z}")
-        total = sum(len(vs) for vs in self.sim.values())
-        if total != len(self.host):  # pragma: no cover - defensive
-            raise MappingError("sim sets and host map disagree on size")
-        if not self.spare <= set(self.sim) or not self.low <= set(self.sim):
+        view = self.host_view()
+        active = np.flatnonzero(view >= 0)
+        if active.size != self.active_count:
+            raise MappingError("active vertex count stale")
+        if not all(self.sim.values()):  # pragma: no cover - defensive
+            raise MappingError("a node has an empty vertex array")
+        loads = list(map(len, self.sim.values()))
+        held = np.fromiter(chain.from_iterable(self.sim.values()), np.int64, sum(loads))
+        owners = np.repeat(np.fromiter(self.sim, np.int64, len(self.sim)), loads)
+        if not np.array_equal(np.sort(held), active) or (view[held] != owners).any():
+            raise MappingError("host table and vertex arrays disagree")
+        if not self.spare <= self.sim.keys() or not self.low <= self.sim.keys():
             raise MappingError("spare/low contain nodes without vertices")
-        for u, vertices in self.sim.items():
-            if not vertices:  # pragma: no cover - defensive
-                raise MappingError(f"node {u} has an empty sim set entry")
-            load = len(vertices)
+        for u, load in zip(self.sim, loads):
             if (u in self.spare) != (load >= 2):
                 raise MappingError(f"spare set stale at node {u}")
             if (u in self.low) != (1 <= load <= self.low_threshold):

@@ -2,7 +2,8 @@
 engine.
 
 The adversary may insert or delete up to ``eps * n`` nodes per step,
-subject to the model's restrictions:
+here with ``eps = 1`` (an insertion batch of more than ``n`` nodes is
+refused as exceeding ``n``), subject to the model's restrictions:
 
 * insertions attach only O(1) new nodes to any single existing node
   (otherwise the constant-degree CONGEST network around the attach point
@@ -59,6 +60,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Sequence
 import numpy as np
 
 from repro.core.events import StepReport
+from repro.core.mapping import NODE_ID_LIMIT
 from repro.core.type1 import (
     adopt_deleted,
     insertion_recovery,
@@ -126,9 +128,11 @@ def partition_insert_batch(
 ) -> tuple[list[tuple[NodeId, NodeId]], list[BatchRejection]]:
     """Partition an insertion batch into the legal attachments and a
     per-entry rejection list, *before* any mutation.  Checks per entry:
-    fresh id not already scheduled or present, live attach point, the
-    O(1) attach fan-out bound, and the ``eps*n`` batch-size cap (counted
-    over *accepted* entries, so illegal entries do not eat the budget).
+    fresh id in ``[0, 2**63)`` (the host table's range) and not already
+    scheduled or present, live attach point, the O(1) attach fan-out
+    bound, and the batch-size cap of ``n`` (Section 5's ``eps * n`` with
+    ``eps = 1``, counted over *accepted* entries, so illegal entries do
+    not eat the budget).
     Every check is **membership-determined**: it needs only "which ids
     are live" and "how many", never the topology."""
     cap = max(1, dex.size)
@@ -138,7 +142,9 @@ def partition_insert_batch(
     rejected: list[BatchRejection] = []
     has_node = dex.graph.has_node
     for index, (new_id, attach) in enumerate(attachments):
-        if new_id in scheduled:
+        if not 0 <= new_id < NODE_ID_LIMIT:
+            reason = f"node id {new_id} outside [0, 2**63)"
+        elif new_id in scheduled:
             reason = f"node id {new_id} repeated in the batch"
         elif has_node(new_id):
             reason = f"node id {new_id} already exists"
@@ -150,7 +156,7 @@ def partition_insert_batch(
                 f"node {attach} in one batch"
             )
         elif len(legal) >= cap:
-            reason = f"batch of {len(attachments)} exceeds eps*n for n={cap}"
+            reason = f"batch of {len(attachments)} exceeds n={cap}"
         else:
             per_host[attach] = per_host.get(attach, 0) + 1
             scheduled.add(new_id)
@@ -169,7 +175,7 @@ def _validate_insert_batch(
         raise AdversaryError("empty insertion batch")
     if len(attachments) > max(1, dex.size):
         raise AdversaryError(
-            f"batch of {len(attachments)} exceeds eps*n for n={dex.size}"
+            f"batch of {len(attachments)} exceeds n={dex.size}"
         )
     _legal, rejected = partition_insert_batch(dex, attachments)
     if rejected:
@@ -232,8 +238,16 @@ def _insert_batch_impl(
         )
     # A staggered op in flight (from the start, or triggered by a failed
     # wave): the remaining insertions ride it one by one, exactly like
-    # single-step churn (Section 4.4.1).
+    # single-step churn (Section 4.4.1), each after its own event's chunk,
+    # so it finds the vertices that chunk generated.
+    ticked = 0
+    forced = False
     for u, v in pending:
+        op = dex.staggered
+        if op is not None:
+            op.advance(ledger)
+            forced = forced or op.forced
+            ticked += 1
         insertion_recovery(dex, u, v, ledger)
         recovery = RecoveryType.TYPE1_DURING_STAGGER
 
@@ -249,7 +263,8 @@ def _insert_batch_impl(
         recovery,
         ledger,
         topo_before,
-        events=len(attachments),
+        events=len(attachments) - ticked,
+        forced=forced,
     )
 
 

@@ -19,13 +19,15 @@ Every real edge has exactly one reason to exist:
 The bookkeeping is reference-counted: the degree of a node always equals
 ``3 * (#active vertices hosted)`` plus its intermediate-edge endpoints
 (plus a transient attachment unit), which is invariant I3/I4 of
-DESIGN.md.  Self-loop conventions: a virtual self-loop contributes weight
-1; a virtual edge or intermediate whose two endpoints land on the same
-real node contributes weight 2 (degree-preserving contraction).
+``docs/substitutions.md``.  Self-loop conventions: a virtual self-loop
+contributes weight 1; a virtual edge or intermediate whose two endpoints
+land on the same real node contributes weight 2 (degree-preserving
+contraction).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import Protocol, Sequence
 
@@ -145,16 +147,15 @@ class Overlay:
         """``activate(Layer.OLD, z, owners[z])`` for z = 0 .. p-1 on the
         still empty primary layer, as one array pass.  Order contract:
         the real graph's rows get the keys, in the order, that sequence
-        of calls leaves (:meth:`DynamicMultigraph.add_edges`), and
-        ``old.host`` lists the vertices ascending."""
+        of calls leaves (:meth:`DynamicMultigraph.add_edges`)."""
         lm = self.old
         if len(owners) != lm.p:
             raise MappingError("bulk activation must cover every vertex")
-        lm.assign_all(dict(zip(range(lm.p), owners)))
+        lm.assign_all(array("q", owners))
         nbrs = lm.pcycle.neighbor_arrays()
         # z's own loop, or a neighbor active before it
         wired = nbrs <= np.arange(lm.p)[:, None]
-        edges = _projected(np.nonzero(wired)[0], nbrs[wired], lm.host_array())
+        edges = _projected(np.nonzero(wired)[0], nbrs[wired], lm.host_view())
         del nbrs, wired  # p-sized scratch, dropped before the bulk pass takes its own
         self.graph.add_edges(*edges)
 
@@ -240,21 +241,22 @@ class Overlay:
             if nb == z:
                 graph.move_loop_unit(old_node, new_node)
             else:
-                h = host.get(nb)
-                if h is not None:
+                h = host[nb]
+                if h >= 0:
                     graph.move_pair_endpoint(old_node, new_node, h)
         # inline of lm.reassign (old_node already resolved above)
         host[z] = new_node
         sim = lm.sim
         vertices = sim[old_node]
-        vertices.discard(z)
-        if not vertices:
+        if len(vertices) == 1:
             del sim[old_node]
+        else:
+            vertices.remove(z)
         target = sim.get(new_node)
         if target is None:
-            sim[new_node] = {z}
+            sim[lm.own(new_node)] = array("i", (z,))
         else:
-            target.add(z)
+            target.append(z)
         lm._sets_after_change(old_node)
         lm._sets_after_change(new_node)
         return old_node
@@ -356,9 +358,9 @@ class Overlay:
     # ------------------------------------------------------------------
     # wholesale layer replacement (simplified type-2, Algorithms 4.5/4.6)
     # ------------------------------------------------------------------
-    def replace_primary(self, pcycle: PCycle, hosts: dict[Vertex, NodeId]) -> None:
+    def replace_primary(self, pcycle: PCycle, hosts: array[int]) -> None:
         """Swap the single live layer for a new p-cycle with the given
-        (complete, surjective) host assignment, rebuilding all edges.
+        (complete, surjective) host table, rebuilding all edges.
 
         This is the one-shot replacement of the simplified procedures: it
         costs O(n) topology changes, which is exactly what Lemma 5(d)
@@ -372,11 +374,11 @@ class Overlay:
         """
         if self.new is not None:
             raise MappingError("cannot replace the layer during a staggered op")
-        if len(hosts) != pcycle.p:
+        if len(hosts) != pcycle.p or np.frombuffer(hosts, dtype=np.int64).min() < 0:
             raise MappingError("host assignment must cover every vertex")
-        new_layer = LayerMapping(pcycle, self.old.low_threshold)
-        new_layer.assign_all(hosts)
         graph = self.graph
+        new_layer = LayerMapping(pcycle, self.old.low_threshold, graph.own)
+        new_layer.assign_all(hosts)
         if not all(map(graph.has_node, new_layer.sim)):
             raise MappingError("assignment names a node that is not live")
         if len(new_layer.sim) != graph.num_nodes:
@@ -386,12 +388,12 @@ class Overlay:
         self.old.on_counts_delta = None
         self.old = new_layer
         self._wire_primary()
-        graph.add_edges(*_projected(*pcycle.edge_arrays(), new_layer.host_array()))
+        graph.add_edges(*_projected(*pcycle.edge_arrays(), new_layer.host_view()))
         self._emit_primary_replaced()
 
     def _teardown_all_old_edges(self) -> None:
         a, b = self.old.pcycle.edge_arrays()
-        host = self.old.host_array()
+        host = self.old.host_view()
         live = (host[a] >= 0) & (host[b] >= 0)
         self.graph.remove_edges(*_projected(a[live], b[live], host))
 
@@ -401,7 +403,7 @@ class Overlay:
     def open_new_layer(self, pcycle: PCycle) -> LayerMapping:
         if self.new is not None:
             raise MappingError("a staggered operation is already in progress")
-        self.new = LayerMapping(pcycle, self.old.low_threshold)
+        self.new = LayerMapping(pcycle, self.old.low_threshold, self.graph.own)
         return self.new
 
     def promote_new_layer(self) -> None:

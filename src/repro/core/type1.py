@@ -6,7 +6,7 @@ one virtual vertex to ``u``.  Deletion: a surviving neighbor ``v`` adopts
 the deleted node's vertices and walks one token per vertex to spread them
 onto Low nodes.  Redistribution walks run sequentially with live load
 updates, which is what makes Lemma 3(a)'s 4*zeta bound hold exactly
-(DESIGN.md substitution 4).
+(substitution 4 of ``docs/substitutions.md``).
 
 Token *resolution* (:func:`resolve_insertion` /
 :func:`resolve_redistribution`: the vertex transfer, after re-checking

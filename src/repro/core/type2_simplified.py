@@ -19,7 +19,8 @@ Costs per Lemma 5: O(n) topology changes, O(n log^2 n) messages and
 O(log^3 n) rounds w.h.p. -- expensive, but separated by Omega(n) type-1
 steps (Lemma 8), giving the amortized bounds of Corollary 1.
 
-Implementation note: both phases mutate a host *plan* (a dict) and the
+Implementation note: both phases mutate a host *plan* (an ``array('q')``
+host table over the new cycle, gathered from the old layer's table) and the
 overlay is rebuilt once via :meth:`Overlay.replace_primary`, so the real
 network never materializes an unbalanced intermediate state; the charged
 costs are those of the distributed procedure (see module docstrings of
@@ -29,6 +30,7 @@ costs are those of the distributed procedure (see module docstrings of
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Sequence
 
@@ -64,7 +66,8 @@ def _charge_inverse_edges(
     routing on the old cycle (stand-in for Cor. 7.7.3 of [28]).
 
     ``engine`` fidelity schedules the full permutation; ``analytic``
-    samples path lengths and extrapolates (DESIGN.md substitution 2).
+    samples path lengths and extrapolates (substitution 2 of
+    ``docs/substitutions.md``).
     """
     if not packets:
         return
@@ -76,7 +79,7 @@ def _charge_inverse_edges(
     if len(packets) > _ROUTING_SAMPLE:
         idx = sorted(dex.rng.sample(range(len(packets)), _ROUTING_SAMPLE))
         sample = [packets[i] for i in idx]
-    lengths = [old_pcycle.distance(a, b) for a, b in sample]
+    lengths = old_pcycle.distances(*zip(*sample)).tolist()
     mean_len = sum(lengths) / len(lengths)
     max_len = max(lengths)
     congestion = math.ceil(math.log2(max(old_pcycle.p, 2))) ** 2
@@ -101,7 +104,7 @@ def _chord_packets(pcycle_new: PCycle, sources: np.ndarray) -> list[tuple[Vertex
 def _virtual_epoch_walks(
     dex: "DexNetwork",
     pcycle_new: PCycle,
-    hosts: dict[Vertex, NodeId],
+    hosts: array[int],
     per_node: dict[NodeId, list[Vertex]],
     tokens: list[NodeId],
     accept: "callable",
@@ -124,7 +127,7 @@ def _virtual_epoch_walks(
         for _ in range(length):
             options = pcycle_new.neighbor_multiset(at)
             nxt = options[dex.rng.randrange(3)]
-            if hosts.get(nxt) != hosts.get(at):
+            if hosts[nxt] != hosts[at]:
                 hops += 1
             at = nxt
         ledger.messages += hops
@@ -173,13 +176,13 @@ def simplified_inflate(
     # ---- Phase 1: everyone computes the same new p-cycle ----
     _charge_broadcast(dex, origin, ledger)
     parents = np.arange(p_new) * p_old // p_new  # Eq. 7 inverted: y's cloud is its parent's
-    hosts = dict(enumerate(map(old.host_of, parents.tolist())))
+    hosts = _plan(old.host_view(), parents)
     # Cycle edges come from old cycle adjacency: O(1) rounds, one message
     # per new vertex.
     ledger.charge_parallel(rounds=2, messages=p_new)
     _charge_inverse_edges(dex, old.pcycle, _chord_packets(pcycle_new, parents), ledger)
     per_node: dict[NodeId, list[Vertex]] = defaultdict(list)
-    for y, w in hosts.items():
+    for y, w in enumerate(hosts):
         per_node[w].append(y)
 
     # Line 6: each freshly inserted node receives one newly generated
@@ -196,7 +199,7 @@ def simplified_inflate(
         ledger.charge_route(1)
 
     # ---- Phase 2: rebalance loads above 4*zeta ----
-    loads = Counter(hosts.values())
+    loads = Counter(hosts)
     full: set[NodeId] = {w for w, load in loads.items() if load > config.low_threshold}
 
     def excess_tokens() -> list[NodeId]:
@@ -259,13 +262,13 @@ def simplified_deflate(dex: "DexNetwork", ledger: CostLedger) -> None:
     # ---- Phase 1 ----
     _charge_broadcast(dex, origin, ledger)
     dominating = -(np.arange(p_new) * -p_old // p_new)  # ceil(y * alpha), Section 4.4.2
-    hosts = dict(enumerate(map(old.host_of, dominating.tolist())))
+    hosts = _plan(old.host_view(), dominating)
     ledger.charge_parallel(rounds=2, messages=p_new)
     _charge_inverse_edges(dex, old.pcycle, _chord_packets(pcycle_new, dominating), ledger)
 
     # ---- Phase 2: ensure surjectivity ----
     per_node: dict[NodeId, list[Vertex]] = defaultdict(list)
-    for y, w in hosts.items():
+    for y, w in enumerate(hosts):
         per_node[w].append(y)
     taken: set[Vertex] = set()
     for w, vertices in per_node.items():
@@ -308,6 +311,12 @@ def simplified_deflate(dex: "DexNetwork", ledger: CostLedger) -> None:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
+def _plan(old_hosts: np.ndarray, sources: np.ndarray) -> array[int]:
+    """The host plan of the new cycle: new vertex ``y`` starts at the host
+    of old vertex ``sources[y]``."""
+    return array("q", old_hosts[sources].tobytes())
+
+
 def _take_vertex_from(per_node: dict[NodeId, list[Vertex]], donor: NodeId) -> Vertex:
     """The donor's largest vertex (its list ascends), so vertex 0 leaves
     its host only when nothing else is left."""
@@ -326,7 +335,7 @@ def _pop_vertex(per_node: dict[NodeId, list[Vertex]], owner: NodeId) -> Vertex:
 
 
 def _force_place(
-    hosts: dict[Vertex, NodeId],
+    hosts: array[int],
     per_node: dict[NodeId, list[Vertex]],
     loads: Counter,
     tokens: list[NodeId],
@@ -348,12 +357,12 @@ def _force_place(
 
 
 def _force_claim(
-    hosts: dict[Vertex, NodeId],
+    hosts: array[int],
     per_node: dict[NodeId, list[Vertex]],
     taken: set[Vertex],
     contending: list[NodeId],
 ) -> None:
-    free = sorted(y for y in hosts if y not in taken)
+    free = [y for y in range(len(hosts)) if y not in taken]
     for owner, vertex in zip(contending, free):
         previous = hosts[vertex]
         per_node[previous].remove(vertex)

@@ -12,8 +12,8 @@ own vertices, computes the virtual shortest path to the target vertex
 O(log n) messages and rounds.
 
 During a staggered type-2 recovery the cycle is being replaced, and the
-migration scheme follows DESIGN.md substitution 5 (a concrete realization
-of the paper's transfer-and-forward sketch):
+migration scheme follows substitution 5 of ``docs/substitutions.md`` (a
+concrete realization of the paper's transfer-and-forward sketch):
 
 * phase 1: items migrate *eagerly* per chunk -- when old vertex ``x`` is
   processed, every item whose new home's generating vertex is ``x``
@@ -24,8 +24,9 @@ of the paper's transfer-and-forward sketch):
   is already processed and route to whichever cycle currently owns the
   key; during phase 2 all items are on the new cycle, which is complete.
 
-Every operation therefore stays O(log n) messages/rounds, and invariant
-I9 (every stored key retrievable under any churn) is property-tested.
+Every operation therefore stays O(log n) messages/rounds, and the DHT's
+own property (every stored key retrievable under any churn) is
+property-tested.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class DexDHT:
         if lm.active_count == lm.p and lm.is_active(vertex):
             src = self._origin_vertex(origin, lm)
             if src is None:
-                anchor = min(lm.host)  # one hop to a simulating neighbor
+                anchor = next(lm.active_vertices())  # one hop to a simulating neighbor
                 ledger.charge_route(
                     1 + route_cost(lm.pcycle, lm.host_of, anchor, vertex)
                 )
@@ -230,7 +231,7 @@ class DexDHT:
             parent = op._parent(vertex)
             old = self.dex.overlay.old
             src = self._origin_vertex(origin, old)
-            anchor = src if src is not None else min(old.host)
+            anchor = src if src is not None else next(old.active_vertices())
             extra = 1 if src is None else 0
             ledger.charge_route(
                 extra + route_cost(old.pcycle, old.host_of, anchor, parent) + 1
@@ -241,7 +242,7 @@ class DexDHT:
             image = op._parent_image(vertex)
             new = op.new
             src = self._origin_vertex(origin, new)
-            anchor = src if src is not None else min(new.host)
+            anchor = src if src is not None else next(new.active_vertices())
             extra = 1 if src is None else 0
             ledger.charge_route(
                 extra + route_cost(new.pcycle, new.host_of, anchor, image) + 1

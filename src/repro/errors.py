@@ -32,7 +32,8 @@ class MappingError(ReproError):
 
 
 class InvariantViolation(ReproError):
-    """A DEX invariant (I1-I9 in DESIGN.md) failed a runtime check."""
+    """A DEX invariant (I1-I8 in ``docs/substitutions.md``) failed a
+    runtime check."""
 
 
 class RecoveryError(ReproError):

@@ -7,8 +7,8 @@ and forward messages hop-by-hop (Fact 1: virtual distances only shrink
 under the mapping).  The paper uses this for coordinator updates
 (Algorithm 4.7), the DHT (Section 4.4.4), and permutation routing for
 inverse edges in type-2 recovery (Corollary 7.7.3 of [28], for which we
-substitute shortest-path store-and-forward with per-edge congestion; see
-DESIGN.md section 4.2).
+substitute shortest-path store-and-forward with per-edge congestion:
+substitution 2 of ``docs/substitutions.md``).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def permutation_routing(
 
     Returns ``(rounds, messages)``.  On the 3-regular expander family the
     measured rounds are polylogarithmic, standing in for Corollary 7.7.3
-    of [28] (see DESIGN.md substitution 2).
+    of [28] (substitution 2 of ``docs/substitutions.md``).
     """
     paths = [pcycle.shortest_path(s, d) for s, d in packets]
     progress = [0] * len(packets)  # index into each path

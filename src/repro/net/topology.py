@@ -474,6 +474,14 @@ class DynamicMultigraph:
         self._version[u] = self._stamp
         self._dirty.add(u)
 
+    def own(self, u: NodeId) -> NodeId:
+        """The graph's own id object for node ``u`` (``u`` itself if it
+        is not live).  An id read from an int array is a new object, and
+        a row key stored from one would cost 28 bytes of its own, so every
+        new key is stored as this object."""
+        pos = self._node_pos.get(u)
+        return u if pos is None else self._nodes[pos]
+
     def node_version(self, u: NodeId) -> int:
         """Monotone stamp of ``u``'s incident edge state (cache keys)."""
         self._require(u)
@@ -492,13 +500,14 @@ class DynamicMultigraph:
         av = self._require(v)
         self._edge_units += mult
         if u == v:
-            au[u] += mult
+            au[u if u in au else self.own(u)] += mult
             self._degree[u] += mult
             self._touch(u)
             return  # self-loops are not connections
         if au[v] == 0:
             self.topology_changes += 1
             self._connections += 1
+            u, v = self.own(u), self.own(v)  # new keys on both rows
         au[v] += mult
         av[u] += mult
         self._degree[u] += mult
@@ -663,7 +672,11 @@ class DynamicMultigraph:
         if ao[old] == 0:
             dict.__delitem__(ao, old)
         an = adj[new]
-        an[new] = an.get(new, 0) + 1
+        loops = an.get(new)
+        if loops is None:
+            an[self.own(new)] = 1
+        else:
+            an[new] = loops + 1
         deg = self._degree
         deg[old] -= 1
         deg[new] += 1
@@ -712,7 +725,11 @@ class DynamicMultigraph:
             touched_other = True
         if new == other:
             an = adj[new]
-            an[new] = an.get(new, 0) + 2
+            loops = an.get(new)
+            if loops is None:
+                an[self.own(new)] = 2
+            else:
+                an[new] = loops + 2
             deg[new] += 2
             self._edge_units += 2
         else:
@@ -722,8 +739,12 @@ class DynamicMultigraph:
             if prior == 0:
                 self._connections += 1
                 self.topology_changes += 1
-            an[other] = prior + 1
-            at[new] = at.get(new, 0) + 1
+                nodes, pos = self._nodes, self._node_pos  # self.own, inline
+                an[nodes[pos[other]]] = 1
+                at[nodes[pos[new]]] = 1
+            else:
+                an[other] = prior + 1
+                at[new] = at.get(new, 0) + 1
             deg[new] += 1
             deg[other] += 1
             self._edge_units += 1
@@ -759,6 +780,7 @@ class DynamicMultigraph:
             raise TopologyError("cannot contract a node into itself")
         nbrs = self._require(u)
         av = self._require(v)
+        v = self.own(v)
         # v keeps every endpoint u had, so its degree grows by exactly
         # degree(u): the collapsed u--v pair (m units) re-appears as 2m
         # units of self-loop weight, of which m replace v's own lost
@@ -842,12 +864,17 @@ class DynamicMultigraph:
         entry = self._cdf_cache.get(u)
         if entry is not None and entry[0] == stamp:
             return entry[1], entry[2], entry[3]
+        neighbors, cumulative, total = self._built_cdf(u)
+        self._cdf_cache[u] = (stamp, neighbors, cumulative, total)
+        return neighbors, cumulative, total
+
+    def _built_cdf(self, u: NodeId) -> tuple[list[NodeId], list[int], int]:
+        """:meth:`neighbor_cdf` built from the row, leaving the cache as
+        it is (the audits build every node's CDF)."""
         row = self._adj[u]
         neighbors = sorted(row)
         cumulative = list(accumulate(map(row.__getitem__, neighbors)))
-        total = cumulative[-1] if cumulative else 0
-        self._cdf_cache[u] = (stamp, neighbors, cumulative, total)
-        return neighbors, cumulative, total
+        return neighbors, cumulative, cumulative[-1] if cumulative else 0
 
     @property
     def num_edge_units(self) -> int:
@@ -890,8 +917,12 @@ class DynamicMultigraph:
             raise TopologyError(f"cached edge units {self._edge_units} != {edge_units}")
         if self._connections != connections:
             raise TopologyError(f"cached connection count {self._connections} != {connections}")
-        for u in self._adj:
-            neighbors, cumulative, total = self.neighbor_cdf(u)
+        # the cached CDFs that are current; the audit adds none
+        if not self._cdf_cache.keys() <= self._adj.keys():
+            raise TopologyError("neighbor CDF cache holds a dead node")
+        for u, (stamp, neighbors, cumulative, total) in self._cdf_cache.items():
+            if stamp != self._version[u]:
+                continue
             items = sorted((v, m) for v, m in self._adj[u].items() if m > 0)
             expect_cum: list[int] = []
             acc = 0
@@ -1043,7 +1074,7 @@ class DynamicMultigraph:
         if rows.garbage != rows.tail - int(rows.cap[live].sum()):
             raise TopologyError("pool garbage count diverged")
         for u, s in slot_of.items():
-            neighbors, cumulative, total = self.neighbor_cdf(u)
+            neighbors, cumulative, total = self._built_cdf(u)
             lo = int(rows.start[s])
             row = slice(lo, lo + int(rows.len[s]))
             if (

@@ -10,7 +10,7 @@ One snapshot is one directory::
         adj_dst.npy        # ... in the row Counter's key order
         adj_mult.npy       # multiplicities, verbatim
         host_vertex.npy    # primary layer: active vertex ...
-        host_node.npy      # ... -> hosting node, in host-dict order
+        host_node.npy      # ... -> hosting node, vertices ascending
 
 The format is *order-faithful*: ``DynamicMultigraph.nodes()`` iterates
 the adjacency dict, the walk CDF and the healing engines read Counter
@@ -51,6 +51,7 @@ import os
 import random
 import shutil
 import time
+from array import array
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -96,9 +97,11 @@ def _write_durable(path: Path, payload: bytes) -> None:
         os.fsync(handle.fileno())
 
 
-def _array_bytes(values: Iterable[int]) -> bytes:
+def _array_bytes(values: Iterable[int] | np.ndarray) -> bytes:
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, dtype=np.int64)
     buffer = io.BytesIO()
-    np.save(buffer, np.asarray(list(values), dtype=np.int64))
+    np.save(buffer, values.astype(np.int64, copy=False))
     return buffer.getvalue()
 
 
@@ -144,6 +147,7 @@ def _save_snapshot_impl(net: DexNetwork, root: str | Path) -> Path:
 
     graph = net.graph
     layer = net.overlay.old
+    active = np.flatnonzero(layer.host_view() >= 0)
     src: list[int] = []
     dst: list[int] = []
     mult: list[int] = []
@@ -158,8 +162,8 @@ def _save_snapshot_impl(net: DexNetwork, root: str | Path) -> Path:
         "adj_src.npy": _array_bytes(src),
         "adj_dst.npy": _array_bytes(dst),
         "adj_mult.npy": _array_bytes(mult),
-        "host_vertex.npy": _array_bytes(layer.host.keys()),
-        "host_node.npy": _array_bytes(layer.host.values()),
+        "host_vertex.npy": _array_bytes(active),
+        "host_node.npy": _array_bytes(layer.host_view()[active]),
     }
     state = net.rng.getstate()
     manifest = {
@@ -341,6 +345,9 @@ def _assemble(path: Path) -> DexNetwork:
     manifest = _read_manifest(path)
     arrays = _read_arrays(path, manifest)
 
+    if arrays["nodes.npy"].size and int(arrays["nodes.npy"].min()) < 0:
+        # the host table stores node ids, with -1 for an inactive vertex
+        raise CorruptSnapshot(f"{path}: negative node id in the live-node array")
     nodes = arrays["nodes.npy"].tolist()
     rows = arrays["adj_rows.npy"].tolist()
     src = arrays["adj_src.npy"]
@@ -440,9 +447,9 @@ def _assemble(path: Path) -> DexNetwork:
     graph._version = dict.fromkeys(adj, 0)
     graph._stamp = 0
 
-    # ---- primary layer: host map in serialized order, sets derived ----
+    # ---- primary layer: the host table, sets derived ----
     pcycle = PCycle(int(manifest["p"]))
-    layer = LayerMapping(pcycle, config.low_threshold)
+    layer = LayerMapping(pcycle, config.low_threshold, graph.own)
     raw_vertex = arrays["host_vertex.npy"]
     if len(raw_vertex) != len(arrays["host_node.npy"]):
         raise CorruptSnapshot(f"{path}: host arrays disagree in length")
@@ -451,17 +458,17 @@ def _assemble(path: Path) -> DexNetwork:
     ):
         raise CorruptSnapshot(f"{path}: host map vertex outside the p-cycle")
     raw_node = arrays["host_node.npy"]
-    host_vertex = raw_vertex.tolist()
-    host_node = raw_node.tolist()
-    host = dict(zip(host_vertex, host_node))
-    if len(host) != len(host_vertex):
+    if np.unique(raw_vertex).size != raw_vertex.size:
         raise CorruptSnapshot(f"{path}: host map vertex listed twice")
-    foreign = set(host_node) - graph._node_pos.keys()
+    foreign = set(raw_node.tolist()) - graph._node_pos.keys()
     if foreign:
         raise CorruptSnapshot(
             f"{path}: host map names dead nodes {sorted(foreign)[:5]}"
         )
-    layer.assign_all(host)  # sim / spare / low are functions of the host map
+    table = np.full(pcycle.p, -1, dtype=np.int64)
+    table[raw_vertex] = raw_node
+    # sim / spare / low are functions of the host table
+    layer.assign_all(array("q", table.tobytes()))
 
     # ---- network: the coordinator resnapshots its counters (I8) ----
     overlay = Overlay(graph, layer)
@@ -560,7 +567,7 @@ def state_fingerprint(net: DexNetwork) -> dict:
         "edge_units": graph.num_edge_units,
         "connections": graph.num_connections,
         "topology_changes": graph.topology_changes,
-        "host": list(layer.host.items()),
+        "host": [(z, u) for z, u in enumerate(layer.host) if u >= 0],
         "sim": sorted((u, tuple(sorted(vs))) for u, vs in layer.sim.items()),
         "spare": sorted(layer.spare),
         "low": sorted(layer.low),

@@ -383,6 +383,34 @@ class PCycle:
         """Hop distance between two vertices."""
         return len(self.shortest_path(src, dst)) - 1
 
+    def distances(self, src: Sequence[Vertex], dst: Sequence[Vertex]) -> np.ndarray:
+        """:meth:`distance` of every pair ``(src[i], dst[i])``, up to 64
+        pairs, in one BFS over ``Z(p)`` that carries one bit per source
+        (a uint64 per vertex): level ``d`` ORs each vertex's bits with its
+        three neighbours', and pair ``i`` is done when bit ``i`` reaches
+        ``dst[i]``.  O(p) array work per level, for at most the diameter."""
+        a = np.asarray(src, dtype=np.int64)
+        b = np.asarray(dst, dtype=np.int64)
+        if a.shape != b.shape or a.ndim != 1 or a.size > 64:
+            raise VirtualGraphError("distances takes two equal lists of at most 64 vertices")
+        for x in (a, b):
+            if x.size and not (0 <= x.min() and x.max() < self.p):
+                raise VirtualGraphError(f"a vertex outside Z_{self.p}")
+        bits = np.left_shift(np.uint64(1), np.arange(a.size, dtype=np.uint64))
+        seen = np.zeros(self.p, dtype=np.uint64)
+        np.bitwise_or.at(seen, a, bits)
+        inv = _inverse_array(self.p)
+        out = np.zeros(a.size, dtype=np.int64)
+        pending = (seen[b] & bits) == 0
+        level = 0
+        while pending.any():
+            level += 1
+            seen = seen | np.roll(seen, 1) | np.roll(seen, -1) | seen[inv]
+            hit = pending & ((seen[b] & bits) != 0)
+            out[hit] = level
+            pending &= ~hit
+        return out
+
     def bfs_distances(self, src: Vertex, cutoff: int | None = None) -> dict[Vertex, int]:
         """Full BFS distance map from ``src`` (used by tests and for
         eccentricity measurements)."""

@@ -210,7 +210,7 @@ class TestBulkAdoption:
             b.overlay.move(Layer.OLD, z, neighbor)
         b.graph.remove_node(victim)
         assert moved == sorted(
-            z for z, h in b.overlay.old.host.items() if h == neighbor
+            z for z, h in enumerate(b.overlay.old.host) if h == neighbor
         ) or set(moved) <= set(b.overlay.old.vertices_of(neighbor))
         assert sorted(a.nodes()) == sorted(b.nodes())
         for u in a.nodes():

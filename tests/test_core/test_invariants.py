@@ -64,3 +64,17 @@ class TestDetection:
             net.graph.remove_edge(u, v, net.graph.multiplicity(u, v))
         with pytest.raises(InvariantViolation):
             invariants.check_connectivity(net.overlay)
+
+
+def test_the_audit_leaves_the_cdf_cache_as_it_found_it():
+    """``check_invariants`` builds every node's neighbour CDF to audit the
+    array adjacency, without caching them: the cache holds what the
+    walks put there, no more."""
+    net = DexNetwork.bootstrap(256, DexConfig(seed=3))
+    for _ in range(20):
+        net.insert(attach_to=sorted(net.nodes())[0])
+    cache = net.graph._cdf_cache
+    before = dict(cache)
+    assert 0 < len(before) < net.size
+    net.check_invariants()
+    assert cache == before

@@ -2,6 +2,7 @@
 of the live virtual edges at all times (invariants I3/I4)."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ def build_overlay(p: int = 23, m: int = 6) -> Overlay:
     graph = DynamicMultigraph()
     for u in range(m):
         graph.add_node(u)
-    overlay = Overlay(graph, LayerMapping(PCycle(p), low_threshold=16))
+    overlay = Overlay(graph, LayerMapping(PCycle(p), low_threshold=16, own=graph.own))
     for z in range(p):
         overlay.activate(Layer.OLD, z, min(z * m // p, m - 1))
     return overlay
@@ -131,8 +132,7 @@ class TestReplacePrimary:
     def test_replace_rebuilds_exactly(self):
         overlay = build_overlay()
         target = PCycle(97)
-        hosts = {y: y % 6 for y in range(97)}
-        overlay.replace_primary(target, hosts)
+        overlay.replace_primary(target, array("q", [y % 6 for y in range(97)]))
         assert overlay.old.p == 97
         assert_faithful(overlay)
         for u in overlay.graph.nodes():
@@ -140,19 +140,23 @@ class TestReplacePrimary:
 
     def test_replace_requires_surjective(self):
         overlay = build_overlay()
-        hosts = {y: 0 for y in range(97)}  # node 1..5 left empty
+        hosts = array("q", [0]) * 97  # node 1..5 left empty
         with pytest.raises(MappingError):
             overlay.replace_primary(PCycle(97), hosts)
 
     def test_replace_requires_complete(self):
         overlay = build_overlay()
-        hosts = {y: y % 6 for y in range(96)}  # vertex 96 missing
-        with pytest.raises(MappingError):
-            overlay.replace_primary(PCycle(97), hosts)
+        for hosts in (
+            array("q", [y % 6 for y in range(96)]),  # vertex 96 missing
+            array("q", [y % 6 for y in range(96)] + [-1]),  # vertex 96 inactive
+        ):
+            with pytest.raises(MappingError):
+                overlay.replace_primary(PCycle(97), hosts)
+        assert_faithful(overlay)
 
     def test_replace_rejects_a_vertex_outside_the_cycle(self):
         overlay = build_overlay()
-        hosts = {y: y % 6 for y in range(96)} | {97: 0}  # 97 vertices, one >= p
+        hosts = array("q", [y % 6 for y in range(98)])  # one entry past p
         with pytest.raises(MappingError):
             overlay.replace_primary(PCycle(97), hosts)
         assert_faithful(overlay)  # rejected before anything was torn down
@@ -160,7 +164,7 @@ class TestReplacePrimary:
 
     def test_replace_rejects_an_owner_that_is_not_live(self):
         overlay = build_overlay()
-        hosts = {y: y % 7 for y in range(97)}  # node 6 does not exist
+        hosts = array("q", [y % 7 for y in range(97)])  # node 6 does not exist
         with pytest.raises(MappingError):
             overlay.replace_primary(PCycle(97), hosts)
         assert_faithful(overlay)
@@ -176,8 +180,6 @@ class TestReplacePrimary:
         owners = list(range(6)) + [u for u, _attach in pending]
         hosts = {y: rng.choice(owners) for y in range(p)}
         hosts.update(zip(rng.sample(range(p), len(owners)), owners))  # surjective
-        if seed % 2:  # the plan's own order is what ``old.host`` keeps
-            hosts = dict(rng.sample(sorted(hosts.items()), p))
         twins = build_overlay(), build_overlay()
         for overlay in twins:
             moves = random.Random(seed)
@@ -187,14 +189,14 @@ class TestReplacePrimary:
                 overlay.graph.add_node(u)
                 overlay.graph.add_edge(u, attach)
         _replace_primary_per_edge(twins[0], PCycle(p), dict(hosts))
-        twins[1].replace_primary(PCycle(p), dict(hosts))
+        twins[1].replace_primary(PCycle(p), array("q", [hosts[y] for y in range(p)]))
         graphs = [overlay.graph for overlay in twins]
         rows = [[(u, list(row.items())) for u, row in g._adj.items()] for g in graphs]
         assert rows[0] == rows[1]
         for name in ("_degree", "_nodes", "num_edge_units", "num_connections", "topology_changes"):
             assert getattr(graphs[0], name) == getattr(graphs[1], name), name
         layers = [overlay.old for overlay in twins]
-        assert list(layers[0].host.items()) == list(layers[1].host.items())
+        assert layers[0].host == layers[1].host
         for name in ("sim", "spare", "low"):
             assert getattr(layers[0], name) == getattr(layers[1], name), name
         graphs[1].verify_caches()
@@ -210,7 +212,7 @@ def _replace_primary_per_edge(overlay: Overlay, pcycle: PCycle, hosts: dict[int,
             graph.remove_edge(old.host[a], old.host[a], mult=1)
         else:
             overlay._pair_remove(old.host[a], old.host[b])
-    new_layer = LayerMapping(pcycle, old.low_threshold)
+    new_layer = LayerMapping(pcycle, old.low_threshold, graph.own)
     for z, node in hosts.items():
         new_layer.assign(z, node)
     old.on_counts_delta = None

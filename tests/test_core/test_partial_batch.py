@@ -21,6 +21,7 @@ from repro.core.multi import (
     partition_insert_batch,
 )
 from repro.errors import AdversaryError
+from repro.persist.snapshot import state_fingerprint
 
 
 def batch_net(n0: int = 24, seed: int = 61, **overrides) -> DexNetwork:
@@ -68,6 +69,34 @@ class TestInsertPartition:
         assert "already exists" in rejected[1].reason
         assert "attach point" in rejected[2].reason
 
+    @pytest.mark.parametrize("bad", [-1, -(2**70), 2**63, 2**70])
+    def test_ids_outside_the_host_table_are_refused_before_any_mutation(self, bad):
+        # node ids live in an int64 host table with -1 for "inactive"
+        net = batch_net()
+        before = state_fingerprint(net)
+        next_before = net._next_id
+        attach = sorted(net.nodes())[0]
+        with pytest.raises(AdversaryError, match=r"outside \[0, 2\*\*63\)"):
+            net.insert(node_id=bad, attach_to=attach)
+        with pytest.raises(AdversaryError, match=r"outside \[0, 2\*\*63\)"):
+            insert_batch(net, [(bad, attach)])
+        base = net.fresh_id()
+        legal, rejected = partition_insert_batch(net, [(bad, attach), (base, attach)])
+        assert legal == [(base, attach)]
+        assert [(r.index, r.node) for r in rejected] == [(0, bad)]
+        assert state_fingerprint(net) == before and net._next_id == next_before
+        outcome = insert_batch_partial(net, [(bad, attach), (base, attach)])
+        assert outcome.accepted == [(base, attach)]
+        assert net.graph.has_node(base) and not net.graph.has_node(bad)
+        checked(net)
+
+    def test_bootstrap_ids_must_fit_the_host_table(self):
+        with pytest.raises(AdversaryError, match="past 2\\*\\*63"):
+            DexNetwork.bootstrap(8, id_base=2**63 - 4)
+        net = DexNetwork.bootstrap(8, id_base=2**63 - 8)
+        assert max(net.nodes()) == 2**63 - 1
+        checked(net)
+
     def test_fanout_cap_rejects_fifth_attachment(self):
         net = batch_net()
         base = net.fresh_id()
@@ -84,8 +113,8 @@ class TestInsertPartition:
         hosts = sorted(net.nodes())
         batch = [(base + i, hosts[i % 4]) for i in range(10)]
         legal, rejected = partition_insert_batch(net, batch)
-        assert len(legal) == 8  # eps*n with n=8
-        assert all("eps*n" in r.reason for r in rejected)
+        assert len(legal) == 8  # eps*n with eps = 1 and n = 8
+        assert all("exceeds n=8" in r.reason for r in rejected)
 
     def test_partial_heals_legal_majority(self):
         net = batch_net()

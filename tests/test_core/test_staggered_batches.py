@@ -1,5 +1,5 @@
-"""Staggered type-2 recovery under the batch API: the two defects that
-once broke it, kept as regression tests.
+"""Staggered type-2 recovery under the batch API: the three defects
+that once broke it, kept as regression tests.
 
 1. A batch of B events must advance an in-flight staggered op by B
    chunks (Lemma 9 counts adversarial events); at one chunk per step a
@@ -10,10 +10,11 @@ once broke it, kept as regression tests.
    call can force-complete the op and reset ``dex.staggered`` to
    ``None``, so every call re-reads it.
 
-One defect is still open, pinned as a strict xfail: a batch of joins a
-third the network's size, landing while a staggered inflation is in
-flight, exhausts an insertion's type-1 retries; the simplified mode
-heals the same batches."""
+3. A batch of joins a third the network's size, landing while a
+   staggered inflation is in flight, exhausted an insertion's type-1
+   retries: the leftover insertions healed one by one and the op
+   advanced only after all of them, so none found the vertices its own
+   event's chunk generates.  Each now ticks the op before it heals."""
 
 import random
 
@@ -21,7 +22,7 @@ import pytest
 
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
-from repro.errors import RecoveryError
+from repro.net.metrics import CostLedger
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -50,26 +51,13 @@ def test_leave_batches_survive_a_completed_staggered_op(seed: int) -> None:
     net.check_invariants()
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [
-        pytest.param(
-            "staggered",
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=RecoveryError,
-                reason="a join batch of n/3 outruns the in-flight staggered op",
-            ),
-        ),
-        "simplified",
-    ],
-)
+@pytest.mark.parametrize("mode", ["staggered", "simplified"])
 def test_third_of_n_join_batches_heal_in_both_modes(mode: str) -> None:
     # Shrunk from a mixed random script (seed 2002: join batches of up
     # to n/3 and leave batches of up to n/4 from n0 in {48, 96, 192},
-    # which raised at step 21, n = 2475).  Join batches alone do it: staggered raises
-    # RecoveryError on the fifth batch (n = 3234, an op in flight) for
-    # every seed tried, simplified heals all five.
+    # which raised at step 21, n = 2475).  Join batches alone did it:
+    # staggered raised RecoveryError on the fifth batch (n = 3234, an op
+    # in flight) for every seed tried, simplified healed all five.
     rng = random.Random(0)
     net = DexNetwork.bootstrap(768, DexConfig(seed=0, type2_mode=mode))
     for _ in range(5):
@@ -77,3 +65,25 @@ def test_third_of_n_join_batches_heal_in_both_modes(mode: str) -> None:
         base = net.fresh_id()
         net.insert_batch_partial([(base + i, rng.choice(nodes)) for i in range(len(nodes) // 3)])
         net.check_invariants()
+
+
+def test_a_forced_completion_inside_the_batch_is_reported() -> None:
+    # The leftover loop ticks the op itself; when a tick force-completes
+    # it, the op is gone by the time the step closes, and the flag must
+    # still reach the step report.
+    net = DexNetwork.bootstrap(64, DexConfig(seed=3, type2_mode="staggered"))
+    net.start_staggered_inflate(CostLedger())
+    op = net.staggered
+    real_advance = op.advance
+
+    def first_tick_forces(ledger: CostLedger) -> None:
+        op.advance = real_advance
+        op.force_complete(ledger)
+
+    op.advance = first_tick_forces
+    nodes = sorted(net.nodes())
+    base = net.fresh_id()
+    report = net.insert_batch([(base + i, nodes[i]) for i in range(3)])
+    assert op.forced and net.staggered is not op
+    assert report.forced_completion
+    net.check_invariants()

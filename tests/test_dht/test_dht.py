@@ -1,5 +1,5 @@
 """The DHT of Section 4.4.4: O(log n) ops, items follow vertices, and
-retrievability survives churn including staggered cycle swaps (I9)."""
+retrievability survives churn including staggered cycle swaps."""
 
 import math
 

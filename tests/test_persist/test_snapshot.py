@@ -5,10 +5,13 @@ management."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -158,6 +161,29 @@ class TestCorruption:
         manifest["edge_units"] += 1
         (path / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True))
         with pytest.raises(CorruptSnapshot, match="edge units"):
+            load_snapshot(path)
+
+    def test_negative_node_id_is_refused(self, tmp_path):
+        """Node ids live in an int64 host table with -1 for "inactive",
+        so a checkpoint naming a negative node, consistently in every
+        array and with fixed-up checksums, is refused, not restored with
+        that node's vertices silently inactive."""
+        net, path = self.checkpoint(tmp_path)
+        victim = sorted(net.nodes())[0]
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        for name in ("nodes.npy", "adj_rows.npy", "adj_src.npy", "adj_dst.npy", "host_node.npy"):
+            values = np.load(path / name)
+            values[values == victim] = -5
+            buffer = io.BytesIO()
+            np.save(buffer, values)
+            payload = buffer.getvalue()
+            (path / name).write_bytes(payload)
+            manifest["files"][name] = {
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "bytes": len(payload),
+            }
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True))
+        with pytest.raises(CorruptSnapshot, match="negative node id"):
             load_snapshot(path)
 
     def rewrite_config(self, path, **fields) -> None:

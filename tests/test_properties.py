@@ -1,6 +1,6 @@
 """Property-based whole-system tests: a stateful churn machine asserting
-the DEX invariants (I1-I9) after every adversarial step hypothesis can
-dream up."""
+the DEX invariants (I1-I8, and the DHT's retrievability) after every
+adversarial step hypothesis can dream up."""
 
 import hypothesis.strategies as st
 from hypothesis import settings

@@ -210,6 +210,25 @@ class TestPaths:
         # exact optimality against a reference full BFS
         assert len(path) - 1 == z.bfs_distances(src)[dst]
 
+    @given(st.sampled_from([5, 7, 97, 251, 1009, 16411]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_parallel_distances_match_distance(self, p, data):
+        """One bit-parallel BFS against :meth:`PCycle.distance` per pair:
+        random pairs plus endpoints at 0, 1 and p - 1 and a == b."""
+        z = PCycle(p)
+        ends = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+        pairs = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=60))
+        pairs += [(0, 1), (p - 1, 0), (1, p - 1), (3 % p, 3 % p)]
+        got = z.distances([a for a, _ in pairs], [b for _, b in pairs])
+        assert got.tolist() == [z.distance(a, b) for a, b in pairs]
+
+    def test_bit_parallel_distances_reject_bad_input(self):
+        z = PCycle(23)
+        assert z.distances([], []).tolist() == []
+        for src, dst in (([0] * 65, [1] * 65), ([0, 1], [1]), ([23], [0]), ([0], [-1])):
+            with pytest.raises(VirtualGraphError):
+                z.distances(src, dst)
+
     def test_trivial_path(self):
         z = PCycle(23)
         assert z.shortest_path(5, 5) == [5]

@@ -32,7 +32,7 @@ class TestPCycle5:
         graph = DynamicMultigraph()
         for u in range(2):
             graph.add_node(u)
-        overlay = Overlay(graph, LayerMapping(PCycle(5), low_threshold=16))
+        overlay = Overlay(graph, LayerMapping(PCycle(5), low_threshold=16, own=graph.own))
         for z in range(5):
             overlay.activate(Layer.OLD, z, z % 2)
         for u in range(2):
