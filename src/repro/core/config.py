@@ -45,12 +45,6 @@ class DexConfig:
     #: *healing* engines disable it; leave on whenever the batch source
     #: is untrusted.
     validate_batches: bool = True
-    #: scheduler for the batch healing waves: "vector" (lockstep numpy
-    #: over the graph's array adjacency), "scalar" (the per-token loop,
-    #: also the numpy-free fallback) or "auto" (vector for large waves).
-    #: Both implement the same draw protocol, so for a fixed seed the
-    #: choice never changes results -- only wall-clock.
-    wave_engine: str = "auto"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,8 +60,6 @@ class DexConfig:
             raise ConfigError(f"unknown type2_mode {self.type2_mode!r}")
         if self.fidelity not in ("analytic", "engine"):
             raise ConfigError(f"unknown fidelity {self.fidelity!r}")
-        if self.wave_engine not in ("auto", "vector", "scalar"):
-            raise ConfigError(f"unknown wave_engine {self.wave_engine!r}")
         if self.min_network_size < 2:
             raise ConfigError("min_network_size must be >= 2")
 

@@ -30,7 +30,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.events import StepReport
 from repro.core.mapping import NODE_ID_LIMIT, LayerMapping
 from repro.core.overlay import Overlay
-from repro.core.type1 import deletion_recovery, insertion_recovery
+from repro.core.type1 import decide_type2, deletion_recovery, insertion_recovery
 from repro.core.type2_staggered import StaggeredOp
 from repro.errors import AdversaryError, TopologyError
 from repro.net.metrics import CostLedger
@@ -284,12 +284,9 @@ class DexNetwork:
         # themselves are already current via the change-listener hooks).
         if self.graph.has_node(locus):
             self.coordinator.charge_update(locus, ledger)
-        # Early staggered triggers.
-        if self.config.type2_mode == "staggered" and self.staggered is None:
-            if self.coordinator.wants_inflate():
-                self.start_staggered_inflate(ledger)
-            elif self.coordinator.wants_deflate() and self.can_deflate():
-                self.start_staggered_deflate(ledger)
+        # Early staggered triggers (no-op in simplified mode).
+        if self.staggered is None:
+            decide_type2(self, "either", (), ledger)
 
         self.step_count += 1
         ledger.topology_changes = self.graph.topology_changes - topo_before

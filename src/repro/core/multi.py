@@ -12,22 +12,22 @@ refused as exceeding ``n``), subject to the model's restrictions:
   node must retain at least one surviving neighbor.
 
 Healing is *batch-parallel*: every pending recovery generates a token
-(resolved by the :mod:`repro.core.type1` transfer functions) and the
-whole wave is scheduled through :func:`~repro.net.walks.run_wave` under
-the Lemma 11 one-token-per-edge-per-round rule.  The wave hop
-itself runs on the engine selected by ``DexConfig.wave_engine`` -- by
-default the lockstep numpy engine, which advances all active tokens of
-a round as vectorized operations over the graph's array adjacency;
-the scalar reference produces bit-identical results for a fixed seed
-and serves as the differential oracle.  Rounds are charged as the
-scheduler's *actual* round count (and messages as the total hops), not a
-post-hoc max over sequential recoveries.  Tokens whose landing node was
-drained by an earlier resolution of the same wave simply retry in the
-next congestion-synchronous round.
+and the whole wave is scheduled through :func:`~repro.net.walks.run_wave`
+under the Lemma 11 one-token-per-edge-per-round rule.  One wave driver,
+:func:`_heal_in_waves`, serves both batch kinds; each kind gives it its
+target set (Spare for insertions, Low for redistributions), its
+resolver (:func:`~repro.core.type1.resolve_insertion` /
+:func:`~repro.core.type1.resolve_redistribution`, the single steps'
+own) and its hand-over to a staggered op in flight.  Rounds are charged
+as the scheduler's *actual* round count (and messages as the total
+hops), not a post-hoc max over sequential recoveries.  Tokens whose
+landing node was drained by an earlier resolution of the same wave
+simply retry in the next congestion-synchronous round.
 
 Large batches may deplete Spare (resp. Low) within O(1) steps, so after
 a wave with failures the engine makes *one* type-2 decision for the
-whole round: in ``simplified`` mode a single ``computeSpare`` /
+whole round (:func:`~repro.core.type1.decide_type2`, the single steps'
+own): in ``simplified`` mode a single ``computeSpare`` /
 ``computeLow`` flood (every node of the batch learns the counts from the
 same flood) followed, below the Fact 2 threshold, by one simplified
 inflation that heals every still-pending insertion in the same rebuild;
@@ -36,26 +36,27 @@ recoveries ride the staggered machinery exactly as single-step churn
 does.  The corollary's bounds -- O(n log^2 n) messages and O(log^3 n)
 rounds per batch step w.h.p. -- come from these procedures.
 
-**Partial-batch outcomes** (PR 5): validation no longer has to be
-all-or-nothing.  :func:`partition_insert_batch` /
-:func:`partition_delete_batch` split a submitted batch into the legal
-actions (healed together in one wave) and a per-action
-:class:`BatchRejection` carrying the offending node and the reason, and
-:func:`insert_batch_partial` / :func:`delete_batch_partial` heal the
-legal majority while reporting every rejection -- the per-request
-accountability the membership-service gateway
-(:mod:`repro.service.gateway`) and the campaign driver's single-pass
-fallback path need.  The strict :func:`insert_batch` /
-:func:`delete_batch` are thin wrappers that raise on the first
-rejection, preserving the historical all-or-nothing surface.
+**Partial-batch outcomes**: validation need not be all-or-nothing.
+:func:`partition_insert_batch` / :func:`partition_delete_batch` split a
+submitted batch into the legal actions (healed together in one wave)
+and a per-action :class:`BatchRejection` carrying the offending node and
+the reason, and :func:`insert_batch_partial` /
+:func:`delete_batch_partial` heal the legal majority while reporting
+every rejection -- the per-request accountability the membership-service
+gateway (:mod:`repro.service.gateway`) and the campaign driver's
+single-pass fallback path need.  The strict :func:`insert_batch` /
+:func:`delete_batch` partition the same way and raise on the first
+rejection before any mutation, else heal exactly as the partial forms
+do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Collection, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Collection, Container, Sequence
 
 import numpy as np
 
@@ -63,23 +64,28 @@ from repro.core.events import StepReport
 from repro.core.mapping import NODE_ID_LIMIT
 from repro.core.type1 import (
     adopt_deleted,
+    decide_type2,
     insertion_recovery,
-    low_depleted,
-    spare_depleted,
+    resolve_insertion,
+    resolve_redistribution,
     walk_budget,
 )
 from repro.errors import AdversaryError, RecoveryError
 from repro.net.metrics import CostLedger
 from repro.net.walks import run_wave
 from repro.obs import trace as _trace
-from repro.types import Layer, NodeId, RecoveryType, StepKind, Vertex
+from repro.types import NodeId, RecoveryType, StepKind, Vertex
 from repro.virtual.pcycle import neighbor_rows, zero_tree
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.dex import DexNetwork
+    from repro.core.mapping import LayerMapping
     from repro.net.topology import DynamicMultigraph
 
 MAX_ATTACH_PER_NODE = 4
+
+#: a batch step: ``(dex, entries, *extra) -> StepReport``
+_Step = Callable[..., StepReport]
 
 
 # ----------------------------------------------------------------------
@@ -166,22 +172,6 @@ def partition_insert_batch(
     return legal, rejected
 
 
-def _validate_insert_batch(
-    dex: "DexNetwork", attachments: Sequence[tuple[NodeId, NodeId]]
-) -> None:
-    """All-or-nothing validation *before* any mutation, so a bad entry
-    mid-batch can never leave earlier insertions applied."""
-    if not attachments:
-        raise AdversaryError("empty insertion batch")
-    if len(attachments) > max(1, dex.size):
-        raise AdversaryError(
-            f"batch of {len(attachments)} exceeds n={dex.size}"
-        )
-    _legal, rejected = partition_insert_batch(dex, attachments)
-    if rejected:
-        raise AdversaryError(rejected[0].reason)
-
-
 def insert_batch(
     dex: "DexNetwork", attachments: Sequence[tuple[NodeId, NodeId]]
 ) -> StepReport:
@@ -189,8 +179,12 @@ def insert_batch(
     healing the whole batch in congestion-synchronous token waves.
     All-or-nothing: any illegal entry rejects the whole batch
     (:func:`insert_batch_partial` heals the legal majority instead)."""
-    _validate_insert_batch(dex, attachments)
-    return _execute_insert_batch(dex, attachments)
+    if not attachments:
+        raise AdversaryError("empty insertion batch")
+    legal, rejected = partition_insert_batch(dex, attachments)
+    if rejected:
+        raise AdversaryError(rejected[0].reason)
+    return _insert_step(dex, legal)
 
 
 def insert_batch_partial(
@@ -200,29 +194,34 @@ def insert_batch_partial(
     report every rejected entry with its reason.  An empty or fully
     illegal batch runs no step (``report is None``)."""
     legal, rejected = partition_insert_batch(dex, attachments)
-    report = _execute_insert_batch(dex, legal) if legal else None
+    report = _insert_step(dex, legal) if legal else None
     return BatchOutcome("insert", accepted=legal, rejected=rejected, report=report)
 
 
-def _execute_insert_batch(
-    dex: "DexNetwork", attachments: Sequence[tuple[NodeId, NodeId]]
-) -> StepReport:
-    """Apply a pre-validated insertion batch (structural phase + healing
-    waves); shared by the strict and partial entry points."""
-    if _trace.current().enabled:
-        with _trace.span("core.insert_batch", batch=len(attachments)) as sp:
-            report = _insert_batch_impl(dex, attachments)
-            sp.set(recovery=report.recovery.name.lower())
-            return report
-    return _insert_batch_impl(dex, attachments)
+def _traced(name: str) -> Callable[[_Step], _Step]:
+    """Run a batch step inside a ``name`` span when tracing is on."""
+
+    def wrap(step: _Step) -> _Step:
+        @wraps(step)
+        def traced(dex: "DexNetwork", entries: list, *args: object) -> StepReport:
+            if not _trace.current().enabled:
+                return step(dex, entries, *args)
+            with _trace.span(name, batch=len(entries)) as sp:
+                report = step(dex, entries, *args)
+                sp.set(recovery=report.recovery.name.lower())
+                return report
+
+        return traced
+
+    return wrap
 
 
-def _insert_batch_impl(
-    dex: "DexNetwork", attachments: Sequence[tuple[NodeId, NodeId]]
-) -> StepReport:
+@_traced("core.insert_batch")
+def _insert_step(dex: "DexNetwork", attachments: list[tuple[NodeId, NodeId]]) -> StepReport:
+    """Apply a legal insertion batch: the structural phase, then the
+    healing waves."""
     ledger = CostLedger()
     topo_before = dex.graph.topology_changes
-    recovery = RecoveryType.TYPE1
 
     # Structural phase: all new nodes join with their adversarial
     # attachment edge at once (Section 5's batch step).
@@ -231,25 +230,9 @@ def _insert_batch_impl(
         dex.graph.add_node(new_id)
         dex.graph.add_edge(new_id, attach)
 
-    pending: list[tuple[NodeId, NodeId]] = list(attachments)
-    if dex.staggered is None:
-        pending, recovery = _heal_insertions_in_waves(
-            dex, pending, ledger, recovery
-        )
-    # A staggered op in flight (from the start, or triggered by a failed
-    # wave): the remaining insertions ride it one by one, exactly like
-    # single-step churn (Section 4.4.1), each after its own event's chunk,
-    # so it finds the vertices that chunk generated.
-    ticked = 0
-    forced = False
-    for u, v in pending:
-        op = dex.staggered
-        if op is not None:
-            op.advance(ledger)
-            forced = forced or op.forced
-            ticked += 1
-        insertion_recovery(dex, u, v, ledger)
-        recovery = RecoveryType.TYPE1_DURING_STAGGER
+    recovery, ticked, forced = _heal_in_waves(
+        dex, INSERTIONS, list(attachments), ledger, RecoveryType.TYPE1
+    )
 
     # Algorithm 4.2 line 3: drop the adversary's attachments unless a
     # virtual edge requires the connection (reference counting makes
@@ -266,76 +249,6 @@ def _insert_batch_impl(
         events=len(attachments) - ticked,
         forced=forced,
     )
-
-
-def _heal_insertions_in_waves(
-    dex: "DexNetwork",
-    pending: list[tuple[NodeId, NodeId]],
-    ledger: CostLedger,
-    recovery: RecoveryType,
-) -> tuple[list[tuple[NodeId, NodeId]], RecoveryType]:
-    """Token waves under Lemma 11 until every insertion found a Spare
-    donor, a type-2 inflation healed the leftovers, or a staggered op
-    took over (the caller finishes those sequentially)."""
-    from repro.core import type2_simplified
-
-    overlay = dex.overlay
-    for wave in range(dex.config.max_type1_retries + 1):
-        if not pending or dex.staggered is not None:
-            break
-        length = walk_budget(dex, wave)
-        old = overlay.old
-        ends, founds, hops, rounds = run_wave(
-            dex.graph,
-            [v for _u, v in pending],
-            length,
-            old.spare,
-            dex.rng,
-            excluded=[u for u, _v in pending],
-            engine=dex.config.wave_engine,
-        )
-        ledger.charge_walk_wave(walks=len(pending), hops=hops, rounds=rounds)
-        still: list[tuple[NodeId, NodeId]] = []
-        spare = old.spare
-        pick = old.pick_transferable
-        move = overlay.move
-        rng = dex.rng
-        for i, (u, v) in enumerate(pending):
-            w = ends[i]
-            # Re-check Spare membership: an earlier resolution of the
-            # same wave may have drained w (same semantics as
-            # resolve_insertion, inlined for the hot path).
-            if founds[i] and w in spare:
-                move(Layer.OLD, pick(w, rng), u)
-                continue
-            still.append((u, v))
-        pending = still
-        if not pending:
-            break
-        # One type-2 decision per round for the whole batch.
-        origin = pending[0][1]
-        if dex.config.type2_mode == "simplified":
-            if spare_depleted(dex, origin, ledger):
-                with _trace.span(
-                    "core.type2.inflate", wave=wave, pending=len(pending)
-                ):
-                    type2_simplified.simplified_inflate(
-                        dex, ledger, pending=pending
-                    )
-                return [], RecoveryType.TYPE2_INFLATE
-            ledger.retries += len(pending)
-        else:
-            dex.coordinator.charge_update(origin, ledger)
-            if dex.coordinator.wants_inflate():
-                dex.start_staggered_inflate(ledger)
-                return pending, recovery
-            ledger.retries += len(pending)
-    if pending and dex.staggered is None:
-        raise RecoveryError(
-            f"{len(pending)} batched insertions not healed within "
-            f"{dex.config.max_type1_retries} token waves"
-        )
-    return pending, recovery
 
 
 # ----------------------------------------------------------------------
@@ -686,18 +599,16 @@ def _restore_for_connectivity(
 def delete_batch(dex: "DexNetwork", nodes: Sequence[NodeId]) -> StepReport:
     """Delete a batch of nodes in one step, enforcing the connectivity
     conditions of Corollary 2, then redistribute every adopted vertex in
-    congestion-synchronous token waves.  All-or-nothing: any illegal
-    victim rejects the whole batch (:func:`delete_batch_partial` heals
-    the legal majority instead)."""
+    congestion-synchronous token waves.  Repeated victims count once.
+    All-or-nothing: any illegal victim rejects the whole batch
+    (:func:`delete_batch_partial` heals the legal majority instead)."""
     victims = list(dict.fromkeys(nodes))
     if not victims:
         raise AdversaryError("empty deletion batch")
-    if dex.size - len(victims) < dex.config.min_network_size:
-        raise AdversaryError("batch would shrink the network below minimum size")
     legal, rejected, adopter = partition_delete_batch(dex, victims)
     if rejected:
         raise AdversaryError(rejected[0].reason)
-    return _execute_delete_batch(dex, legal, adopter)
+    return _delete_step(dex, legal, adopter)
 
 
 def delete_batch_partial(dex: "DexNetwork", nodes: Sequence[NodeId]) -> BatchOutcome:
@@ -705,29 +616,16 @@ def delete_batch_partial(dex: "DexNetwork", nodes: Sequence[NodeId]) -> BatchOut
     every rejected victim with its reason.  An empty or fully illegal
     batch runs no step (``report is None``)."""
     legal, rejected, adopter = partition_delete_batch(dex, list(nodes))
-    report = _execute_delete_batch(dex, legal, adopter) if legal else None
+    report = _delete_step(dex, legal, adopter) if legal else None
     return BatchOutcome("delete", accepted=legal, rejected=rejected, report=report)
 
 
-def _execute_delete_batch(
+@_traced("core.delete_batch")
+def _delete_step(
     dex: "DexNetwork", victims: list[NodeId], adopter: dict[NodeId, NodeId]
 ) -> StepReport:
-    """Apply a pre-validated deletion batch (structural adoption sweep +
-    redistribution waves); shared by the strict and partial entry
-    points."""
-    if _trace.current().enabled:
-        with _trace.span("core.delete_batch", batch=len(victims)) as sp:
-            report = _delete_batch_impl(dex, victims, adopter)
-            sp.set(recovery=report.recovery.name.lower())
-            return report
-    return _delete_batch_impl(dex, victims, adopter)
-
-
-def _delete_batch_impl(
-    dex: "DexNetwork", victims: list[NodeId], adopter: dict[NodeId, NodeId]
-) -> StepReport:
-    from repro.core import type2_simplified
-
+    """Apply a legal deletion batch: the structural adoption sweep, then
+    the redistribution waves."""
     ledger = CostLedger()
     topo_before = dex.graph.topology_changes
     recovery = RecoveryType.TYPE1
@@ -761,70 +659,9 @@ def _delete_batch_impl(
             recovery = RecoveryType.TYPE1_DURING_STAGGER
             coord = dex.coordinator.node  # vertex 0 may have rehomed
 
-    overlay = dex.overlay
-    for wave in range(dex.config.max_type1_retries + 1):
-        if not pending or dex.staggered is not None:
-            break
-        length = walk_budget(dex, wave)
-        low = overlay.old.low
-        ends, founds, hops, rounds = run_wave(
-            dex.graph,
-            [v for _z, v in pending],
-            length,
-            low,
-            dex.rng,
-            engine=dex.config.wave_engine,
-        )
-        ledger.charge_walk_wave(walks=len(pending), hops=hops, rounds=rounds)
-        still: list[tuple[Vertex, NodeId]] = []
-        move = overlay.move
-        for i, (z, v) in enumerate(pending):
-            # Re-check Low membership (a previous token of this wave may
-            # have filled the landing node) -- resolve_redistribution,
-            # inlined for the hot path.
-            if founds[i] and ends[i] in low:
-                move(Layer.OLD, z, ends[i])
-                continue
-            still.append((z, v))
-        pending = still
-        if not pending:
-            break
-        origin = pending[0][1]
-        if dex.config.type2_mode == "simplified":
-            if low_depleted(dex, origin, ledger):
-                # The deflation rebuilds the whole cycle; the adopted
-                # old-layer vertices cease to exist with it.
-                with _trace.span(
-                    "core.type2.deflate", wave=wave, pending=len(pending)
-                ):
-                    type2_simplified.simplified_deflate(dex, ledger)
-                pending = []
-                recovery = RecoveryType.TYPE2_DEFLATE
-                break
-            ledger.retries += len(pending)
-        else:
-            dex.coordinator.charge_update(origin, ledger)
-            if dex.coordinator.wants_deflate() and dex.can_deflate():
-                dex.start_staggered_deflate(ledger)
-                break
-            ledger.retries += len(pending)
-
-    if pending and dex.staggered is not None:
-        # A deflate started mid-heal: hand each adopter's leftovers to
-        # the staggered machinery (Lemma 9a bounds keep loads legal).
-        by_adopter: dict[NodeId, list[Vertex]] = {}
-        for z, v in pending:
-            by_adopter.setdefault(v, []).append(z)
-        for v, leftovers in by_adopter.items():
-            if dex.staggered is not None:  # else completed: leftovers dropped
-                dex.staggered.redistribute_after_deletion(v, leftovers, [], ledger)
-        pending = []
-        recovery = RecoveryType.TYPE1_DURING_STAGGER
-    if pending:
-        raise RecoveryError(
-            f"{len(pending)} adopted vertices not redistributed within "
-            f"{dex.config.max_type1_retries} token waves"
-        )
+    recovery, ticked, forced = _heal_in_waves(
+        dex, REDISTRIBUTIONS, pending, ledger, recovery
+    )
     return dex._finish_step(
         StepKind.BATCH,
         victims[0],
@@ -832,5 +669,130 @@ def _delete_batch_impl(
         recovery,
         ledger,
         topo_before,
-        events=len(victims),
+        events=len(victims) - ticked,
+        forced=forced,
     )
+
+
+# ----------------------------------------------------------------------
+# the wave driver (both batch kinds)
+# ----------------------------------------------------------------------
+#: a token: its entry (the fresh node, or the adopted vertex) and the
+#: node it starts from (the attach point, or the adopter)
+Token = tuple[int, NodeId]
+
+
+@dataclass(frozen=True)
+class TokenKind:
+    """What the wave driver takes from a batch kind."""
+
+    #: the rebuild a shortage of targets calls for
+    type2: str
+    #: the target set a token seeks, read off the old layer
+    targets: Callable[["LayerMapping"], "Container[NodeId]"]
+    #: the transfer when a token lands (False: the target no longer
+    #: qualifies, retry next round)
+    resolve: Callable[["DexNetwork", int, NodeId], bool]
+    #: a token never steps onto its own entry (a fresh node)
+    excludes_entry: bool
+    #: hands the unresolved tokens to the staggered op in flight;
+    #: returns the events it ticked and whether it saw a forced completion
+    hand_over: Callable[["DexNetwork", list[Token], CostLedger], tuple[int, bool]]
+    #: how the RecoveryError names unresolved tokens
+    failure: str
+
+
+def _insertions_ride_the_op(
+    dex: "DexNetwork", pending: list[Token], ledger: CostLedger
+) -> tuple[int, bool]:
+    """Each remaining insertion heals one by one like a single step
+    (Section 4.4.1), right after its own event's chunk, so it finds the
+    vertices that chunk generated."""
+    ticked = 0
+    forced = False
+    for u, v in pending:
+        op = dex.staggered
+        if op is not None:
+            op.advance(ledger)
+            forced = forced or op.forced
+            ticked += 1
+        insertion_recovery(dex, u, v, ledger)
+    return ticked, forced
+
+
+def _redistributions_ride_the_op(
+    dex: "DexNetwork", pending: list[Token], ledger: CostLedger
+) -> tuple[int, bool]:
+    """Each adopter hands its remaining vertices to the staggered
+    machinery (Lemma 9a's bounds keep the loads legal)."""
+    by_adopter: dict[NodeId, list[Vertex]] = {}
+    for z, v in pending:
+        by_adopter.setdefault(v, []).append(z)
+    for v, leftovers in by_adopter.items():
+        if dex.staggered is not None:  # else completed: leftovers dropped
+            dex.staggered.redistribute_after_deletion(v, leftovers, [], ledger)
+    return 0, False
+
+
+INSERTIONS = TokenKind(
+    type2="inflate",
+    targets=attrgetter("spare"),
+    resolve=resolve_insertion,
+    excludes_entry=True,
+    hand_over=_insertions_ride_the_op,
+    failure="batched insertions not healed",
+)
+REDISTRIBUTIONS = TokenKind(
+    type2="deflate",
+    targets=attrgetter("low"),
+    resolve=resolve_redistribution,
+    excludes_entry=False,
+    hand_over=_redistributions_ride_the_op,
+    failure="adopted vertices not redistributed",
+)
+
+
+def _heal_in_waves(
+    dex: "DexNetwork",
+    kind: TokenKind,
+    pending: list[Token],
+    ledger: CostLedger,
+    recovery: RecoveryType,
+) -> tuple[RecoveryType, int, bool]:
+    """Token waves under Lemma 11 until every token resolved, a type-2
+    rebuild healed the rest, or a staggered op took them over.  Returns
+    the step's recovery kind, the events the hand-over ticked and
+    whether it saw a forced completion."""
+    for wave in range(dex.config.max_type1_retries + 1):
+        if not pending or dex.staggered is not None:
+            break
+        ends, founds, hops, rounds = run_wave(
+            dex.graph,
+            [v for _x, v in pending],
+            walk_budget(dex, wave),
+            kind.targets(dex.overlay.old),
+            dex.rng,
+            excluded=[x for x, _v in pending] if kind.excludes_entry else None,
+        )
+        ledger.charge_walk_wave(walks=len(pending), hops=hops, rounds=rounds)
+        # In order: an earlier resolution of the same wave may have
+        # drained (or filled) a later token's landing node.
+        pending = [
+            token
+            for token, w, found in zip(pending, ends, founds)
+            if not (found and kind.resolve(dex, token[0], w))
+        ]
+        if not pending:
+            break
+        healed = decide_type2(dex, kind.type2, pending, ledger, wave)
+        if healed is not None:
+            return healed, 0, False
+    if not pending:
+        return recovery, 0, False
+    if dex.staggered is None:
+        raise RecoveryError(
+            f"{len(pending)} {kind.failure} within "
+            f"{dex.config.max_type1_retries} token waves"
+        )
+    ticked, forced = kind.hand_over(dex, pending, ledger)
+    return RecoveryType.TYPE1_DURING_STAGGER, ticked, forced

@@ -14,27 +14,27 @@ the target still qualifies) is separate from the walk that finds the
 target.  The sequential recoveries below walk one token at a time
 through :func:`walk_for`; the batch engine of :mod:`repro.core.multi`
 schedules a whole batch's tokens through
-:func:`~repro.net.walks.run_wave` under the Lemma 11 congestion rule (on
-the lockstep numpy engine or the scalar reference, per
-``DexConfig.wave_engine`` -- the two are transcript-identical for a
-fixed seed) and resolves each wave in order, so both paths share the
-exact same transfer semantics.
+:func:`~repro.net.walks.run_wave` under the Lemma 11 congestion rule and
+resolves each wave in order through the same two functions.
 
-On walk failure the algorithm decides between retrying and type-2
-recovery: in ``simplified`` mode by flooding ``computeSpare`` /
-``computeLow`` (Fact 2 thresholds, :func:`spare_depleted` /
-:func:`low_depleted`), in ``staggered`` mode by asking the coordinator
-(Algorithm 4.7), whose counters trigger at ``3*theta*n``.
+On walk failure :func:`decide_type2` decides between retrying and
+type-2 recovery, for single steps and batches alike: in ``simplified``
+mode by flooding ``computeSpare`` / ``computeLow`` (Fact 2 thresholds,
+:func:`spare_depleted` / :func:`low_depleted`), in ``staggered`` mode by
+asking the coordinator (Algorithm 4.7), whose counters trigger at
+``3*theta*n``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.core import type2_simplified
 from repro.core.aggregation import compute_low, compute_spare
 from repro.errors import RecoveryError
 from repro.net.metrics import CostLedger
 from repro.net.walks import random_walk
+from repro.obs import trace as _trace
 from repro.types import Layer, NodeId, RecoveryType, Vertex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,12 +82,7 @@ def resolve_insertion(dex: "DexNetwork", u: NodeId, w: NodeId) -> bool:
     """Resolve an insertion token that landed on ``w``: if ``w`` is
     (still) in Spare it donates one transferable vertex to ``u``.
     Returns False when a concurrently resolved token already drained
-    ``w`` below the Spare threshold -- the caller retries next round.
-
-    NOTE: ``multi._heal_insertions_in_waves`` inlines this body on its
-    hot path; any semantic change here must be mirrored there (the
-    batch-vs-sequential equivalence tests guard the invariants, not the
-    duplication)."""
+    ``w`` below the Spare threshold -- the caller retries next round."""
     old = dex.overlay.old
     if not old.in_spare(w):
         return False
@@ -101,10 +96,7 @@ def resolve_redistribution(
 ) -> bool:
     """Resolve a redistribution token for vertex ``z`` landing on ``w``:
     re-check ``w`` is still Low (a previous token of the same wave may
-    have filled it) and move ``z`` there.
-
-    NOTE: ``multi.delete_batch`` inlines this body on its hot path; any
-    semantic change here must be mirrored there."""
+    have filled it) and move ``z`` there."""
     if not dex.overlay.old.in_low(w):
         return False
     dex.overlay.move(Layer.OLD, z, w)
@@ -112,7 +104,7 @@ def resolve_redistribution(
 
 
 # ----------------------------------------------------------------------
-# type-2 threshold decisions (Fact 2, shared with the batch engine)
+# the type-2 decision (Fact 2 / Algorithm 4.7), one for every caller
 # ----------------------------------------------------------------------
 def spare_depleted(dex: "DexNetwork", origin: NodeId, ledger: CostLedger) -> bool:
     """Flood ``computeSpare`` from ``origin``; True when |Spare| fell
@@ -128,6 +120,55 @@ def low_depleted(dex: "DexNetwork", origin: NodeId, ledger: CostLedger) -> bool:
     return low < dex.config.type1_threshold(n)
 
 
+def decide_type2(
+    dex: "DexNetwork",
+    want: str,
+    pending: "Sequence[tuple[int, NodeId]]",
+    ledger: CostLedger,
+    attempt: int = 0,
+) -> RecoveryType | None:
+    """The one type-2 decision, made once per round for every token of
+    the round that found no target.
+
+    ``want`` is the rebuild a shortage calls for: ``"inflate"`` (Spare,
+    insertions), ``"deflate"`` (Low, redistributions) or ``"either"``
+    (a step's early trigger, ``pending`` empty).  ``pending`` holds the
+    unresolved tokens as ``(entry, start node)`` pairs: the fresh node
+    and its attach point, or the adopted vertex and its adopter; the
+    first start node originates the flood or the coordinator update.
+
+    ``simplified`` mode floods ``computeSpare`` / ``computeLow`` and,
+    below the Fact 2 threshold, rebuilds at once; the inflation gives
+    every pending insertion its vertex.  ``staggered`` mode reports to
+    the coordinator and starts a staggered op past its ``3*theta*n``
+    counters; the pending tokens then ride the op.  Returns the rebuild
+    that healed the pending tokens, or None; each pending token counts
+    one retry unless a type-2 began."""
+    if dex.config.type2_mode == "simplified":
+        if not pending:  # the early trigger is the coordinator's
+            return None
+        depleted = spare_depleted if want == "inflate" else low_depleted
+        if depleted(dex, pending[0][1], ledger):
+            with _trace.span(f"core.type2.{want}", wave=attempt, pending=len(pending)):
+                if want == "inflate":
+                    type2_simplified.simplified_inflate(dex, ledger, pending=pending)
+                    return RecoveryType.TYPE2_INFLATE
+                type2_simplified.simplified_deflate(dex, ledger)
+                return RecoveryType.TYPE2_DEFLATE
+    else:
+        coordinator = dex.coordinator
+        if pending:
+            coordinator.charge_update(pending[0][1], ledger)
+        if want != "deflate" and coordinator.wants_inflate():
+            dex.start_staggered_inflate(ledger)
+            return None
+        if want != "inflate" and coordinator.wants_deflate() and dex.can_deflate():
+            dex.start_staggered_deflate(ledger)
+            return None
+    ledger.retries += len(pending)
+    return None
+
+
 # ----------------------------------------------------------------------
 # insertion (Algorithm 4.2)
 # ----------------------------------------------------------------------
@@ -135,8 +176,6 @@ def insertion_recovery(
     dex: "DexNetwork", u: NodeId, v: NodeId, ledger: CostLedger
 ) -> RecoveryType:
     """Heal the insertion of ``u`` attached to ``v``."""
-    from repro.core import type2_simplified  # local import to avoid cycle
-
     for attempt in range(dex.config.max_type1_retries + 1):
         if dex.staggered is not None:
             if dex.staggered.try_assign_inserted(u, v, ledger):
@@ -148,19 +187,11 @@ def insertion_recovery(
         w = walk_for(dex, v, dex.overlay.old.spare.__contains__, ledger, frozenset((u,)), attempt)
         if w is not None and resolve_insertion(dex, u, w):
             return RecoveryType.TYPE1
-        # Walk failed: decide between type-2 recovery and retrying.
-        if dex.config.type2_mode == "simplified":
-            if spare_depleted(dex, v, ledger):
-                type2_simplified.simplified_inflate(dex, ledger, inserted=u, attach=v)
-                return RecoveryType.TYPE2_INFLATE
-            ledger.retries += 1
-        else:
-            dex.coordinator.charge_update(v, ledger)
-            if dex.coordinator.wants_inflate():
-                dex.start_staggered_inflate(ledger)
-                # next iteration assigns u from the freshly inflated chunk
-            else:
-                ledger.retries += 1
+        # Walk failed: type-2 recovery or a retry (after a staggered
+        # inflate starts, the next iteration assigns u from its chunk).
+        healed = decide_type2(dex, "inflate", ((u, v),), ledger, attempt)
+        if healed is not None:
+            return healed
     raise RecoveryError(
         f"insertion of node {u} not healed within "
         f"{dex.config.max_type1_retries} type-1 attempts"
@@ -221,9 +252,6 @@ def deletion_recovery(
 ) -> tuple[RecoveryType, NodeId]:
     """Heal the deletion of ``u``: a former neighbor adopts its vertices
     and redistributes them."""
-    from repro.core import type2_simplified
-
-    overlay = dex.overlay
     v, old_vertices, new_vertices = adopt_deleted(dex, u, ledger)
 
     if dex.staggered is not None:
@@ -246,17 +274,9 @@ def deletion_recovery(
             if w is not None and resolve_redistribution(dex, z, w):
                 placed = True
                 break
-            if dex.config.type2_mode == "simplified":
-                if low_depleted(dex, v, ledger):
-                    type2_simplified.simplified_deflate(dex, ledger)
-                    return RecoveryType.TYPE2_DEFLATE, v
-                ledger.retries += 1
-            else:
-                dex.coordinator.charge_update(v, ledger)
-                if dex.coordinator.wants_deflate() and dex.can_deflate():
-                    dex.start_staggered_deflate(ledger)
-                    break
-                ledger.retries += 1
+            healed = decide_type2(dex, "deflate", ((z, v),), ledger, attempt)
+            if healed is not None:
+                return healed, v
         if dex.staggered is not None:
             # Hand the rest to the staggered machinery.
             leftover = ([] if placed else [z]) + remaining

@@ -150,28 +150,21 @@ def _virtual_epoch_walks(
 def simplified_inflate(
     dex: "DexNetwork",
     ledger: CostLedger,
-    inserted: NodeId | None = None,
-    attach: NodeId | None = None,
-    pending: "Sequence[tuple[NodeId, NodeId | None]] | None" = None,
+    pending: "Sequence[tuple[NodeId, NodeId]]" = (),
 ) -> None:
     """Replace the cycle with the next p-cycle (Algorithm 4.5).
 
     ``pending`` lists freshly inserted nodes still waiting for their
-    first vertex as ``(node, attach point)`` pairs -- the batch engine
-    passes every unhealed insertion of the batch so the single inflation
-    heals them all (Section 5 applies Corollary 2's accounting to the
-    whole batch).  The legacy ``inserted``/``attach`` pair is the
-    single-step special case."""
+    first vertex as ``(node, attach point)`` pairs -- a single step's
+    one insertion, or every unhealed insertion of a batch, so the one
+    inflation heals them all (Section 5 applies Corollary 2's accounting
+    to the whole batch)."""
     config = dex.config
     old = dex.overlay.old
     p_old = old.p
     p_new = inflation_prime(p_old)
     pcycle_new = PCycle(p_new)
-    pending_list: list[tuple[NodeId, NodeId | None]] = list(pending or ())
-    if inserted is not None:
-        pending_list.append((inserted, attach))
-    first_attach = next((a for _, a in pending_list if a is not None), None)
-    origin = first_attach if first_attach is not None else dex.coordinator.node
+    origin = pending[0][1] if pending else dex.coordinator.node
 
     # ---- Phase 1: everyone computes the same new p-cycle ----
     _charge_broadcast(dex, origin, ledger)
@@ -189,8 +182,7 @@ def simplified_inflate(
     # vertex from its attach point (or, should repeated donations drain
     # the attach point, from the currently fullest node -- every old
     # vertex spawned a >= 4-vertex cloud, so a donor always exists).
-    for node, node_attach in pending_list:
-        donor = node_attach if node_attach is not None else dex.coordinator.node
+    for node, donor in pending:
         if len(per_node.get(donor, ())) < 2:
             donor = max(per_node, key=lambda w: len(per_node[w]))
         donated = _take_vertex_from(per_node, donor)

@@ -1056,8 +1056,10 @@ class DynamicMultigraph:
         churn property tests).  A no-op before the first use."""
         if self._rows is None:
             return
-        order, A = self.to_sparse_adjacency()
-        rows = self._rows
+        rows = self._array_adjacency()
+        memo = rows._csr
+        order, A = rows.csr()
+        rows._csr = memo  # the audit leaves the memo as it found it
         slot_of = rows.slot_of
         if slot_of.keys() != self._adj.keys() or rows.stale.any():
             raise TopologyError("slot map diverged from the live nodes")

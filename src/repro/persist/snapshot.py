@@ -74,9 +74,14 @@ SNAPSHOT_SCHEMA = "dex-snapshot/1"
 MANIFEST_NAME = "manifest.json"
 _CKPT_PREFIX = "ckpt-"
 
-#: a DexConfig field since removed, with the one value it ever held
-#: (the chunk then, as now, was ``ceil(1/theta)``)
-_REMOVED_FIELD = ("stagger_chunk", None)
+#: DexConfig fields since removed: the values a checkpoint may carry
+#: for each (the first is the one state digests record) and the field it
+#: followed.  The chunk then, as now, was ``ceil(1/theta)``; the wave
+#: engines share one draw protocol, so any choice restores the same run.
+_REMOVED_FIELDS = (
+    ("stagger_chunk", (None,), "fidelity"),
+    ("wave_engine", ("auto", "vector", "scalar"), "validate_batches"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +370,16 @@ def _assemble(path: Path) -> DexNetwork:
             f"{path}: live-node array and adjacency rows name different nodes"
         )
     _check_pair_symmetry(path, src, dst, mult)
+    # Every id read from an array is a new int object: row and neighbour
+    # keys are mapped onto the node list's own, as a live graph keeps them.
+    own = dict(zip(nodes, nodes))
+    rows = list(map(own.__getitem__, rows))
 
     try:
-        # the removed field at its only value is dropped, so older
+        # a removed field at a value it could hold is dropped, so older
         # checkpoints stay restorable; any other value is refused
-        fields = {k: v for k, v in manifest["config"].items() if (k, v) != _REMOVED_FIELD}
+        removed = {(name, v) for name, values, _after in _REMOVED_FIELDS for v in values}
+        fields = {k: v for k, v in manifest["config"].items() if (k, v) not in removed}
         config = DexConfig(**fields)
     except Exception as exc:  # ConfigError or TypeError on foreign keys
         raise CorruptSnapshot(f"{path}: bad config: {exc}") from exc
@@ -395,7 +405,8 @@ def _assemble(path: Path) -> DexNetwork:
     else:
         group_ids, counts, row_sums = [], [], []
         edge_units = connections = 0
-    pairs = zip(dst.tolist(), mult.tolist())
+    neighbor_ids = dst.tolist()
+    pairs = zip(map(own.get, neighbor_ids, neighbor_ids), mult.tolist())
     fill = dict.update
     if group_ids == rows:
         # fast path: every row has neighbors and groups line up exactly
@@ -545,11 +556,13 @@ def prune_checkpoints(root: str | Path, keep: int) -> list[Path]:
 # ----------------------------------------------------------------------
 def _recorded_config(config: DexConfig) -> dict:
     """``asdict(config)`` in the field layout the recorded state digests
-    hash: the removed field back in its place after ``fidelity``, so a
-    digest pins the state, not the dataclass's field list."""
+    hash: each removed field back in its place, so a digest pins the
+    state, not the dataclass's field list."""
     items = list(dataclasses.asdict(config).items())
-    at = [key for key, _value in items].index("fidelity") + 1
-    return dict(items[:at] + [_REMOVED_FIELD] + items[at:])
+    for name, values, after in _REMOVED_FIELDS:
+        at = [key for key, _value in items].index(after) + 1
+        items.insert(at, (name, values[0]))
+    return dict(items)
 
 
 def state_fingerprint(net: DexNetwork) -> dict:

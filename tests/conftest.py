@@ -5,9 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
+
+#: ``--hypothesis-profile=deep``: the churn machine of test_properties.py
+#: with a budget far past tier-1's (CI runs it as its own step); the
+#: default profile is left as it is
+settings.register_profile("deep", max_examples=200, stateful_step_count=60, deadline=None)
 
 #: primes used across the structural tests (all valid p-cycle sizes)
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]

@@ -78,3 +78,22 @@ def test_the_audit_leaves_the_cdf_cache_as_it_found_it():
     assert 0 < len(before) < net.size
     net.check_invariants()
     assert cache == before
+
+
+def test_the_audit_leaves_the_csr_memo_as_it_found_it():
+    """``check_invariants`` assembles the whole-graph CSR to audit it
+    against a from-scratch build, without keeping it: no memo stays
+    where there was none, and a memo already there stays the same
+    object."""
+    net = DexNetwork.bootstrap(256, DexConfig(seed=3))
+    for _ in range(20):
+        net.insert(attach_to=sorted(net.nodes())[0])
+    net.check_invariants()  # the first audit builds the array adjacency
+    rows = net.graph._rows
+    assert rows is not None and rows._csr is None
+    net.insert()
+    net.check_invariants()
+    assert rows._csr is None
+    memo = net.graph.to_sparse_adjacency()
+    net.check_invariants()
+    assert rows._csr is memo

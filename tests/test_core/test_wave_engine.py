@@ -2,34 +2,50 @@
 the *full* batch healing engine (PR 3).
 
 Both engines implement one draw protocol, so two networks driven by the
-same seed and the same adversarial schedule -- one healing through
-``wave_engine="vector"``, one through ``wave_engine="scalar"`` -- must
-stay *identical* step for step: same node set, same adjacency, same
-vertex hosting, same Spare/Low sets, same ledger costs.  This is the
-differential test behind the engine-equivalence invariant; a transcript
-divergence anywhere in 200 mixed batches fails loudly at the first
-diverging round.
+same seed and the same adversarial schedule -- one healing every wave on
+the vector engine, one on the scalar reference -- must stay *identical*
+step for step: same node set, same adjacency, same vertex hosting, same
+Spare/Low sets, same ledger costs.  This is the differential test behind
+the engine-equivalence invariant; a transcript divergence anywhere in
+200 mixed batches fails loudly at the first diverging round.
+
+``run_wave``'s ``"auto"`` choice (vector from ``VECTOR_MIN_TOKENS``
+tokens on) is what the engine runs; each batch here forces one engine
+by setting that threshold to 0 (always vector) or past any wave (always
+scalar) for the duration of its step.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
+from typing import Iterator
+
+import pytest
 
 from repro.core import invariants
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
 from repro.core.multi import delete_batch, insert_batch
 from repro.errors import AdversaryError
+from repro.net import walks
+
+#: ``VECTOR_MIN_TOKENS`` that makes ``run_wave(engine="auto")`` pick each engine
+THRESHOLD = {"vector": 0, "scalar": sys.maxsize}
 
 
-def engine_net(engine: str, n0: int = 24, seed: int = 61) -> DexNetwork:
-    config = DexConfig(
-        seed=seed,
-        type2_mode="simplified",
-        validate_every_step=False,
-        wave_engine=engine,
-    )
+def engine_net(n0: int = 24, seed: int = 61) -> DexNetwork:
+    config = DexConfig(seed=seed, type2_mode="simplified", validate_every_step=False)
     return DexNetwork.bootstrap(n0, config, seed=seed)
+
+
+@contextmanager
+def forced_engine(engine: str) -> Iterator[None]:
+    """Every wave of the steps inside runs on ``engine``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "VECTOR_MIN_TOKENS", THRESHOLD[engine])
+        yield
 
 
 def assert_networks_identical(a: DexNetwork, b: DexNetwork, step: int) -> None:
@@ -60,8 +76,10 @@ def drive_same_schedule(vec: DexNetwork, sca: DexNetwork, steps: int) -> None:
             pairs_v = _insert_batch_for(vec, rng_v, size)
             pairs_s = _insert_batch_for(sca, rng_s, size)
             assert pairs_v == pairs_s
-            rv = insert_batch(vec, pairs_v)
-            rs = insert_batch(sca, pairs_s)
+            with forced_engine("vector"):
+                rv = insert_batch(vec, pairs_v)
+            with forced_engine("scalar"):
+                rs = insert_batch(sca, pairs_s)
         else:
             size = min(size, vec.size - vec.config.min_network_size)
             if size < 1:
@@ -70,18 +88,21 @@ def drive_same_schedule(vec: DexNetwork, sca: DexNetwork, steps: int) -> None:
             victims_s = _victims_for(sca, rng_s, size)
             assert victims_v == victims_s
             try:
-                rv = delete_batch(vec, victims_v)
+                with forced_engine("vector"):
+                    rv = delete_batch(vec, victims_v)
             except AdversaryError:
                 # Model-level rejection is schedule-side, not engine-side:
                 # the scalar twin must reject the identical batch.
                 try:
-                    delete_batch(sca, victims_s)
+                    with forced_engine("scalar"):
+                        delete_batch(sca, victims_s)
                 except AdversaryError:
                     continue
                 raise AssertionError(
                     f"engines disagreed on batch rejection at step {step}"
                 )
-            rs = delete_batch(sca, victims_s)
+            with forced_engine("scalar"):
+                rs = delete_batch(sca, victims_s)
         assert rv.recovery == rs.recovery, f"recovery kinds diverged at step {step}"
         assert rv.rounds == rs.rounds, f"wave rounds diverged at step {step}"
         assert rv.costs.messages == rs.costs.messages, (
@@ -115,8 +136,8 @@ class TestEngineDifferential:
         """200 mixed insert/delete batches: the vector-healed network
         must be indistinguishable from the scalar-healed one after every
         single batch (crossing type-2 inflations and deflations)."""
-        vec = engine_net("vector")
-        sca = engine_net("scalar")
+        vec = engine_net()
+        sca = engine_net()
         drive_same_schedule(vec, sca, steps=200)
         # both ends are also internally consistent
         invariants.check_all(vec.overlay, vec.config)
@@ -127,5 +148,5 @@ class TestEngineDifferential:
         must pass) -- drift between the engines is simulated by the unit
         fuzz in tests/test_net/test_walks.py, so here we only prove the
         oracle is wired and runs."""
-        net = engine_net("auto")
+        net = engine_net()
         invariants.check_wave_engine_equivalence(net.overlay)

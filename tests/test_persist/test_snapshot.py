@@ -91,6 +91,30 @@ class TestRoundTrip:
         restored = load_snapshot(save_snapshot(net, tmp_path))
         assert state_fingerprint(restored) == state_fingerprint(net)
 
+    def test_restored_keys_are_the_graph_own_id_objects(self, tmp_path):
+        """A live graph stores each id once; a restored one must too.
+        Every key and member that names a node -- adjacency rows and
+        their neighbours, degrees, versions, positions, ``sim``, Spare
+        and Low -- is the very object in ``graph._nodes``, not an equal
+        copy read from an array (28 bytes each)."""
+        net = make_net(n0=1024)
+        churn(net, random.Random(4), 40)
+        restored = load_snapshot(save_snapshot(net, tmp_path))
+        graph, layer = restored.graph, restored.overlay.old
+        own = {id(u) for u in graph._nodes}
+        names = [
+            *graph._adj,
+            *(v for nbrs in graph._adj.values() for v in nbrs),
+            *graph._degree,
+            *graph._version,
+            *graph._node_pos,
+            *layer.sim,
+            *layer.spare,
+            *layer.low,
+        ]
+        assert len(names) > 10 * restored.size
+        assert sum(id(u) not in own for u in names) == 0
+
     def test_save_is_idempotent_per_step(self, tmp_path):
         net = make_net()
         first = save_snapshot(net, tmp_path)
@@ -204,6 +228,22 @@ class TestCorruption:
         honour: refused, not silently replaced by the derived chunk."""
         _, path = self.checkpoint(tmp_path)
         self.rewrite_config(path, stagger_chunk=7)
+        with pytest.raises(CorruptSnapshot, match="bad config"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("engine", ["auto", "vector", "scalar"])
+    def test_removed_wave_engine_field_still_restores(self, tmp_path, engine):
+        """A checkpoint written while DexConfig had ``wave_engine`` (next
+        to the old ``stagger_chunk``) restores to the same network: both
+        engines follow one draw protocol, so the choice never changed a
+        run."""
+        net, path = self.checkpoint(tmp_path)
+        self.rewrite_config(path, stagger_chunk=None, wave_engine=engine)
+        assert state_fingerprint(load_snapshot(path)) == state_fingerprint(net)
+
+    def test_removed_wave_engine_field_with_an_unknown_value_is_refused(self, tmp_path):
+        _, path = self.checkpoint(tmp_path)
+        self.rewrite_config(path, wave_engine="gpu")
         with pytest.raises(CorruptSnapshot, match="bad config"):
             load_snapshot(path)
 

@@ -1,6 +1,11 @@
 """Property-based whole-system tests: a stateful churn machine asserting
 the DEX invariants (I1-I8, and the DHT's retrievability) after every
-adversarial step hypothesis can dream up."""
+adversarial step hypothesis can dream up -- single steps and partial
+batches of up to n/3 entries, in both type-2 modes.
+
+Tier-1 runs a small budget; ``pytest tests/test_properties.py
+--hypothesis-profile=deep`` (the profile lives in ``tests/conftest.py``)
+searches far longer."""
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -29,11 +34,10 @@ class DexChurnMachine(RuleBasedStateMachine):
     @initialize(
         mode=st.sampled_from(["staggered", "simplified"]),
         seed=st.integers(min_value=0, max_value=2**16),
+        n0=st.sampled_from([12, 48, 96]),
     )
-    def setup(self, mode, seed):
-        self.net = DexNetwork.bootstrap(
-            12, DexConfig(seed=seed, type2_mode=mode)
-        )
+    def setup(self, mode, seed, n0):
+        self.net = DexNetwork.bootstrap(n0, DexConfig(seed=seed, type2_mode=mode))
         self.dht = DexDHT(self.net)
 
     @rule()
@@ -46,6 +50,33 @@ class DexChurnMachine(RuleBasedStateMachine):
             return
         nodes = sorted(self.net.nodes())
         self.net.delete(nodes[pick % len(nodes)])
+
+    def live_sample(self, data, what: str) -> list[int]:
+        """Up to n/3 live nodes, repeats allowed (a repeat is an entry
+        the batch must refuse with a reason, not a crash)."""
+        nodes = sorted(self.net.nodes())
+        size = data.draw(st.integers(1, max(1, len(nodes) // 3)), label=f"{what} count")
+        picks = st.lists(st.sampled_from(nodes), min_size=size, max_size=size)
+        return data.draw(picks, label=what)
+
+    @staticmethod
+    def accounted(outcome, submitted: list) -> None:
+        """Every submitted entry is healed or refused with a reason."""
+        assert len(outcome.accepted) + len(outcome.rejected) == len(submitted)
+        assert all(r.reason for r in outcome.rejected)
+        assert (outcome.report is None) == (not outcome.accepted)
+
+    @rule(data=st.data())
+    def insert_batch_partial(self, data):
+        base = self.net.fresh_id()
+        hosts = self.live_sample(data, "hosts")
+        batch = [(base + i, host) for i, host in enumerate(hosts)]
+        self.accounted(self.net.insert_batch_partial(batch), batch)
+
+    @rule(data=st.data())
+    def delete_batch_partial(self, data):
+        victims = self.live_sample(data, "victims")
+        self.accounted(self.net.delete_batch_partial(victims), victims)
 
     @rule(value=st.integers())
     def dht_put(self, value):
@@ -82,7 +113,9 @@ class DexChurnMachine(RuleBasedStateMachine):
             assert self.dht.keys() == set(self.expected)
 
 
-DexChurnMachine.TestCase.settings = settings(
-    max_examples=12, stateful_step_count=40, deadline=None
+DexChurnMachine.TestCase.settings = (
+    settings()  # the loaded profile's budget
+    if settings.get_current_profile_name() == "deep"
+    else settings(max_examples=12, stateful_step_count=40, deadline=None)
 )
 TestDexChurnMachine = DexChurnMachine.TestCase
