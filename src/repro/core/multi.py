@@ -659,9 +659,7 @@ def _delete_step(
             recovery = RecoveryType.TYPE1_DURING_STAGGER
             coord = dex.coordinator.node  # vertex 0 may have rehomed
 
-    recovery, ticked, forced = _heal_in_waves(
-        dex, REDISTRIBUTIONS, pending, ledger, recovery
-    )
+    recovery, ticked, forced = _heal_in_waves(dex, REDISTRIBUTIONS, pending, ledger, recovery)
     return dex._finish_step(
         StepKind.BATCH,
         victims[0],
