@@ -5,13 +5,13 @@ communication costs the paper's Table 1 compares: recovery rounds,
 messages, and topology changes per step, plus measurable structure
 (degree, spectral gap).
 
-Overlays *may* additionally implement the Section 5 batch surface
-(:class:`BatchMaintainedOverlay`): ``insert_batch`` /``delete_batch``
-heal a whole adversarial batch in one step.  The campaign driver
-(:func:`repro.harness.runner.run_campaign`) probes for it with
-:func:`supports_batch` and transparently falls back to per-step healing
-for overlays that only speak the single-node protocol -- every scenario
-in the registry runs against every baseline either way.
+Overlays *may* additionally implement the Section 5 batch surface with
+partial outcomes (:class:`PartialBatchOverlay`): ``insert_batch_partial``
+/ ``delete_batch_partial`` heal a whole adversarial batch in one step.
+The campaign driver (:func:`repro.harness.runner.run_campaign`) probes
+for it with :func:`supports_partial_batch` and heals per step for
+overlays that only speak the single-node protocol -- every scenario in
+the registry runs against every baseline either way.
 """
 
 from __future__ import annotations
@@ -61,24 +61,13 @@ class MaintainedOverlay(Protocol):
     def fresh_id(self) -> NodeId: ...
 
 
-class BatchMaintainedOverlay(MaintainedOverlay, Protocol):
-    """The optional Section 5 extension: whole-batch healing.  DEX
-    implements it via the batch-parallel wave engine; a baseline may
-    implement it with any semantics equivalent to applying the batch
-    against the pre-step state."""
-
-    def insert_batch(self, attachments: Sequence[tuple[NodeId, NodeId]]): ...
-
-    def delete_batch(self, nodes: Sequence[NodeId]): ...
-
-
-class PartialBatchOverlay(BatchMaintainedOverlay, Protocol):
-    """The partial-batch extension (PR 5): validation partitions a batch
-    into legal actions (healed in one wave) and per-action rejections,
-    so one illegal victim no longer rejects the whole batch.  DEX
-    implements it via :mod:`repro.core.multi`; the campaign driver
-    probes for it with :func:`supports_partial_batch` and takes the
-    single-pass path (replacing its historical bisection fallback) when
+class PartialBatchOverlay(MaintainedOverlay, Protocol):
+    """The optional Section 5 extension, whole-batch healing with
+    partial outcomes: validation partitions a batch into legal actions
+    (healed in one wave) and per-action rejections, so one illegal
+    victim does not reject the whole batch.  DEX implements it via
+    :mod:`repro.core.multi`; the campaign driver probes for it with
+    :func:`supports_partial_batch` and takes the single-pass path when
     it holds.  The membership-service gateway builds on the same
     surface -- it binds :class:`~repro.core.dex.DexNetwork` directly and
     turns each rejection into an individual client outcome."""
@@ -90,19 +79,10 @@ class PartialBatchOverlay(BatchMaintainedOverlay, Protocol):
     def delete_batch_partial(self, nodes: Sequence[NodeId]): ...
 
 
-def supports_batch(overlay) -> bool:
-    """Whether the campaign driver can route whole batches through
-    ``overlay`` (duck-typed: protocols are not runtime-checkable over
-    non-method members)."""
-    return callable(getattr(overlay, "insert_batch", None)) and callable(
-        getattr(overlay, "delete_batch", None)
-    )
-
-
 def supports_partial_batch(overlay) -> bool:
     """Whether ``overlay`` reports partial-batch outcomes
-    (:class:`PartialBatchOverlay`); duck-typed like
-    :func:`supports_batch`."""
+    (:class:`PartialBatchOverlay`; duck-typed: protocols are not
+    runtime-checkable over non-method members)."""
     return callable(getattr(overlay, "insert_batch_partial", None)) and callable(
         getattr(overlay, "delete_batch_partial", None)
     )

@@ -460,8 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         table.add_note(
             f"campaign: {result.steps} events in {result.batches} batches "
             f"({result.batched_events} batch-healed, "
-            f"{result.fallbacks} rejected actions, "
-            f"{result.fallback_batches} replayed batches)"
+            f"{result.fallbacks} rejected actions)"
         )
     if result.skipped_actions:
         table.add_note(f"skipped illegal adversary actions: {result.skipped_actions}")

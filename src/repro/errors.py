@@ -67,17 +67,10 @@ class GatewayClosed(ServiceError):
     caller raced shutdown and must not expect an outcome."""
 
 
-class GatewayOverloaded(ServiceError):
-    """The gateway's bounded ingestion queue is full (backpressure).
-    Raised only by the ``overload="raise"`` policy; the default policy
-    resolves the caller with a rejected outcome instead, so a queue-full
-    request is always *answered*, never dropped."""
-
-
 class PolicyError(ServiceError):
     """An admission-policy specification was invalid: an unknown policy
     name, or a policy parameter outside its legal range (e.g. a shed
-    high-water mark below one, watermark fractions out of order)."""
+    high-water mark below one, a window scale outside its bounds)."""
 
 
 class ShardError(ServiceError):

@@ -532,7 +532,6 @@ def _resume_soak(
             checkpoint_every=checkpoint_every,
             checkpoint_keep=checkpoint_keep,
         )
-        gateway.metrics.reset_windows()
         await gateway.start()
         stats = await saturating_load(
             gateway,

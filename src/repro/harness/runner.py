@@ -15,10 +15,8 @@ with **partial-batch outcomes**
 :meth:`~repro.core.dex.DexNetwork.delete_batch_partial`) take the
 single-pass path: one engine call heals the legal majority of the run
 and reports each illegal action individually (counted in
-``CampaignResult.fallbacks``), replacing the historical
-bisect-and-replay fallback.  Overlays speaking only the all-or-nothing
-batch protocol replay an engine-rejected run per step; overlays without
-batch support heal per step throughout.  Both drivers end a scripted
+``CampaignResult.fallbacks``); overlays without the partial forms (every
+baseline) heal per step throughout.  Both drivers end a scripted
 run cleanly when the trace raises
 :class:`~repro.errors.TraceExhausted`, reporting the steps actually
 executed, and always sample the terminal state -- even when the final
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.adversary.base import Adversary, ChurnAction, as_batch_adversary
 from repro.analysis.spectral import spectral_gap
 from repro.analysis.stats import Summary, summarize
-from repro.baselines.interface import supports_batch, supports_partial_batch
+from repro.baselines.interface import supports_partial_batch
 from repro.errors import AdversaryError, TraceExhausted
 from repro.net.metrics import CostLedger
 
@@ -83,10 +81,6 @@ class CampaignResult(ChurnResult):
     ledger covering all 64."""
 
     batches: int = 0
-    #: same-kind runs a strict (all-or-nothing) batch engine rejected
-    #: wholesale, which the driver re-applied by per-step replay; always
-    #: 0 for overlays with partial-batch outcomes
-    fallback_batches: int = 0
     #: events healed through a true batch call (vs. per-step healing)
     batched_events: int = 0
     #: individual actions the engine rejected: the per-victim/per-entry
@@ -242,20 +236,10 @@ def _apply_run(
     of churn events consumed (every attempted action counts, skipped
     ones included, mirroring ``run_churn``'s step accounting)."""
     kind = run[0].kind
-    if kind == "insert":
-        attribute = "insert_batch"
-    elif kind == "delete":
-        attribute = "delete_batch"
-    else:
+    if kind not in ("insert", "delete"):
         result.skipped_actions += len(run)
         return len(run)
-    batch_call = getattr(overlay, attribute, None) if supports_batch(overlay) else None
-    partial_call = (
-        getattr(overlay, attribute + "_partial")
-        if supports_partial_batch(overlay)
-        else None
-    )
-    if len(run) > 1 and partial_call is not None:
+    if len(run) > 1 and supports_partial_batch(overlay):
         # Single-pass path: the engine heals the legal majority in one
         # wave and reports each illegal action individually -- no
         # bisection, no replay against intermediate states.
@@ -265,7 +249,7 @@ def _apply_run(
             else [action.node for action in run]
         )
         t0 = time.perf_counter()
-        outcome = partial_call(payload)
+        outcome = getattr(overlay, f"{kind}_batch_partial")(payload)
         result.heal_s += time.perf_counter() - t0
         if outcome.report is not None:
             result.ledgers.append(_ledger_of(outcome.report))
@@ -273,25 +257,6 @@ def _apply_run(
         result.fallbacks += len(outcome.rejected)
         result.skipped_actions += len(outcome.rejected)
         return len(run)
-    if len(run) > 1 and batch_call is not None:
-        payload = (
-            _assign_insert_ids(overlay, run)
-            if kind == "insert"
-            else [action.node for action in run]
-        )
-        t0 = time.perf_counter()
-        try:
-            out = batch_call(payload)
-        except AdversaryError:
-            # A strict (all-or-nothing) engine rejected the run; replay
-            # it per step below so the legal actions still apply.
-            result.heal_s += time.perf_counter() - t0
-            result.fallback_batches += 1
-        else:
-            result.heal_s += time.perf_counter() - t0
-            result.ledgers.append(_ledger_of(out))
-            result.batched_events += len(run)
-            return len(run)
     for action in run:
         # An action decided against the pre-batch view may reference a
         # node a preceding run already deleted; DEX rejects that itself,

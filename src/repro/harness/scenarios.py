@@ -238,7 +238,6 @@ def _metrics_row(
         "events": result.steps,
         "batches": result.batches,
         "batched_events": result.batched_events,
-        "fallback_batches": result.fallback_batches,
         "fallbacks": result.fallbacks,
         "skipped": result.skipped_actions,
         "heal_per_event_ms": round(result.heal_per_event_ms(), 6),

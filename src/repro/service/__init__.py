@@ -38,7 +38,6 @@ from repro.service.policy import (
     POLICIES,
     AdaptiveWindowPolicy,
     AdmissionPolicy,
-    DegradeToRejectPolicy,
     FixedPolicy,
     ShedOldestPolicy,
     make_policy,
@@ -147,7 +146,6 @@ __all__ = [
     "POLICIES",
     "AdmissionPolicy",
     "AdaptiveWindowPolicy",
-    "DegradeToRejectPolicy",
     "FixedPolicy",
     "ShedOldestPolicy",
     "make_policy",

@@ -6,10 +6,12 @@ DEX heals a Section-5 batch as one congestion-synchronous wave (Lemma
 arrived" and "its caller was answered" is the same whoever carries the
 request: pick a batch, make one ``*_batch_partial`` call, answer each
 caller.  :class:`FlushCore` is that job, once.  It is synchronous and
-clock-injected; it never waits.  *When* a flush is due is the adapters'
-business -- :class:`~repro.service.gateway.MembershipGateway` waits on
-the event loop, :class:`~repro.service.shard.ShardServer` on its pipe --
-and both then call :meth:`FlushCore.flush_once`:
+clock-injected; it never waits.  It also decides *when* a flush is due
+(:meth:`FlushCore.due_in`, one rule for every adapter); only the waiting
+itself is the adapters' business --
+:class:`~repro.service.gateway.MembershipGateway` waits on the event
+loop, :class:`~repro.service.shard.ShardServer` on its pipe -- and both
+then call :meth:`FlushCore.flush_once`:
 
 1. **shed / sweep** -- the admission policy's excess and every queued
    request whose deadline passed are *answered* with a rejected ack
@@ -59,10 +61,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.dex import DexNetwork
 
 #: the service-level rejection reasons (tested verbatim).  The leading
-#: word classifies the reason for clients (:func:`reason_class`): both
-#: door rejections read "backpressure" so a client retries them alike.
+#: word classifies the reason for clients (:func:`reason_class`).
 BACKPRESSURE_REASON = "backpressure: ingestion queue full"
-DEGRADED_REASON = "backpressure: degraded under sustained saturation"
 SHED_REASON = "shed: queue above high-water mark"
 DEADLINE_REASON = "deadline exceeded before heal"
 
@@ -122,8 +122,8 @@ R = TypeVar("R", bound=Request)
 class FlushCore(Generic[R]):
     """The request queue and the one flush implementation.  Adapters
     subclass it (over their own :class:`Request` type), set
-    :attr:`span_prefix`, implement :meth:`_emit` and decide when to call
-    :meth:`flush_once`."""
+    :attr:`span_prefix`, implement :meth:`_emit`, wait for
+    :meth:`due_in` and then call :meth:`flush_once`."""
 
     #: span-name prefix (``gateway.*`` / ``shard.*``): a constant of
     #: each adapter, not an option
@@ -254,18 +254,12 @@ class FlushCore(Generic[R]):
         return int(self._checkpoint_errors.value)
 
     def door_reason(self) -> str | None:
-        """At-the-door admission: the hard queue limit first, then the
-        policy's stricter admission (e.g. degrade-to-reject).  A refusal
-        is counted; ``None`` means the next request may enqueue."""
-        depth = len(self._queue)
-        if depth >= self.queue_limit:
-            reason = BACKPRESSURE_REASON
-        elif not self.policy.admit(depth):
-            reason = DEGRADED_REASON
-        else:
+        """At-the-door admission: the hard queue limit.  A refusal is
+        counted; ``None`` means the next request may enqueue."""
+        if len(self._queue) < self.queue_limit:
             return None
         self.metrics.record_backpressure()
-        return reason
+        return BACKPRESSURE_REASON
 
     def enqueue(self, request: R, deadline_s: float | None = None) -> bool:
         """Admit ``request`` (deadline ``deadline_s`` seconds from now)
@@ -361,11 +355,43 @@ class FlushCore(Generic[R]):
         self._queue = survivors
 
     # ------------------------------------------------------------------
+    # when a flush is due: the one rule every adapter waits on
+    # ------------------------------------------------------------------
+    def anchor_clocks(self) -> None:
+        """Start the flush clock and the metrics windows at *now*.  An
+        adapter calls this when serving begins, so neither the first
+        flush's ``observe_flush`` interval nor the first rates span the
+        bootstrap (or a shard's wait for the rest of its cluster)."""
+        self._last_flush_end = self._clock()
+        self.metrics.reset_windows()
+
+    def due_in(self) -> float | None:
+        """Seconds until the next flush is due: ``0`` when it is due
+        now, ``None`` when the queue is empty.  Expired deadlines are
+        swept first.  A flush is due when the core is closing, when the
+        selection holds ``max_batch`` requests, or when the oldest
+        queued request has waited the policy's window; otherwise the
+        answer is the time to the sooner of that window's end and the
+        soonest queued deadline (a deadline that comes first is swept
+        on the next call; it does not make a flush due)."""
+        self.sweep_deadlines()
+        if not self._queue:
+            return None
+        now = self._clock()
+        due_at = self._queue[0].submitted_at + self.policy.window_s()
+        if self._closing or now >= due_at:
+            return 0.0
+        if len(self._queue) >= self.max_batch and len(self._selection()) >= self.max_batch:
+            return 0.0
+        deadline = self._next_deadline()
+        return (due_at if deadline is None else min(due_at, deadline)) - now
+
+    # ------------------------------------------------------------------
     # the flush
     # ------------------------------------------------------------------
     def _selection(self) -> list[R]:
-        """The next flush, selected non-destructively (the gateway's
-        window wait sizes it without dequeuing): up to ``max_batch``
+        """The next flush, selected non-destructively (:meth:`due_in`
+        sizes it without dequeuing): up to ``max_batch``
         requests of the lead kind, gathered across the queue, with every
         skipped request's node id barring later requests that name
         it."""

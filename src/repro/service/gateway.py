@@ -9,17 +9,16 @@ DEX's healing is local and concurrent by construction (Corollary 2), so
 the serving layer's whole job is coalescing:
 
 * **Ingestion** -- a bounded FIFO queue.  A request arriving at a full
-  queue is *answered* with a rejected outcome (or
-  :class:`~repro.errors.GatewayOverloaded` under the ``"raise"``
-  policy), never silently dropped: backpressure is an explicit contract
-  with the client, not a timeout.
+  queue is *answered* with a rejected outcome, never silently dropped:
+  backpressure is an explicit contract with the client, not a timeout.
 * **Adaptive micro-batching** -- each flush is kind-segregated (it maps
-  to exactly one ``insert_batch`` or ``delete_batch`` wave), led by the
-  oldest queued request and gathered *across* the queue behind same-id
-  barriers.  The flush fires as soon as the gather reaches
-  ``max_batch`` or the ``batch_window_ms`` timer expires; under
-  saturation the gateway therefore heals ``max_batch``-sized waves,
-  while at low arrival rates a request waits at most one window.
+  to exactly one ``insert_batch_partial`` or ``delete_batch_partial``
+  wave), led by the oldest queued request and gathered *across* the
+  queue behind same-id barriers.  The flush fires as soon as the gather
+  reaches ``max_batch`` or the oldest queued request has waited
+  ``batch_window_ms``; under saturation the gateway therefore heals
+  ``max_batch``-sized waves, while at low arrival rates a request waits
+  at most one window.
   ``batch_window_ms=0`` with ``max_batch=1`` degenerates to a
   per-request gateway -- the baseline the soak benchmark compares
   against.
@@ -34,12 +33,13 @@ the serving layer's whole job is coalescing:
 call and the acks are :class:`~repro.service.flush.FlushCore`, shared
 verbatim with the shard worker.  What lives here is what only an
 asyncio front needs: futures in, the lifecycle
-(``start``/``close``/``drain``/``from_checkpoint``), the ``"raise"``
-overload policy, the operator surface it shares with
-:class:`~repro.service.router.ShardRouter` (a gateway is a cluster of
-one; :func:`repro.service.open_service` opens either and documents the
-surface) -- and the *waiting*: :meth:`MembershipGateway._collect`
-decides when a flush is due, anchored at the instant collection starts.
+(``start``/``close``/``drain``/``from_checkpoint``), the operator
+surface it shares with :class:`~repro.service.router.ShardRouter` (a
+gateway is a cluster of one; :func:`repro.service.open_service` opens
+either and documents the surface) -- and the *waiting*: the batcher
+sleeps on its wake event for as long as
+:meth:`~repro.service.flush.FlushCore.due_in` says, the same rule a
+shard worker waits on, and re-asks whenever a request arrives.
 The heal call itself runs synchronously on the event loop -- the engine
 is CPU-bound Python over one shared graph, so handing it to a thread
 would serialize on the same state anyway (an overlapped, thread-backed
@@ -51,10 +51,11 @@ heals.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import GatewayClosed, GatewayOverloaded
+from repro.errors import GatewayClosed
 from repro.obs import trace as _trace
 from repro.service import flush as _flush
 from repro.service.flush import Ack, FlushCore, Request
@@ -79,10 +80,6 @@ class MembershipGateway(FlushCore[Request]):
             ack = await gateway.join()
             assert ack.ok and net.graph.has_node(ack.node)
 
-    ``overload`` selects the backpressure policy: ``"reject"`` (default)
-    answers queue-full requests with a rejected :class:`Ack`;
-    ``"raise"`` raises :class:`~repro.errors.GatewayOverloaded` instead.
-
     ``policy`` selects the admission/batching controller (a name from
     :data:`~repro.service.policy.POLICIES` or a ready
     :class:`~repro.service.policy.AdmissionPolicy` instance) and
@@ -97,7 +94,6 @@ class MembershipGateway(FlushCore[Request]):
 
     #: the service-level reason strings (defined once, beside the core)
     BACKPRESSURE_REASON = _flush.BACKPRESSURE_REASON
-    DEGRADED_REASON = _flush.DEGRADED_REASON
     SHED_REASON = _flush.SHED_REASON
     DEADLINE_REASON = _flush.DEADLINE_REASON
 
@@ -108,7 +104,6 @@ class MembershipGateway(FlushCore[Request]):
         max_batch: int = 64,
         batch_window_ms: float = 2.0,
         queue_limit: int = _flush.DEFAULT_QUEUE_LIMIT,
-        overload: str = "reject",
         policy: "str | AdmissionPolicy" = "fixed",
         deadline_ms: float | None = None,
         seed: int | None = None,
@@ -120,8 +115,6 @@ class MembershipGateway(FlushCore[Request]):
         on_checkpoint: Callable[[int, Path], None] | None = None,
         on_ack: Callable[[Ack], None] | None = None,
     ) -> None:
-        if overload not in ("reject", "raise"):
-            raise ValueError(f"unknown overload policy {overload!r}")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
         super().__init__(
@@ -139,7 +132,6 @@ class MembershipGateway(FlushCore[Request]):
             on_checkpoint=on_checkpoint,
             on_ack=on_ack,
         )
-        self._overload = overload
         self.deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
         self._wake = asyncio.Event()
         self._batcher: asyncio.Task | None = None
@@ -152,7 +144,7 @@ class MembershipGateway(FlushCore[Request]):
     async def start(self) -> "MembershipGateway":
         if self._batcher is None:
             self.ready = {0: {"shard": 0, **self.ready_report()}}
-            self._last_flush_end = self._clock()
+            self.anchor_clocks()
             self._batcher = asyncio.ensure_future(self._run())
         return self
 
@@ -201,7 +193,7 @@ class MembershipGateway(FlushCore[Request]):
         kwargs.setdefault("checkpoint_dir", checkpoint_root)
         gateway = cls(net, **kwargs)
         gateway.last_checkpoint = path
-        gateway.metrics.reset_windows()
+        gateway.anchor_clocks()
         return gateway
 
     async def __aenter__(self) -> "MembershipGateway":
@@ -248,13 +240,6 @@ class MembershipGateway(FlushCore[Request]):
             )
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
-        if self._overload == "raise":
-            reason = self.door_reason()
-            if reason is not None:
-                raise GatewayOverloaded(
-                    f"{reason} ({len(self._queue)} pending, "
-                    f"policy {self.policy.name!r})"
-                )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         deadline_s = deadline_ms / 1e3 if deadline_ms is not None else self.deadline_s
         if self.enqueue(Request(kind, node, attach_hint, future), deadline_s):
@@ -274,7 +259,8 @@ class MembershipGateway(FlushCore[Request]):
     # ------------------------------------------------------------------
     async def _run(self) -> None:
         while True:
-            if not self._queue:
+            due = self.due_in()
+            if due is None:
                 if self._closing:
                     return
                 self._wake.clear()
@@ -290,45 +276,20 @@ class MembershipGateway(FlushCore[Request]):
                     trace_id=root.trace_id,
                     parent_id=root.span_id,
                 )
-            await self._collect()
+            # Wait until the flush is due; an arrival (or close) wakes
+            # the wait early to re-ask.  A queue emptied by the deadline
+            # sweep ends the wait too (due is None: an empty flush).
+            while due:
+                self._wake.clear()
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(self._wake.wait(), due)
+                due = self.due_in()
             if csp is not None:
                 rec.finish(csp)
             self.flush_once(root)
             # Yield so awaiting clients resolve and new arrivals land
             # before the next flush decision.
             await asyncio.sleep(0)
-
-    async def _collect(self) -> None:
-        """Adaptive wait: let the gatherable flush grow until it
-        reaches ``max_batch`` or the policy's window expires.  A closing
-        gateway drains immediately.  A queued deadline that lands inside
-        the window wakes the wait early so the expiring request is
-        answered on time -- a deadline wake is *not* a window expiry;
-        the loop keeps waiting out the remainder."""
-        window_s = self.policy.window_s()
-        if window_s <= 0 or self._closing:
-            return
-        expires = self._clock() + window_s
-        while (
-            not self._closing
-            and self._queue
-            and len(self._selection()) < self.max_batch
-        ):
-            now = self._clock()
-            if now >= expires:
-                return
-            timeout = expires - now
-            soonest = self._next_deadline()
-            if soonest is not None and soonest < expires:
-                if soonest <= now:
-                    self.sweep_deadlines()
-                    continue
-                timeout = soonest - now
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                self.sweep_deadlines()
 
     # ------------------------------------------------------------------
     # the operator surface (shared with ShardRouter: a cluster of one)

@@ -18,10 +18,10 @@ Every generator takes an optional :class:`RetryPolicy`: real clients do
 not give up on the first backpressure rejection, they back off and try
 again, and a shedding server only sees its true offered load when the
 fleet models that.  Retries use capped jittered exponential backoff and
-fire only on *load-related* rejections (backpressure, degraded
-admission, shed) -- an engine rejection ("stale attach hint", "victim
-would disconnect") is a fact about the request, not about load, and
-retrying it would just repeat the answer.
+fire only on *load-related* rejections (backpressure, shed) -- an
+engine rejection ("stale attach hint", "victim would disconnect") is a
+fact about the request, not about load, and retrying it would just
+repeat the answer.
 
 :class:`LoadStats` reports **goodput** (healed requests) separately
 from raw completion throughput: under saturation most completions may

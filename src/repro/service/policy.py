@@ -1,5 +1,5 @@
 """Admission/batching policies: closed-loop overload control for the
-membership gateway.
+flush core (every gateway and every shard runs one).
 
 PR 5's backpressure is a fixed-size queue with reject-at-the-door and a
 static ``batch_window_ms`` -- under the adversarial regime of Xheal
@@ -22,19 +22,13 @@ shedding** with bounded latency for the requests that are served:
   most likely to be past its caller's patience; shedding it bounds the
   queueing delay of everything still admitted to
   ``high_water / heal_rate``.
-* :class:`DegradeToRejectPolicy` -- flips to at-the-door rejection once
-  saturation is *sustained* (depth above high water for
-  ``sustain_flushes`` consecutive flushes) and recovers when the queue
-  drains below low water.  Requests already queued still heal; only
-  new arrivals are refused while degraded.
 
-The gateway consults its policy at four points, all synchronous and on
-the event loop (policies are per-gateway state, never shared):
+At-the-door admission is the hard ``queue_limit`` alone, the same for
+every policy.  The flush core consults its policy at three points, all
+synchronous (policies are per-core state, never shared):
 
-* ``admit(depth)`` at the door, *in addition to* the hard
-  ``queue_limit`` (a policy can only be stricter, never admit past the
-  limit);
-* ``window_s()`` before each batch-window wait;
+* ``window_s()`` whenever it decides whether a flush is due (the window
+  runs from the oldest queued request's receipt);
 * ``shed_count(depth)`` after every enqueue and before every flush --
   how many of the oldest queued requests to answer-and-drop right now;
 * ``observe_flush(...)`` after every flush, with the post-flush queue
@@ -42,7 +36,7 @@ the event loop (policies are per-gateway state, never shared):
   since the previous flush -- the closed-loop feedback input.
 
 Per-request deadlines are orthogonal to the policy and live in the
-gateway itself (:class:`~repro.service.gateway.MembershipGateway`'s
+flush core itself (:class:`~repro.service.gateway.MembershipGateway`'s
 ``deadline_ms``): a queued request whose deadline passes is answered
 with a rejected ack, never healed late and never left hanging.
 """
@@ -67,22 +61,17 @@ class AdmissionPolicy:
         self.queue_limit = 1
 
     def bind(self, *, base_window_s: float, max_batch: int, queue_limit: int) -> None:
-        """Called once by the owning gateway with its static tuning."""
+        """Called by the owning flush core with its static tuning."""
         self.base_window_s = base_window_s
         self.max_batch = max_batch
         self.queue_limit = queue_limit
 
     # ------------------------------------------------------------------
-    # the four hooks
+    # the three hooks
     # ------------------------------------------------------------------
-    def admit(self, depth: int) -> bool:
-        """Whether a request arriving at queue depth ``depth`` may
-        enqueue.  The gateway enforces ``depth < queue_limit`` on top of
-        this, so a policy can only tighten admission."""
-        return depth < self.queue_limit
-
     def window_s(self) -> float:
-        """The batch window to use for the next collect wait."""
+        """How long the oldest queued request may wait for its batch to
+        fill."""
         return self.base_window_s
 
     def shed_count(self, depth: int) -> int:
@@ -232,86 +221,11 @@ class ShedOldestPolicy(AdmissionPolicy):
         }
 
 
-class DegradeToRejectPolicy(AdmissionPolicy):
-    """Flip to at-the-door rejection under *sustained* saturation.
-
-    A transient burst (depth spikes once, drains next flush) must not
-    trip the breaker, so degradation requires depth at or above
-    ``high_water`` for ``sustain_flushes`` consecutive flush
-    observations.  While degraded, every new arrival is answered with a
-    door rejection (queued requests still heal); the first flush that
-    observes depth at or below ``low_water`` closes the episode and
-    admission recovers.  ``flips`` counts degrade episodes for the
-    benchmark row."""
-
-    name = "degrade-to-reject"
-
-    def __init__(
-        self,
-        *,
-        high_water_fraction: float = 0.75,
-        low_water_fraction: float = 0.25,
-        sustain_flushes: int = 3,
-    ) -> None:
-        super().__init__()
-        if not 0.0 < low_water_fraction < high_water_fraction <= 1.0:
-            raise PolicyError(
-                "need 0 < low_water_fraction < high_water_fraction <= 1, got "
-                f"[{low_water_fraction}, {high_water_fraction}]"
-            )
-        if sustain_flushes < 1:
-            raise PolicyError(f"sustain_flushes must be >= 1, got {sustain_flushes}")
-        self.high_water_fraction = high_water_fraction
-        self.low_water_fraction = low_water_fraction
-        self.sustain_flushes = sustain_flushes
-        self.high_water = 1
-        self.low_water = 0
-        self.degraded = False
-        self.flips = 0
-        self._sustained = 0
-
-    def bind(self, *, base_window_s: float, max_batch: int, queue_limit: int) -> None:
-        super().bind(
-            base_window_s=base_window_s,
-            max_batch=max_batch,
-            queue_limit=queue_limit,
-        )
-        self.high_water = max(1, int(queue_limit * self.high_water_fraction))
-        self.low_water = int(queue_limit * self.low_water_fraction)
-
-    def admit(self, depth: int) -> bool:
-        return not self.degraded and depth < self.queue_limit
-
-    def observe_flush(
-        self, *, depth: int, batch_size: int, heal_s: float, interval_s: float
-    ) -> None:
-        if depth >= self.high_water:
-            self._sustained += 1
-            if not self.degraded and self._sustained >= self.sustain_flushes:
-                self.degraded = True
-                self.flips += 1
-        elif depth <= self.low_water:
-            self._sustained = 0
-            self.degraded = False
-        elif not self.degraded:
-            self._sustained = 0
-
-    def describe(self) -> dict:
-        return {
-            "policy": self.name,
-            "degraded": self.degraded,
-            "flips": self.flips,
-            "high_water": self.high_water,
-            "low_water": self.low_water,
-        }
-
-
 #: name -> class; the CLI's ``--policy`` choices
 POLICIES: dict[str, type[AdmissionPolicy]] = {
     FixedPolicy.name: FixedPolicy,
     AdaptiveWindowPolicy.name: AdaptiveWindowPolicy,
     ShedOldestPolicy.name: ShedOldestPolicy,
-    DegradeToRejectPolicy.name: DegradeToRejectPolicy,
 }
 
 

@@ -102,8 +102,9 @@ class InlineShardHandle:
         tests make time-driven behavior (deadlines, TTL expiry)
         observable."""
         acks = self.server.sweep()
-        while self.server.flush_due():
+        while self.server.due_in() == 0:
             acks.extend(self.server.flush())
+        acks.extend(self.server.take_acks())  # what due_in swept
         if acks:
             self._replies.put((MSG_ACKS, acks))
 

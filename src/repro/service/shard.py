@@ -18,8 +18,9 @@ process, and a lean worker keeps the per-event overhead of the sharded
 path close to the engine cost.  This module adds what is shard-specific:
 the reservation/pin table and its pre-heal screen, commit consumption,
 the region check on top of the core's audit, the control verbs and the
-pipe loop -- and the *waiting* (:meth:`ShardServer.poll_timeout`,
-anchored on the oldest request's receipt).  The operator surface of
+pipe loop, which polls its pipe for as long as
+:meth:`~repro.service.flush.FlushCore.due_in` says (the gateway's rule:
+one rule, two ways of waiting).  The operator surface of
 :func:`repro.service.open_service` reaches a shard only as router
 verbs.  It is driven two ways, both through :func:`handle_message`:
 
@@ -194,6 +195,8 @@ class ShardServer(FlushCore[_ShardRequest]):
         #: expiry) never drops the other's deletion protection.
         self.pins: dict[NodeId, dict[int, float]] = {}
         self.reservations_expired = 0
+        #: set by the first request message (:func:`handle_message`)
+        self.serving = False
         self.handoffs_committed = 0
         #: answered since the last :meth:`take_acks`, in pipe form
         self._acks: list[dict] = []
@@ -233,27 +236,8 @@ class ShardServer(FlushCore[_ShardRequest]):
         return acks
 
     # ------------------------------------------------------------------
-    # the flush loop: waiting here, everything else in the core
+    # the flush loop: FlushCore.due_in says when, the caller waits
     # ------------------------------------------------------------------
-    def poll_timeout(self, now: float | None = None) -> float | None:
-        """Seconds until the next flush is due (0 when due now), or
-        ``None`` when idle -- the worker's pipe-poll timeout.  The
-        window is anchored on the oldest request's receipt."""
-        if not self._queue:
-            return None
-        if len(self._queue) >= self.max_batch:
-            return 0.0
-        now = self._clock() if now is None else now
-        due_at = self._queue[0].submitted_at + self.policy.window_s()
-        deadline = self._next_deadline()
-        if deadline is not None and deadline < due_at:
-            due_at = deadline
-        return max(0.0, due_at - now)
-
-    def flush_due(self, now: float | None = None) -> bool:
-        timeout = self.poll_timeout(now)
-        return timeout is not None and timeout <= 0.0
-
     def _expire_holds(self) -> None:
         """Drop reservations and pins past their TTL.  Runs at every
         flush and sweep, so expiry needs no extra timer."""
@@ -517,6 +501,12 @@ def handle_message(
     pipe protocol: the worker loop and
     :class:`~repro.service.router.InlineShardHandle` both run it."""
     if kind == MSG_REQUESTS:
+        if not server.serving:
+            # First traffic: start the shard's clocks here, so neither
+            # its rates nor its policy's first flush interval span the
+            # bootstrap and the wait for the rest of the cluster.
+            server.serving = True
+            server.anchor_clocks()
         for req in payload:
             server.submit(*req)
     elif kind == MSG_CONTROL:
@@ -587,28 +577,21 @@ def _worker_loop(conn: Any, cfg: dict) -> None:
         gc.freeze()
         conn.send((MSG_READY, server.ready_report()))
         draining = False
-        served_first = False
         while True:
             # Take the message that ended the wait and everything
             # already buffered behind it before flushing.
-            pending = conn.poll(server.poll_timeout())
+            pending = conn.poll(server.due_in())
             while pending:
                 kind, payload = conn.recv()
-                if kind == MSG_REQUESTS and not served_first:
-                    # First traffic: re-anchor the shard's elapsed
-                    # clock so per-shard events/s excludes the idle
-                    # wait for the rest of the cluster to bootstrap.
-                    served_first = True
-                    server.metrics.reset_windows()
                 if handle_message(server, kind, payload, conn.send):
                     draining = True
                 pending = conn.poll(0)
             if draining:
                 finish_drain(server, conn.send)
                 return
-            # Door rejections and sheds are answered at submit time:
-            # ship them now even when no flush is due yet.
-            acks = server.flush() if server.flush_due() else server.take_acks()
+            # Door rejections, sheds and swept deadlines are answered
+            # before any flush: ship them now even when none is due yet.
+            acks = server.flush() if server.due_in() == 0 else server.take_acks()
             if acks:
                 conn.send((MSG_ACKS, acks))
     except EOFError:

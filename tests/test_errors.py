@@ -17,7 +17,6 @@ class TestHierarchy:
         errors.AdversaryError,
         errors.ServiceError,
         errors.GatewayClosed,
-        errors.GatewayOverloaded,
         errors.PolicyError,
         errors.SnapshotError,
         errors.CorruptSnapshot,
@@ -43,7 +42,6 @@ class TestHierarchy:
 
     def test_policy_error_is_a_service_error(self):
         assert issubclass(errors.PolicyError, errors.ServiceError)
-        assert not issubclass(errors.GatewayOverloaded, errors.PolicyError)
 
     def test_library_raises_its_own_types(self):
         from repro.virtual.primes import initial_prime

@@ -174,7 +174,6 @@ class TestPartialBatchCampaign:
         # one insert wave + one delete wave: exactly two engine calls,
         # no bisection, no per-step replay
         assert len(result.ledgers) == 2
-        assert result.fallback_batches == 0
         assert result.fallbacks == 2  # the bogus and the duplicate victim
         assert result.skipped_actions == 2
         assert result.batched_events == 10
@@ -202,39 +201,6 @@ class TestPartialBatchCampaign:
         assert batched.fallbacks == 2
         assert sequential.batched_events == 0
         assert batched_net.size == seq_net.size
-
-    def test_overlay_without_partial_support_replays_rejected_batch(self):
-        """A strict-batch-only overlay still heals the legal actions of
-        an engine-rejected run, one step at a time."""
-
-        class StrictOnly:
-            """DEX with the partial surface hidden."""
-
-            name = "strict-only"
-
-            def __init__(self, net):
-                self._net = net
-
-            def __getattr__(self, attribute):
-                if attribute in ("insert_batch_partial", "delete_batch_partial"):
-                    raise AttributeError(attribute)
-                return getattr(self._net, attribute)
-
-            @property
-            def size(self):
-                return self._net.size
-
-        net = DexNetwork.bootstrap(32, DexConfig(seed=305))
-        overlay = StrictOnly(net)
-        result = run_campaign(
-            overlay, ScriptedBatches(self._delete_schedule(net)), events=12,
-            max_batch=16,
-        )
-        assert result.steps == 12
-        assert result.fallback_batches == 1  # the delete run was replayed
-        assert result.fallbacks == 0
-        assert result.skipped_actions == 2
-        net.check_invariants()
 
 
 class TestTable:

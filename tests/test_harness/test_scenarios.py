@@ -47,7 +47,7 @@ class TestRunScenario:
         row = run_scenario("trace-replay", "dex", 32, 7, events=64, max_batch=8)
         for field in (
             "scenario", "overlay", "n0", "seed", "events", "batches",
-            "batched_events", "fallback_batches", "skipped",
+            "batched_events", "skipped",
             "heal_per_event_ms", "min_gap", "final_gap", "max_degree",
             "messages_total", "wall_s", "final_n",
         ):

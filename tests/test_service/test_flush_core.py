@@ -285,3 +285,153 @@ class TestGatewayShardDifferential:
         for net in nets:
             invariants.check_all(net.overlay, net.config)
             invariants.check_cached_aggregates(net.overlay)
+
+
+class TestDueIn:
+    """The one flush-due rule, on a fake clock: due now (``0``) on a
+    full selection, a closing core or an oldest request that has waited
+    its window; otherwise the time to the sooner of that window's end
+    and the soonest deadline; ``None`` for an empty queue."""
+
+    def windowed(self, clock, window_s: float = 0.010, max_batch: int = 4):
+        return RecordingCore(
+            bootstrap(), max_batch=max_batch, window_s=window_s, seed=3, clock=clock
+        )
+
+    def test_empty_queue_is_never_due(self):
+        assert self.windowed(FakeClock()).due_in() is None
+
+    def test_full_selection_is_due_now(self):
+        core = self.windowed(FakeClock())
+        for ticket in range(4):
+            core.enqueue(Request("join", None, None, ticket))
+        assert core.due_in() == 0
+
+    def test_full_queue_with_a_partial_selection_waits_out_the_window(self):
+        clock = FakeClock()
+        core = self.windowed(clock)
+        a, b = sorted(core.net.nodes())[:2]
+        core.enqueue(Request("join", None, None, "j1"))
+        core.enqueue(Request("leave", a, None, "l1"))
+        core.enqueue(Request("join", None, None, "j2"))
+        core.enqueue(Request("leave", b, None, "l2"))
+        assert core.queue_depth == core.max_batch  # but 2 of a kind
+        assert core.due_in() == pytest.approx(0.010)
+        clock.advance(0.004)
+        assert core.due_in() == pytest.approx(0.006)
+        clock.advance(0.006)
+        assert core.due_in() == 0
+
+    def test_window_runs_from_the_oldest_request(self):
+        clock = FakeClock()
+        core = self.windowed(clock)
+        core.enqueue(Request("join", None, None, "old"))
+        clock.advance(0.007)
+        core.enqueue(Request("join", None, None, "new"))
+        assert core.due_in() == pytest.approx(0.003)
+
+    def test_a_deadline_inside_the_window_is_swept_not_flushed(self):
+        clock = FakeClock()
+        core = self.windowed(clock)
+        core.enqueue(Request("join", None, None, "late"), deadline_s=0.003)
+        core.enqueue(Request("join", None, None, "patient"))
+        assert core.due_in() == pytest.approx(0.003)  # wake for the sweep
+        clock.advance(0.003)
+        assert core.due_in() == pytest.approx(0.007)  # the window goes on
+        assert [(t, ack.reason) for t, ack in core.acks] == [("late", DEADLINE_REASON)]
+        assert core.queue_depth == 1
+        assert core.metrics.snapshot()["batches"] == 0
+        clock.advance(0.007)
+        assert core.due_in() == 0
+        core.flush_once()  # "patient"
+        core.enqueue(Request("join", None, None, "last"), deadline_s=0.001)
+        clock.advance(0.001)
+        assert core.due_in() is None  # the sweep emptied the queue
+        assert core.acks[-1][0] == "last" and core.acks[-1][1].reason == DEADLINE_REASON
+
+    def test_closing_is_due_now(self):
+        core = self.windowed(FakeClock(), window_s=10.0)
+        core.enqueue(Request("join", None, None, "queued"))
+        assert core.due_in() == pytest.approx(10.0)
+        core._closing = True
+        assert core.due_in() == 0
+
+    def test_window_zero_is_due_now(self):
+        core = self.windowed(FakeClock(), window_s=0.0)
+        core.enqueue(Request("join", None, None, "lone"))
+        assert core.due_in() == 0
+
+
+class TestOneRuleEveryWaiter:
+    def test_gateway_shard_worker_and_inline_pump_all_wait_on_due_in(self, monkeypatch):
+        import gc
+
+        from repro.service.shard import MSG_CONTROL, MSG_FATAL, _worker_loop
+
+        calls: list[FlushCore] = []
+        due_in = FlushCore.due_in
+
+        def spy(core):
+            calls.append(core)
+            return due_in(core)
+
+        monkeypatch.setattr(FlushCore, "due_in", spy)
+        seen: dict[str, int] = {}
+
+        async def through_gateway():
+            async with MembershipGateway(bootstrap(), max_batch=4) as gateway:
+                await gateway.join()
+
+        asyncio.run(through_gateway())
+        seen["gateway"], calls[:] = len(calls), []
+
+        server = ShardServer(0, bootstrap(), shard_map=ShardMap(1), clock=FakeClock())
+        handle = InlineShardHandle(server)
+        handle.send((MSG_REQUESTS, [(1, "join", None, None)]))
+        seen["inline pump"], calls[:] = len(calls), []
+
+        class ScriptedPipe:
+            def __init__(self, inbox):
+                self.inbox, self.sent = list(inbox), []
+
+            def poll(self, timeout=None):
+                return bool(self.inbox)
+
+            def recv(self):
+                return self.inbox.pop(0)
+
+            def send(self, msg):
+                self.sent.append(msg)
+
+        pipe = ScriptedPipe(
+            [(MSG_REQUESTS, [(1, "join", None, None)]), (MSG_CONTROL, ("drain", {}))]
+        )
+        try:
+            _worker_loop(pipe, {"shards": 1, "index": 0, "n_local": 16, "seed": 3})
+        finally:
+            gc.unfreeze()
+        assert not [msg for msg in pipe.sent if msg[0] == MSG_FATAL]
+        seen["shard worker"] = len(calls)
+        assert all(seen.values()), seen
+
+
+class TestClocksAnchorWhenServingStarts:
+    def test_a_shard_first_flush_interval_excludes_the_wait_for_traffic(self):
+        """A shard built long before its first request (its bootstrap,
+        then the rest of the cluster's) starts its flush clock and its
+        metrics windows at first traffic, so the policy's first
+        ``observe_flush`` interval -- the denominator of an
+        adaptive-window shard's utilization -- is the serving time."""
+        clock = FakeClock()
+        server = ShardServer(
+            0, bootstrap(), shard_map=ShardMap(1), max_batch=2, window_ms=0.0, clock=clock
+        )
+        intervals: list[float] = []
+        server.policy.observe_flush = lambda **kw: intervals.append(kw["interval_s"])
+        handle = InlineShardHandle(server)
+        clock.advance(30.0)  # the cluster finishes bootstrapping
+        handle.send((MSG_REQUESTS, [(1, "join", None, None), (2, "join", None, None)]))
+        clock.advance(0.5)
+        handle.send((MSG_REQUESTS, [(3, "join", None, None), (4, "join", None, None)]))
+        assert intervals == [pytest.approx(0.0), pytest.approx(0.5)]
+        assert server.metrics.snapshot()["elapsed_s"] == pytest.approx(0.5)

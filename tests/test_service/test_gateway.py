@@ -13,7 +13,7 @@ import pytest
 from repro.core import invariants
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
-from repro.errors import GatewayClosed, GatewayOverloaded
+from repro.errors import GatewayClosed
 from repro.service import (
     Ack,
     MembershipGateway,
@@ -238,25 +238,6 @@ class TestBackpressure:
         assert metrics.snapshot()["backpressure"] == 6
         checked(net)
 
-    def test_overload_raise_policy(self):
-        async def scenario():
-            net = service_net()
-            async with MembershipGateway(
-                net,
-                max_batch=2,
-                batch_window_ms=20.0,
-                queue_limit=1,
-                overload="raise",
-            ) as gw:
-                first = asyncio.ensure_future(gw.join())
-                await asyncio.sleep(0)  # let it enqueue
-                with pytest.raises(GatewayOverloaded):
-                    await gw.join()
-                return await first
-
-        ack = run(scenario())
-        assert ack.ok
-
     def test_closed_gateway_raises(self):
         async def scenario():
             net = service_net()
@@ -286,8 +267,8 @@ class TestBackpressure:
 
 class TestOverloadDrain:
     """The PR 7 contract under *sustained* overload: every request
-    future resolves -- under ``overload="reject"``, ``overload="raise"``,
-    and a ``drain()`` invoked while the queue is full."""
+    future resolves -- at a full door and under a ``drain()`` invoked
+    while the queue is full."""
 
     def test_sustained_overload_reject_answers_everyone(self):
         async def scenario():
@@ -307,40 +288,6 @@ class TestOverloadDrain:
         assert stats.completed == stats.offered  # nobody left hanging
         assert stats.ok > 0 and stats.backpressure > 0
         assert metrics.snapshot()["backpressure"] == stats.backpressure
-        checked(net)
-
-    def test_sustained_overload_raise_answers_everyone(self):
-        """Under ``overload="raise"`` a saturated door raises instead of
-        returning a rejected ack -- but every caller still gets exactly
-        one outcome, exception or ack."""
-
-        async def scenario():
-            net = service_net(n0=48)
-            outcomes = {"ok": 0, "raised": 0}
-            gw = MembershipGateway(
-                net,
-                max_batch=4,
-                batch_window_ms=200.0,
-                queue_limit=4,
-                overload="raise",
-            )
-
-            async def client():
-                try:
-                    ack = await gw.join()
-                except GatewayOverloaded:
-                    outcomes["raised"] += 1
-                else:
-                    assert ack.ok
-                    outcomes["ok"] += 1
-
-            async with gw:
-                await asyncio.gather(*(client() for _ in range(12)))
-            return net, outcomes
-
-        net, outcomes = run(scenario())
-        # All 12 submits land before the batcher wakes: 4 queue, 8 raise.
-        assert outcomes == {"ok": 4, "raised": 8}
         checked(net)
 
     def test_drain_with_full_queue_answers_queued_and_shed(self):

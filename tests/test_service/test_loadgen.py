@@ -127,7 +127,6 @@ class TestRetryPolicy:
 
     def test_retryable_only_on_load_shedding_reasons(self):
         assert RetryPolicy.retryable(MembershipGateway.BACKPRESSURE_REASON)
-        assert RetryPolicy.retryable(MembershipGateway.DEGRADED_REASON)
         assert RetryPolicy.retryable(MembershipGateway.SHED_REASON)
         # A deadline or engine verdict is about the request, not load.
         assert not RetryPolicy.retryable(MembershipGateway.DEADLINE_REASON)

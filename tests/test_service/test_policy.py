@@ -1,8 +1,7 @@
-"""Overload control: the admission-policy registry, the four policy
-behaviours (fixed / adaptive-window / shed-oldest / degrade-to-reject),
-and per-request deadlines -- with the PR 7 contract checked throughout:
-no request future is ever left unanswered under overload, deadline
-expiry, or drain."""
+"""Overload control: the admission-policy registry, the three policy
+behaviours (fixed / adaptive-window / shed-oldest), and per-request
+deadlines -- with one contract checked throughout: no request future
+is ever left unanswered under overload, deadline expiry, or drain."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from repro.service import (
     POLICIES,
     AdaptiveWindowPolicy,
     AdmissionPolicy,
-    DegradeToRejectPolicy,
     FixedPolicy,
     MembershipGateway,
     ShedOldestPolicy,
@@ -57,9 +55,7 @@ class TestRegistry:
             make_policy("fifo-magic")
 
     def test_registry_names_match_class_names(self):
-        assert set(POLICIES) == {
-            "fixed", "adaptive-window", "shed-oldest", "degrade-to-reject"
-        }
+        assert set(POLICIES) == {"fixed", "adaptive-window", "shed-oldest"}
         for name, cls in POLICIES.items():
             assert cls.name == name
 
@@ -71,10 +67,8 @@ class TestRegistry:
             lambda: AdaptiveWindowPolicy(floor_scale=2.0, cap_scale=4.0),
             lambda: ShedOldestPolicy(high_water=0),
             lambda: ShedOldestPolicy(high_water_fraction=0.0),
-            lambda: DegradeToRejectPolicy(
-                high_water_fraction=0.2, low_water_fraction=0.5
-            ),
-            lambda: DegradeToRejectPolicy(sustain_flushes=0),
+            lambda: AdaptiveWindowPolicy(floor_scale=0.1, cap_scale=0.5),
+            lambda: ShedOldestPolicy(high_water_fraction=1.5),
         ],
     )
     def test_bad_parameters_are_policy_errors(self, bad):
@@ -120,43 +114,12 @@ class TestAdaptiveWindowUnit:
         assert state["window_scale"] > 1.0
 
 
-class TestDegradeToRejectUnit:
-    def bound(self, **kwargs) -> DegradeToRejectPolicy:
-        policy = DegradeToRejectPolicy(**kwargs)
-        policy.bind(base_window_s=0.002, max_batch=8, queue_limit=100)
-        return policy
-
-    def test_transient_spike_does_not_trip(self):
-        policy = self.bound(sustain_flushes=3)
-        policy.observe_flush(depth=90, batch_size=8, heal_s=0.01, interval_s=0.01)
-        policy.observe_flush(depth=40, batch_size=8, heal_s=0.01, interval_s=0.01)
-        policy.observe_flush(depth=90, batch_size=8, heal_s=0.01, interval_s=0.01)
-        assert not policy.degraded and policy.flips == 0
-        assert policy.admit(40)
-
-    def test_sustained_saturation_trips_then_drain_recovers(self):
-        policy = self.bound(sustain_flushes=3)
-        for _ in range(3):
-            policy.observe_flush(
-                depth=90, batch_size=8, heal_s=0.01, interval_s=0.01
-            )
-        assert policy.degraded and policy.flips == 1
-        assert not policy.admit(10)  # rejects even a shallow queue
-        policy.observe_flush(depth=40, batch_size=8, heal_s=0.01, interval_s=0.01)
-        assert policy.degraded  # still above low water (25)
-        policy.observe_flush(depth=5, batch_size=8, heal_s=0.01, interval_s=0.01)
-        assert not policy.degraded
-        assert policy.admit(10)
-        assert policy.flips == 1  # recovery is not a flip
-
-
 class TestFixedAndBase:
     def test_fixed_is_the_base_behaviour(self):
         policy = FixedPolicy()
         policy.bind(base_window_s=0.004, max_batch=16, queue_limit=32)
         assert policy.window_s() == 0.004
         assert policy.shed_count(31) == 0
-        assert policy.admit(31) and not policy.admit(32)
         assert isinstance(policy, AdmissionPolicy)
         assert policy.describe() == {"policy": "fixed"}
 
@@ -220,33 +183,6 @@ class TestShedOldestGateway:
         net, gw, stats = run(scenario())
         assert stats.completed == stats.offered  # nobody left hanging
         assert stats.ok > 0
-        checked(net)
-
-
-class TestDegradeToRejectGateway:
-    def test_sustained_saturation_degrades_at_the_door(self):
-        async def scenario():
-            net = service_net(n0=48)
-            gw = MembershipGateway(
-                net,
-                max_batch=4,
-                batch_window_ms=0.5,
-                queue_limit=16,
-                policy=DegradeToRejectPolicy(sustain_flushes=2),
-            )
-            async with gw:
-                stats = await saturating_load(
-                    gw, duration_s=0.5, clients=64, seed=7
-                )
-            return net, gw, stats
-
-        net, gw, stats = run(scenario())
-        assert stats.completed == stats.offered
-        assert gw.policy.flips > 0
-        assert stats.reasons.get(MembershipGateway.DEGRADED_REASON, 0) > 0
-        # Degraded rejections are counted as backpressure by the client
-        # (same prefix), so retry policies treat both alike.
-        assert stats.backpressure > 0
         checked(net)
 
 
