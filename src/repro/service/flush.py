@@ -253,22 +253,15 @@ class FlushCore(Generic[R]):
     def checkpoint_errors(self) -> int:
         return int(self._checkpoint_errors.value)
 
-    def door_reason(self) -> str | None:
-        """At-the-door admission: the hard queue limit.  A refusal is
-        counted; ``None`` means the next request may enqueue."""
-        if len(self._queue) < self.queue_limit:
-            return None
-        self.metrics.record_backpressure()
-        return BACKPRESSURE_REASON
-
     def enqueue(self, request: R, deadline_s: float | None = None) -> bool:
         """Admit ``request`` (deadline ``deadline_s`` seconds from now)
-        or answer it at the door; then shed what the policy wants gone.
+        or answer it at the door -- a full queue is a counted
+        backpressure rejection; then shed what the policy wants gone.
         ``False`` means it was turned away -- answered, not queued."""
         now = request.submitted_at = self._clock()
-        reason = self.door_reason()
-        if reason is not None:
-            self._answer_unhealed(request, reason)
+        if len(self._queue) >= self.queue_limit:
+            self.metrics.record_backpressure()
+            self._answer_unhealed(request, BACKPRESSURE_REASON)
             return False
         if deadline_s is not None:
             request.deadline_at = now + deadline_s
@@ -322,15 +315,6 @@ class FlushCore(Generic[R]):
             self.metrics.record_shed()
             self._answer_unhealed(self._queue.popleft(), SHED_REASON)
 
-    def _next_deadline(self) -> float | None:
-        """The soonest queued deadline, or ``None``."""
-        if not self._deadlines_active:
-            return None
-        deadlines = [
-            r.deadline_at for r in self._queue if r.deadline_at is not None
-        ]
-        return min(deadlines) if deadlines else None
-
     def sweep_deadlines(self) -> None:
         """Answer every queued request whose deadline has passed with a
         deadline rejection.  Runs at the start of every flush --
@@ -383,8 +367,10 @@ class FlushCore(Generic[R]):
             return 0.0
         if len(self._queue) >= self.max_batch and len(self._selection()) >= self.max_batch:
             return 0.0
-        deadline = self._next_deadline()
-        return (due_at if deadline is None else min(due_at, deadline)) - now
+        if self._deadlines_active:
+            deadlines = [r.deadline_at for r in self._queue if r.deadline_at is not None]
+            due_at = min([due_at, *deadlines])
+        return due_at - now
 
     # ------------------------------------------------------------------
     # the flush
