@@ -271,22 +271,18 @@ class DexNetwork:
         completion of a staggered op the step already advanced (and maybe
         finished) itself, so the report still shows it."""
         # Staggered op: each adversarial event's recovery advances one chunk
-        # (Procedures inflate/deflate; Lemma 9 counts events) until it completes.
+        # (Procedures inflate/deflate; Lemma 9 counts events), all in one request.
         if self.staggered is not None:
             op = self.staggered
-            for _ in range(events):
-                op.advance(ledger)
-                if self.staggered is not op:
-                    break
+            op.advance(ledger, chunks=events)
             forced = forced or op.forced
         # Coordinator bookkeeping (Algorithm 4.7): the initiator reports
         # the step's deltas along a virtual shortest path (the counters
         # themselves are already current via the change-listener hooks).
         if self.graph.has_node(locus):
             self.coordinator.charge_update(locus, ledger)
-        # Early staggered triggers (no-op in simplified mode).
-        if self.staggered is None:
-            decide_type2(self, "either", (), ledger)
+        # Early staggered triggers (no-op in simplified mode or during an op).
+        decide_type2(self, "either", (), ledger)
 
         self.step_count += 1
         ledger.topology_changes = self.graph.topology_changes - topo_before

@@ -14,11 +14,11 @@ refused as exceeding ``n``), subject to the model's restrictions:
 Healing is *batch-parallel*: every pending recovery generates a token
 and the whole wave is scheduled through :func:`~repro.net.walks.run_wave`
 under the Lemma 11 one-token-per-edge-per-round rule.  One wave driver,
-:func:`_heal_in_waves`, serves both batch kinds; each kind gives it its
-target set (Spare for insertions, Low for redistributions), its
-resolver (:func:`~repro.core.type1.resolve_insertion` /
-:func:`~repro.core.type1.resolve_redistribution`, the single steps'
-own) and its hand-over to a staggered op in flight.  Rounds are charged
+:func:`_heal_in_waves`, serves both batch kinds, with or without a
+staggered op in flight; each kind gives it its target set and resolver:
+Spare and :func:`~repro.core.type1.resolve_insertion`, Low and
+:func:`~repro.core.type1.resolve_redistribution` (the single steps'
+own), or during an op the op's donors and seats.  Rounds are charged
 as the scheduler's *actual* round count (and messages as the total
 hops), not a post-hoc max over sequential recoveries.  Tokens whose
 landing node was drained by an earlier resolution of the same wave
@@ -31,10 +31,11 @@ own): in ``simplified`` mode a single ``computeSpare`` /
 ``computeLow`` flood (every node of the batch learns the counts from the
 same flood) followed, below the Fact 2 threshold, by one simplified
 inflation that heals every still-pending insertion in the same rebuild;
-in ``staggered`` mode one coordinator query, after which still-pending
-recoveries ride the staggered machinery exactly as single-step churn
-does.  The corollary's bounds -- O(n log^2 n) messages and O(log^3 n)
-rounds per batch step w.h.p. -- come from these procedures.
+in ``staggered`` mode one coordinator query, after which the waves go
+on against the op's targets, and the op advances one chunk per event of
+the batch in one request.  The corollary's bounds -- O(n log^2 n)
+messages and O(log^3 n) rounds per batch step w.h.p. -- come from these
+procedures.
 
 **Partial-batch outcomes**: validation need not be all-or-nothing.
 :func:`partition_insert_batch` / :func:`partition_delete_batch` split a
@@ -55,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Container, Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ from repro.core.mapping import NODE_ID_LIMIT
 from repro.core.type1 import (
     adopt_deleted,
     decide_type2,
-    insertion_recovery,
     resolve_insertion,
     resolve_redistribution,
     walk_budget,
@@ -74,12 +73,11 @@ from repro.errors import AdversaryError, RecoveryError
 from repro.net.metrics import CostLedger
 from repro.net.walks import run_wave
 from repro.obs import trace as _trace
-from repro.types import NodeId, RecoveryType, StepKind, Vertex
+from repro.types import Layer, NodeId, RecoveryType, StepKind
 from repro.virtual.pcycle import neighbor_rows, zero_tree
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.dex import DexNetwork
-    from repro.core.mapping import LayerMapping
     from repro.net.topology import DynamicMultigraph
 
 MAX_ATTACH_PER_NODE = 4
@@ -231,7 +229,7 @@ def _insert_step(dex: "DexNetwork", attachments: list[tuple[NodeId, NodeId]]) ->
         dex.graph.add_edge(new_id, attach)
 
     recovery, ticked, forced = _heal_in_waves(
-        dex, INSERTIONS, list(attachments), ledger, RecoveryType.TYPE1
+        dex, INSERTIONS, list(attachments), ledger, RecoveryType.TYPE1, len(attachments)
     )
 
     # Algorithm 4.2 line 3: drop the adversary's attachments unless a
@@ -634,10 +632,9 @@ def _delete_step(
     # *surviving* neighbor (adoption never targets a later victim, so
     # vertices move exactly once).  Outside a staggered op the adoption
     # is the bulk contraction primitive -- O(connections + load) per
-    # victim instead of per-vertex edge rewiring; during one, the
-    # adopted load is redistributed immediately through the staggered
-    # machinery, mirroring single-step deletions.
-    pending: list[tuple[Vertex, NodeId]] = []
+    # victim instead of per-vertex edge rewiring; during one, a victim's
+    # vertices of both layers move, and each becomes a token of its layer.
+    pending: dict[Layer, list[Token]] = {Layer.OLD: [], Layer.NEW: []}
     coord = dex.coordinator.node
     for u in victims:
         v = adopter[u]
@@ -648,18 +645,18 @@ def _delete_step(
                 coord = dex.coordinator.node
                 ledger.messages += dex.graph.connection_count(coord) + 1
                 ledger.rounds += 1
-            pending.extend((z, v) for z in old_vertices)
+            pending[Layer.OLD].extend((z, v) for z in old_vertices)
         else:
-            _, old_vertices, new_vertices = adopt_deleted(
-                dex, u, ledger, adopter=v
-            )
-            dex.staggered.redistribute_after_deletion(
-                v, old_vertices, new_vertices, ledger
-            )
+            _, old_vertices, new_vertices = adopt_deleted(dex, u, ledger, adopter=v)
+            pending[Layer.OLD].extend((z, v) for z in old_vertices)
+            pending[Layer.NEW].extend((y, v) for y in new_vertices)
             recovery = RecoveryType.TYPE1_DURING_STAGGER
             coord = dex.coordinator.node  # vertex 0 may have rehomed
 
-    recovery, ticked, forced = _heal_in_waves(dex, REDISTRIBUTIONS, pending, ledger, recovery)
+    forced = False
+    for layer, tokens in pending.items():  # old first: a forced op promotes the new
+        recovery, _, forced_here = _heal_in_waves(dex, _adopted(layer), tokens, ledger, recovery)
+        forced = forced or forced_here
     return dex._finish_step(
         StepKind.BATCH,
         victims[0],
@@ -667,7 +664,7 @@ def _delete_step(
         recovery,
         ledger,
         topo_before,
-        events=len(victims) - ticked,
+        events=len(victims),
         forced=forced,
     )
 
@@ -686,68 +683,48 @@ class TokenKind:
 
     #: the rebuild a shortage of targets calls for
     type2: str
-    #: the target set a token seeks, read off the old layer
-    targets: Callable[["LayerMapping"], "Container[NodeId]"]
-    #: the transfer when a token lands (False: the target no longer
-    #: qualifies, retry next round)
-    resolve: Callable[["DexNetwork", int, NodeId], bool]
-    #: a token never steps onto its own entry (a fresh node)
-    excludes_entry: bool
-    #: hands the unresolved tokens to the staggered op in flight;
-    #: returns the events it ticked and whether it saw a forced completion
-    hand_over: Callable[["DexNetwork", list[Token], CostLedger], tuple[int, bool]]
+    #: the target set a token seeks in a wave (the staggered op's while
+    #: one is in flight)
+    targets: Callable[["DexNetwork", int], "Container[NodeId]"]
+    #: the transfer when a token lands on one of the wave's targets
+    #: (False: the target no longer qualifies, retry next round)
+    resolve: Callable[["DexNetwork", int, NodeId, "Container[NodeId]"], bool]
     #: how the RecoveryError names unresolved tokens
     failure: str
 
 
-def _insertions_ride_the_op(
-    dex: "DexNetwork", pending: list[Token], ledger: CostLedger
-) -> tuple[int, bool]:
-    """Each remaining insertion heals one by one like a single step
-    (Section 4.4.1), right after its own event's chunk, so it finds the
-    vertices that chunk generated."""
-    ticked = 0
-    forced = False
-    for u, v in pending:
-        op = dex.staggered
-        if op is not None:
-            op.advance(ledger)
-            forced = forced or op.forced
-            ticked += 1
-        insertion_recovery(dex, u, v, ledger)
-    return ticked, forced
-
-
-def _redistributions_ride_the_op(
-    dex: "DexNetwork", pending: list[Token], ledger: CostLedger
-) -> tuple[int, bool]:
-    """Each adopter hands its remaining vertices to the staggered
-    machinery (Lemma 9a's bounds keep the loads legal)."""
-    by_adopter: dict[NodeId, list[Vertex]] = {}
-    for z, v in pending:
-        by_adopter.setdefault(v, []).append(z)
-    for v, leftovers in by_adopter.items():
-        if dex.staggered is not None:  # else completed: leftovers dropped
-            dex.staggered.redistribute_after_deletion(v, leftovers, [], ledger)
-    return 0, False
-
+#: During a staggered op an adopted vertex seeks its primary seats in the
+#: waves of the unboosted walk budget (:func:`walk_budget`) and any node
+#: below 8*zeta from this wave on.
+FALLBACK_WAVE = 4
 
 INSERTIONS = TokenKind(
     type2="inflate",
-    targets=attrgetter("spare"),
-    resolve=resolve_insertion,
-    excludes_entry=True,
-    hand_over=_insertions_ride_the_op,
+    targets=lambda dex, _wave: dex.staggered or dex.overlay.old.spare,
+    resolve=lambda dex, u, w, _targets: (
+        dex.staggered.give(u, w) if dex.staggered else resolve_insertion(dex, u, w)
+    ),
     failure="batched insertions not healed",
 )
-REDISTRIBUTIONS = TokenKind(
-    type2="deflate",
-    targets=attrgetter("low"),
-    resolve=resolve_redistribution,
-    excludes_entry=False,
-    hand_over=_redistributions_ride_the_op,
-    failure="adopted vertices not redistributed",
-)
+
+
+def _adopted(layer: Layer) -> TokenKind:
+    """Vertices of ``layer`` that victims held: Low of the primary layer
+    between ops, the op's seats while one is in flight."""
+    return TokenKind(
+        type2="deflate",
+        targets=lambda dex, wave: (
+            dex.staggered.seats(layer, wave >= FALLBACK_WAVE)
+            if dex.staggered
+            else dex.overlay.old.low
+        ),
+        resolve=lambda dex, z, w, targets: (
+            dex.staggered.seat(layer, z, w, targets)
+            if dex.staggered
+            else resolve_redistribution(dex, z, w)
+        ),
+        failure="adopted vertices not redistributed",
+    )
 
 
 def _heal_in_waves(
@@ -756,21 +733,35 @@ def _heal_in_waves(
     pending: list[Token],
     ledger: CostLedger,
     recovery: RecoveryType,
+    ticks: int = 0,
 ) -> tuple[RecoveryType, int, bool]:
-    """Token waves under Lemma 11 until every token resolved, a type-2
-    rebuild healed the rest, or a staggered op took them over.  Returns
-    the step's recovery kind, the events the hand-over ticked and
-    whether it saw a forced completion."""
+    """Token waves under Lemma 11 until every token resolved or a type-2
+    rebuild healed the rest.  While a staggered op is in flight a failed
+    wave only retries, and the first such wave follows one chunk request
+    for the step's ``ticks`` events, so an insertion finds the vertices
+    its own event's chunk generates.  Adopted vertices left over then
+    stay at their adopters (Lemma 9a allows 8*zeta), or else the op is
+    force-completed.  Returns the step's recovery kind, the events
+    ticked and whether the op saw a forced completion."""
+    ticked, forced = 0, False
     for wave in range(dex.config.max_type1_retries + 1):
-        if not pending or dex.staggered is not None:
+        if not pending:
             break
+        op = dex.staggered
+        if op is not None:
+            recovery = RecoveryType.TYPE1_DURING_STAGGER
+            if ticked < ticks:
+                op.advance(ledger, chunks=ticks)
+                ticked, forced = ticks, op.forced
+        targets = kind.targets(dex, wave)
         ends, founds, hops, rounds = run_wave(
             dex.graph,
             [v for _x, v in pending],
             walk_budget(dex, wave),
-            kind.targets(dex.overlay.old),
+            targets,
             dex.rng,
-            excluded=[x for x, _v in pending] if kind.excludes_entry else None,
+            # a token never steps onto its own fresh node
+            excluded=[x for x, _v in pending] if kind is INSERTIONS else None,
         )
         ledger.charge_walk_wave(walks=len(pending), hops=hops, rounds=rounds)
         # In order: an earlier resolution of the same wave may have
@@ -778,19 +769,19 @@ def _heal_in_waves(
         pending = [
             token
             for token, w, found in zip(pending, ends, founds)
-            if not (found and kind.resolve(dex, token[0], w))
+            if not (found and kind.resolve(dex, token[0], w, targets))
         ]
         if not pending:
             break
         healed = decide_type2(dex, kind.type2, pending, ledger, wave)
         if healed is not None:
-            return healed, 0, False
-    if not pending:
-        return recovery, 0, False
-    if dex.staggered is None:
+            return healed, ticked, forced
+    if pending and (dex.staggered is None or kind is INSERTIONS):
         raise RecoveryError(
             f"{len(pending)} {kind.failure} within "
             f"{dex.config.max_type1_retries} token waves"
         )
-    ticked, forced = kind.hand_over(dex, pending, ledger)
-    return RecoveryType.TYPE1_DURING_STAGGER, ticked, forced
+    if any(dex.overlay.total_load(v) > dex.config.stagger_max_load for _z, v in pending):
+        dex.staggered.force_complete(ledger)
+        forced = True
+    return recovery, ticked, forced

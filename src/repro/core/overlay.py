@@ -322,21 +322,6 @@ class Overlay:
         incremental counter."""
         return self._inter_endpoints.get(u, 0)
 
-    def scan_intermediate_endpoints(self, u: NodeId) -> int:
-        """From-scratch recount of :meth:`intermediate_endpoints` -- the
-        oracle the invariant checker compares the counter against."""
-        total = 0
-        for y, targets in self.inter_by_new.items():
-            assert self.new is not None
-            hy = self.new.host_of(y)
-            for x, count in targets.items():
-                hx = self.old.host_of(x)
-                if hy == u:
-                    total += count
-                if hx == u:
-                    total += count
-        return total
-
     def verify_intermediate_cache(self) -> None:
         """Check the incremental endpoint counter against a full recount."""
         recount: Counter[NodeId] = Counter()

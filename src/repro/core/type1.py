@@ -141,9 +141,9 @@ def decide_type2(
     below the Fact 2 threshold, rebuilds at once; the inflation gives
     every pending insertion its vertex.  ``staggered`` mode reports to
     the coordinator and starts a staggered op past its ``3*theta*n``
-    counters; the pending tokens then ride the op.  Returns the rebuild
-    that healed the pending tokens, or None; each pending token counts
-    one retry unless a type-2 began."""
+    counters; while one is in flight the pending tokens seek its targets
+    instead.  Returns the rebuild that healed the pending tokens, or
+    None; each pending token counts one retry unless a type-2 began."""
     if dex.config.type2_mode == "simplified":
         if not pending:  # the early trigger is the coordinator's
             return None
@@ -155,7 +155,7 @@ def decide_type2(
                     return RecoveryType.TYPE2_INFLATE
                 type2_simplified.simplified_deflate(dex, ledger)
                 return RecoveryType.TYPE2_DEFLATE
-    else:
+    elif dex.staggered is None:  # else the op in flight has the targets
         coordinator = dex.coordinator
         if pending:
             coordinator.charge_update(pending[0][1], ledger)
@@ -177,8 +177,11 @@ def insertion_recovery(
 ) -> RecoveryType:
     """Heal the insertion of ``u`` attached to ``v``."""
     for attempt in range(dex.config.max_type1_retries + 1):
-        if dex.staggered is not None:
-            if dex.staggered.try_assign_inserted(u, v, ledger):
+        op = dex.staggered
+        if op is not None:
+            # During an op the token seeks the op's donors (Section 4.4.1).
+            w = walk_for(dex, v, op.__contains__, ledger, frozenset((u,)))
+            if w is not None and op.give(u, w):
                 return RecoveryType.TYPE1_DURING_STAGGER
             ledger.retries += 1
             continue

@@ -15,9 +15,15 @@ Theta(n) steps:
   (locally computable: Eq. 7's inverse / the dominating-vertex formula),
   and are resolved into proper edges when that vertex activates.
 * **Phase 2** drops the old cycle's vertices (and edges) chunk by chunk.
+  A step advances one chunk per adversarial event, all in one request
+  (:meth:`StaggeredOp.advance`).
 * Insertions and deletions continue to be healed with type-1 recovery
   throughout; per Lemma 9 each node carries at most ``8*zeta`` vertices
   and the network keeps a constant spectral gap (>= (1-lambda)^2/8).
+  The op is the target set of an insertion token (its donors, see
+  :meth:`StaggeredOp.give`) and names the seats of an adopted vertex
+  (:meth:`StaggeredOp.seats`); a single step walks one token at a time
+  to them, a batch sends its tokens in waves.
 
 Bookkeeping specific to deflation: a node none of whose old vertices is
 dominating would end up with nothing; the first time such a node is
@@ -30,7 +36,7 @@ contending/taken protocol of Procedure ``deflate``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Container
 
 from repro.core.type1 import walk_for
 from repro.errors import RecoveryError
@@ -51,6 +57,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.dex import DexNetwork
 
 _DIST_SAMPLE_PER_STEP = 3
+
+
+class _Where:
+    """A node predicate read as a set: a wave asks only ``m in targets``."""
+
+    def __init__(self, test: Callable[[NodeId], bool]) -> None:
+        self.test = test
+
+    def __contains__(self, m: NodeId) -> bool:
+        return self.test(m)
 
 
 class StaggeredOp:
@@ -116,37 +132,45 @@ class StaggeredOp:
     # ------------------------------------------------------------------
     # per-step advancement
     # ------------------------------------------------------------------
-    def advance(self, ledger: CostLedger) -> None:
-        """Process one chunk (called during the recovery of every step,
-        mirroring the coordinator forwarding the request to the nodes
-        simulating the next 1/theta vertices)."""
-        # Coordinator forwards the chunk request along the complete layer.
-        first_old = self.vertex_at(min(self.frontier, self.p_old - 1))
-        if self.phase == 1:
-            lm = self.dex.overlay.old
-            target = first_old
-        else:
-            lm = self.new
-            target = self._parent_image(first_old)
-        if lm.is_active(0) and lm.is_active(target):
-            ledger.charge_route(route_cost(lm.pcycle, lm.host_of, 0, target))
-        end = min(self.frontier + self.chunk, self.p_old)
-        if self.phase == 1:
-            processed = [self.vertex_at(pos) for pos in range(self.frontier, end)]
-            for x in processed:
-                self._process_phase1(x, ledger)
-            self.dex.notify_chunk(processed, ledger)
-            self.frontier = end
-            if self.frontier == self.p_old:
-                self._prepare_phase2(ledger)
-                self.phase = 2
-                self.frontier = 0
-        else:
-            for pos in range(self.frontier, end):
-                self.dex.overlay.deactivate(Layer.OLD, self.vertex_at(pos))
-            self.frontier = end
-            if self.frontier == self.p_old:
-                self._finish(ledger)
+    def advance(self, ledger: CostLedger, chunks: int = 1) -> None:
+        """Process ``chunks`` chunks, one per adversarial event of the
+        step (Lemma 9 counts events), as one parallel request: the
+        coordinator forwards each chunk's request along the complete
+        layer, one request per connection per round.  Rounds: the
+        longest route plus ``ceil(requests / connections) - 1``;
+        messages: every route (one chunk charges its own route)."""
+        width = self.dex.graph.connection_count(self.dex.coordinator.node)
+        routes: list[int] = []
+        for _ in range(chunks):
+            if self.phase == 2 and self.frontier == self.p_old:
+                break  # completed
+            first_old = self.vertex_at(min(self.frontier, self.p_old - 1))
+            if self.phase == 1:
+                lm, target = self.dex.overlay.old, first_old
+            else:
+                lm, target = self.new, self._parent_image(first_old)
+            if lm.is_active(0) and lm.is_active(target):
+                routes.append(route_cost(lm.pcycle, lm.host_of, 0, target))
+            end = min(self.frontier + self.chunk, self.p_old)
+            if self.phase == 1:
+                processed = [self.vertex_at(pos) for pos in range(self.frontier, end)]
+                for x in processed:
+                    self._process_phase1(x, ledger)
+                self.dex.notify_chunk(processed, ledger)
+                self.frontier = end
+                if self.frontier == self.p_old:
+                    self._prepare_phase2(ledger)
+                    self.phase = 2
+                    self.frontier = 0
+            else:
+                for pos in range(self.frontier, end):
+                    self.dex.overlay.deactivate(Layer.OLD, self.vertex_at(pos))
+                self.frontier = end
+                if self.frontier == self.p_old:
+                    self._finish(ledger)
+        if routes:
+            waits = -(-len(routes) // max(1, width)) - 1
+            ledger.charge_parallel(max(routes) + waits, sum(routes))
 
     def force_complete(self, ledger: CostLedger) -> None:
         """Run the operation to completion within the current step
@@ -319,49 +343,58 @@ class StaggeredOp:
     # ------------------------------------------------------------------
     # churn handling during the operation
     # ------------------------------------------------------------------
-    def try_assign_inserted(
-        self, u: NodeId, v: NodeId, ledger: CostLedger
-    ) -> bool:
-        """Give the freshly inserted node ``u`` a vertex that guarantees
-        it survives the swap (Section 4.4.1: 'we can simply assign one of
-        the newly inflated vertices')."""
-        overlay = self.dex.overlay
-        exclude = frozenset((u,))
+    def __contains__(self, m: NodeId) -> bool:
+        """Whether ``m`` can give a fresh node a vertex that guarantees it
+        survives the swap (Section 4.4.1: 'we can simply assign one of the
+        newly inflated vertices'): the target set of an insertion token."""
+        if self.phase == 2:  # the new cycle is complete
+            return self.new.load(m) >= 2
+        if self.kind == "deflate":
+            return self.guarantee(m) >= 2
+        old = self.dex.overlay.old
+        return self.new.load(m) >= 2 or (
+            old.load(m) >= 2
+            and any(not self.is_processed(x) for x in old.vertices_of(m))
+        )
 
-        if self.kind == "inflate" and self.phase == 1:
-            def pred(m: NodeId) -> bool:
-                if m == u:
-                    return False
-                if self.new.load(m) >= 2:
-                    return True
-                return overlay.old.load(m) >= 2 and any(
-                    not self.is_processed(x) for x in overlay.old.vertices_of(m)
-                )
-        elif self.kind == "deflate" and self.phase == 1:
-            def pred(m: NodeId) -> bool:
-                return m != u and self.guarantee(m) >= 2
-        else:  # phase 2 of either kind: the new cycle is complete
-            def pred(m: NodeId) -> bool:
-                return m != u and self.new.load(m) >= 2
-
-        donor = walk_for(self.dex, v, pred, ledger, exclude=exclude)
-        if donor is None or not pred(donor):
+    def give(self, u: NodeId, donor: NodeId) -> bool:
+        """Move one of ``donor``'s vertices to the fresh node ``u``; False
+        when ``donor`` no longer qualifies (a token of the same wave
+        drained it)."""
+        if donor == u or donor not in self:
             return False
-
-        if self.kind == "inflate" and self.phase == 1:
-            if self.new.load(donor) >= 2:
-                self.dex.overlay.move(Layer.NEW, self._pick_new_vertex(donor), u)
-            else:
-                unprocessed = sorted(
-                    x
-                    for x in overlay.old.vertices_of(donor)
-                    if not self.is_processed(x)
-                )
-                self.move_old(unprocessed[-1], u)
-        elif self.kind == "deflate" and self.phase == 1:
+        if self.kind == "deflate" and self.phase == 1:
             self._donate_guarantee(donor, u)
-        else:
+        elif self.new.load(donor) >= 2:
             self.dex.overlay.move(Layer.NEW, self._pick_new_vertex(donor), u)
+        else:
+            old = self.dex.overlay.old
+            self.move_old(max(x for x in old.vertices_of(donor) if not self.is_processed(x)), u)
+        return True
+
+    def seats(self, layer: Layer, fallback: bool = False) -> "Container[NodeId]":
+        """Where a vertex of ``layer`` adopted from a deleted node may go:
+        Low for an old vertex, a node of new load in (0, 4*zeta) for a
+        new one, and as the fallback any node below the staggered
+        8*zeta bound (Lemma 9a)."""
+        overlay, config = self.dex.overlay, self.dex.config
+        if fallback:
+            return _Where(lambda m: overlay.total_load(m) < config.stagger_max_load)
+        if layer is Layer.OLD:
+            return overlay.old.low
+        return _Where(lambda m: 0 < self.new.load(m) < config.max_load)
+
+    def seat(
+        self, layer: Layer, x: Vertex, w: NodeId, seats: "Container[NodeId] | None" = None
+    ) -> bool:
+        """Move adopted vertex ``x`` of ``layer`` to ``w``, if ``w`` is
+        still one of ``seats`` (its own adopter may keep it)."""
+        if seats is not None and w not in seats:
+            return False
+        if layer is Layer.OLD:
+            self.move_old(x, w)
+        else:
+            self.dex.overlay.move(Layer.NEW, x, w)
         return True
 
     def redistribute_after_deletion(
@@ -371,42 +404,29 @@ class StaggeredOp:
         new_vertices: list[Vertex],
         ledger: CostLedger,
     ) -> None:
-        """Spread a deleted node's adopted vertices from ``v`` while the
-        operation is in flight.  Primary targets are the usual Low /
-        below-4*zeta nodes; the fallback accepts any node below the
-        staggered 8*zeta bound (Lemma 9a); leftovers stay at ``v`` if
-        within bound, else the operation is force-completed."""
-        overlay = self.dex.overlay
-        config = self.dex.config
-        # Low of the primary layer, live: no walk or move below swaps
-        # that layer (only advance() / force_complete() promote one)
-        low = overlay.old.low
-
-        for x in old_vertices:
-            if not overlay.old.is_active(x) or overlay.old.host_of(x) != v:
-                continue  # already dropped by phase 2 or rehomed
-            placed = self._place_with_retries(
-                ledger,
-                start=v,
-                primary=lambda m: m != v and m in low,
-                fallback=lambda m: m != v
-                and overlay.total_load(m) < config.stagger_max_load,
-                apply=lambda m, x=x: self.move_old(x, m),
-            )
-            if not placed:
-                break
-        for y in new_vertices:
-            if not self.new.is_active(y) or self.new.host_of(y) != v:
-                continue
-            self._place_with_retries(
-                ledger,
-                start=v,
-                primary=lambda m: m != v and 0 < self.new.load(m) < config.max_load,
-                fallback=lambda m: m != v
-                and overlay.total_load(m) < config.stagger_max_load,
-                apply=lambda m, y=y: overlay.move(Layer.NEW, y, m),
-            )
-        if overlay.total_load(v) > config.stagger_max_load:
+        """Spread a deleted node's adopted vertices from ``v`` one walk at
+        a time (single steps; a batch's adopted vertices are wave tokens
+        with the same :meth:`seats`): primary seats first, then the
+        fallback; leftovers stay at ``v`` if within bound, else the
+        operation is force-completed."""
+        for layer, vertices in ((Layer.OLD, old_vertices), (Layer.NEW, new_vertices)):
+            # the primary seats are live: no walk or move below swaps the
+            # layers (only advance() / force_complete() promote one)
+            primary, fallback = self.seats(layer), self.seats(layer, fallback=True)
+            lm = self.dex.overlay.old if layer is Layer.OLD else self.new
+            for x in vertices:
+                if not lm.is_active(x) or lm.host_of(x) != v:
+                    continue  # already dropped by phase 2 or rehomed
+                placed = self._place_with_retries(
+                    ledger,
+                    start=v,
+                    primary=lambda m: m != v and m in primary,
+                    fallback=lambda m: m != v and m in fallback,
+                    apply=lambda m, x=x: self.seat(layer, x, m),
+                )
+                if not placed and layer is Layer.OLD:
+                    break
+        if self.dex.overlay.total_load(v) > self.dex.config.stagger_max_load:
             self.force_complete(ledger)
 
     def _place_with_retries(
@@ -441,8 +461,8 @@ class StaggeredOp:
                 f"{len(self.pending)} new vertices still pending at phase 2"
             )
         for u in sorted(overlay.graph.nodes()):
-            if self.new.load(u) > 0:
-                continue
+            if self.new.load(u) > 0 or overlay.total_load(u) == 0:
+                continue  # (a fresh node still healing gets its vertex from a donor)
             placed = self._place_with_retries(
                 ledger,
                 start=u,

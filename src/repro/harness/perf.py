@@ -77,7 +77,7 @@ suite included)::
         "<label>": {
           "n256": {
             # batch-churn hot path, tracing off vs on (ring recorder),
-            # best-of-repeats interleaved so machine drift cancels:
+            # medians of repeats interleaved off/on pairs (drift cancels):
             "churn_off_per_step_ms": 0.61,
             "churn_on_per_step_ms": 0.62,
             "trace_enabled_churn_overhead_pct": 1.6,
@@ -138,6 +138,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from statistics import median
 from typing import Sequence
 
 from repro.core.config import DexConfig
@@ -713,54 +714,44 @@ def bench_trace_overhead(
     soak_duration_s: float = DEFAULT_TRACE_SOAK_DURATION,
     clients: int = DEFAULT_SOAK_CLIENTS,
     seed: int = 11,
-    repeats: int = 5,
+    repeats: int = 10,
 ) -> dict:
     """The obs acceptance receipt: tracing-off vs tracing-on timings of
     the two hot paths spans actually land on -- the batch-churn engine
     loop and the saturating gateway soak -- plus the synthetic
     disabled-path cost (``guard_ns`` x spans the enabled run created).
-    Off/on churn runs interleave within each repeat so thermal/machine
-    drift cancels; the reported overhead is best-of-``repeats`` (the
-    receipt must not flake on noise).  The off/on soaks interleave the
-    same way, one pair per repeat, best-of on events/s."""
+    ``repeats`` off/on pairs of each run interleave, alternating which
+    side goes first, so drift cancels; an overhead is the median of the
+    per-pair overheads, and each timing the median of its side."""
     from repro.obs import trace as _trace
 
     assert not _trace.enabled(), "bench_trace_overhead needs tracing off"
-    off_churn: list[float] = []
-    on_churn: list[float] = []
-    off_soak: list[float] = []
-    on_soak: list[float] = []
+    churn: dict[bool, list[float]] = {False: [], True: []}
+    soak: dict[bool, list[float]] = {False: [], True: []}
     spans_per_step = spans_per_event = 0.0
-    for _ in range(max(1, repeats)):
-        off_ms, _healed, _spans = _trace_churn_once(
-            n, batch, rounds, seed, traced=False
-        )
-        on_ms, healed, spans = _trace_churn_once(
-            n, batch, rounds, seed, traced=True
-        )
-        off_churn.append(off_ms)
-        on_churn.append(on_ms)
-        spans_per_step = spans / max(healed, 1)
-        soak_off = bench_service_soak(
-            n, duration_s=soak_duration_s, clients=clients, seed=seed
-        )
-        recorder = _trace.SpanRecorder(capacity=1_000_000)
-        _trace.install(recorder)
-        try:
-            soak_on = bench_service_soak(
-                n, duration_s=soak_duration_s, clients=clients, seed=seed
-            )
-        finally:
-            _trace.uninstall()
-        off_soak.append(soak_off["events_per_s"])
-        on_soak.append(soak_on["events_per_s"])
-        spans_per_event = len(recorder.spans) / max(soak_on["events"], 1)
-    churn_off = min(off_churn)
-    churn_on = min(on_churn)
+    for i in range(max(1, repeats)):
+        order = (False, True) if i % 2 == 0 else (True, False)
+        for traced in order:
+            ms, healed, spans = _trace_churn_once(n, batch, rounds, seed, traced=traced)
+            churn[traced].append(ms)
+            spans_per_step = spans / max(healed, 1) if traced else spans_per_step
+        for traced in order:
+            recorder = _trace.SpanRecorder(capacity=1_000_000)
+            if traced:
+                _trace.install(recorder)
+            try:
+                row = bench_service_soak(
+                    n, duration_s=soak_duration_s, clients=clients, seed=seed
+                )
+            finally:
+                if traced:
+                    _trace.uninstall()
+                    spans_per_event = len(recorder.spans) / max(row["events"], 1)
+            soak[traced].append(row["events_per_s"])
+    churn_off, churn_on = median(churn[False]), median(churn[True])
+    off_eps, on_eps = median(soak[False]), median(soak[True])
     guard_ns = _guard_ns()
     guard_s = guard_ns * 1e-9
-    off_eps = max(off_soak)
-    on_eps = max(on_soak)
     return {
         "batch": batch,
         "rounds": rounds,
@@ -769,10 +760,8 @@ def bench_trace_overhead(
         "clients": clients,
         "churn_off_per_step_ms": round(churn_off, 6),
         "churn_on_per_step_ms": round(churn_on, 6),
-        "trace_enabled_churn_overhead_pct": (
-            round((churn_on - churn_off) / churn_off * 100.0, 3)
-            if churn_off
-            else 0.0
+        "trace_enabled_churn_overhead_pct": round(
+            median((on - off) / off * 100.0 for off, on in zip(churn[False], churn[True]) if off), 3
         ),
         "trace_disabled_churn_overhead_pct": (
             round(
@@ -783,8 +772,8 @@ def bench_trace_overhead(
         ),
         "soak_off_events_per_s": off_eps,
         "soak_on_events_per_s": on_eps,
-        "trace_enabled_soak_overhead_pct": (
-            round((off_eps - on_eps) / off_eps * 100.0, 3) if off_eps else 0.0
+        "trace_enabled_soak_overhead_pct": round(
+            median((off - on) / off * 100.0 for off, on in zip(soak[False], soak[True]) if off), 3
         ),
         "trace_disabled_soak_overhead_pct": round(
             spans_per_event * guard_s * off_eps * 100.0, 6
@@ -972,8 +961,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--trace-duration", type=float,
                         default=DEFAULT_TRACE_SOAK_DURATION,
                         help="seconds of soak per tracing mode")
-    parser.add_argument("--trace-repeats", type=int, default=5,
-                        help="interleaved off/on churn and soak repeats (best-of)")
+    parser.add_argument("--trace-repeats", type=int, default=10,
+                        help="interleaved off/on churn and soak pairs (median)")
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("BENCH_perf.json"))
     args = parser.parse_args(argv)
 

@@ -12,8 +12,11 @@ from repro.core.dex import DexNetwork
 
 #: ``--hypothesis-profile=deep``: the churn machine of test_properties.py
 #: with a budget far past tier-1's (CI runs it as its own step); the
-#: default profile is left as it is
-settings.register_profile("deep", max_examples=200, stateful_step_count=60, deadline=None)
+#: default profile is left as it is.  A failure prints its
+#: ``@reproduce_failure`` blob, so a red run replays without the search.
+settings.register_profile(
+    "deep", max_examples=200, stateful_step_count=60, deadline=None, print_blob=True
+)
 
 #: primes used across the structural tests (all valid p-cycle sizes)
 SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]

@@ -5,16 +5,15 @@ that once broke it, kept as regression tests.
    chunks (Lemma 9 counts adversarial events); at one chunk per step a
    stream of join batches drained Spare faster than the op restored it
    and an insertion exhausted its type-1 retries.
-2. ``core.multi``'s delete path calls
-   ``dex.staggered.redistribute_after_deletion`` once per adopter; one
-   call can force-complete the op and reset ``dex.staggered`` to
-   ``None``, so every call re-reads it.
+2. ``core.multi``'s delete path once redistributed per adopter, and one
+   adopter could force-complete the op and reset ``dex.staggered`` to
+   ``None`` under the next; the wave driver re-reads it every wave.
 
 3. A batch of joins a third the network's size, landing while a
    staggered inflation is in flight, exhausted an insertion's type-1
-   retries: the leftover insertions healed one by one and the op
-   advanced only after all of them, so none found the vertices its own
-   event's chunk generates.  Each now ticks the op before it heals."""
+   retries: the op advanced only after the insertions healed, so none
+   found the vertices its own event's chunk generates.  The wave driver
+   now advances the op one chunk per join before its first wave."""
 
 import random
 
@@ -68,7 +67,7 @@ def test_third_of_n_join_batches_heal_in_both_modes(mode: str) -> None:
 
 
 def test_a_forced_completion_inside_the_batch_is_reported() -> None:
-    # The leftover loop ticks the op itself; when a tick force-completes
+    # The wave driver ticks the op itself; when the tick force-completes
     # it, the op is gone by the time the step closes, and the flag must
     # still reach the step report.
     net = DexNetwork.bootstrap(64, DexConfig(seed=3, type2_mode="staggered"))
@@ -76,7 +75,7 @@ def test_a_forced_completion_inside_the_batch_is_reported() -> None:
     op = net.staggered
     real_advance = op.advance
 
-    def first_tick_forces(ledger: CostLedger) -> None:
+    def first_tick_forces(ledger: CostLedger, chunks: int = 1) -> None:
         op.advance = real_advance
         op.force_complete(ledger)
 
