@@ -2,10 +2,12 @@
 ``test_cost_transcript.py`` (which pins ``simplified`` batches).  A
 seeded join-only script at n = 256 crosses one staggered inflation, and
 a leave-only script crosses one staggered deflation.  Per step each must
-charge exactly what it charged at commit 5a41bd5 -- before the two batch
-kinds shared one wave driver and one type-2 decision -- and end in the
-same state.  A batch that meets an op in flight heals through it, so
-these scripts pin the hand-over from the waves to the stagger too."""
+charge exactly the recorded costs and end in the same state.  A batch
+that meets an op in flight heals in the same waves against the op's
+targets, so these scripts pin that path too.  The costs were recorded
+when it replaced the one-by-one hand-over to the op, which had charged
+22 375, 54 390, 61 373 and 12 665 rounds for the four deflation
+batches."""
 
 import hashlib
 import random
@@ -27,12 +29,12 @@ JOIN_COSTS = [
     (41, 118, 0, 230, 33, 1), (34, 164, 0, 235, 32, 0), (55, 184, 0, 224, 33, 1),
     (50, 159, 0, 234, 33, 1), (63, 182, 0, 227, 35, 3), (114, 343, 0, 236, 37, 5),
     (58, 252, 0, 236, 35, 3), (114, 412, 0, 245, 37, 5), (69, 354, 0, 246, 35, 3),
-    (380, 13098, 0, 2727, 38, 0), (91, 96, 0, 270, 32, 0), (7, 44, 0, 179, 32, 0),
-    (10, 46, 0, 165, 32, 0), (9, 45, 0, 186, 32, 0),
+    (88, 13087, 0, 2720, 38, 0), (16, 98, 0, 258, 32, 0), (8, 44, 0, 178, 32, 0),
+    (8, 44, 0, 178, 32, 0), (9, 45, 0, 191, 32, 0),
 ]
 #: recovery kinds, run-length encoded
 JOIN_KINDS = [("type1", 21), ("type1-during-stagger", 2), ("type1", 3)]
-JOIN_STATE = "949d31cb268cb79313ebe9bde55ac393b0c52024fd74f4bd44aece3ba6d6effc"
+JOIN_STATE = "f5406a151e2482b1d1af4b85923d827896d2af91e8b94450fe23cff6e2f5f86b"
 LEAVE_COSTS = [
     (2, 50, 0, 157, 41, 0), (2, 49, 0, 168, 40, 0), (4, 72, 0, 193, 44, 0),
     (1, 59, 0, 201, 47, 0), (6, 67, 0, 209, 46, 0), (6, 84, 0, 230, 50, 0),
@@ -40,12 +42,11 @@ LEAVE_COSTS = [
     (7, 99, 0, 260, 53, 0), (17, 187, 0, 367, 72, 1), (5, 101, 0, 323, 60, 0),
     (21, 218, 0, 430, 86, 3), (24, 218, 0, 452, 86, 5), (21, 222, 0, 378, 74, 1),
     (23, 222, 0, 389, 84, 12), (39, 447, 0, 547, 124, 18), (34, 464, 0, 573, 120, 14),
-    (99, 1262, 0, 797, 209, 54), (22375, 24902, 0, 667, 1449, 1218),
-    (54390, 55060, 0, 848, 3305, 3090), (61373, 61398, 0, 744, 3977, 3705),
-    (12665, 12705, 0, 634, 1009, 798), (129, 143, 0, 281, 88, 0),
+    (99, 1262, 0, 797, 209, 54), (138, 6972, 0, 625, 475, 243), (122, 13250, 0, 591, 922, 730),
+    (146, 15711, 0, 590, 1206, 944), (102, 4197, 0, 488, 549, 354), (15, 149, 0, 188, 73, 0),
 ]
 LEAVE_KINDS = [("type1", 19), ("type1-during-stagger", 5)]
-LEAVE_STATE = "b8bb4172097a8bb215345166dc40f0e389c424af6cdaabd367ac9de76c6c5f28"
+LEAVE_STATE = "5b53803cad5396acfd673485e42d7cda035d2bea51fdb0759adb1ecb81d5537c"
 # fmt: on
 
 
@@ -80,7 +81,7 @@ def test_join_only_script_charges_the_recorded_costs():
     assert _kinds(reports) == JOIN_KINDS
     assert [r.staggered_active for r in reports].count(True) == 1
     assert primes == [1031, 4127]
-    assert sum(r.costs.walk_hops for r in reports) == 3054
+    assert sum(r.costs.walk_hops for r in reports) == 3040
     assert net.size == 1088
     assert _digest(net) == JOIN_STATE
 
@@ -98,6 +99,6 @@ def test_leave_only_script_charges_the_recorded_costs():
     assert [_costs(r) for r in reports] == LEAVE_COSTS
     assert _kinds(reports) == LEAVE_KINDS
     assert [r.staggered_active for r in reports].count(True) == 4
-    assert sum(r.costs.walk_hops for r in reports) == 155431
+    assert sum(r.costs.walk_hops for r in reports) == 41502
     assert (net.size, net.p) == (16, 131)
     assert _digest(net) == LEAVE_STATE
