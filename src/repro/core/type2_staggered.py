@@ -4,7 +4,8 @@ O(log n) rounds/messages and O(1) topology changes per step.
 
 The coordinator triggers the operation early (at the ``3*theta*n``
 threshold) and the rebuild is spread over the recoveries of the following
-Theta(n) steps:
+Theta(n) steps, one chunk per adversarial event (a step's chunks go out
+as one request, :meth:`StaggeredOp.advance`):
 
 * **Phase 1** processes the old vertices in chunks of ``ceil(1/theta)``
   per step (order ``1, 2, ..., p-1, 0`` -- the coordinator's vertex
@@ -15,8 +16,6 @@ Theta(n) steps:
   (locally computable: Eq. 7's inverse / the dominating-vertex formula),
   and are resolved into proper edges when that vertex activates.
 * **Phase 2** drops the old cycle's vertices (and edges) chunk by chunk.
-  A step advances one chunk per adversarial event, all in one request
-  (:meth:`StaggeredOp.advance`).
 * Insertions and deletions continue to be healed with type-1 recovery
   throughout; per Lemma 9 each node carries at most ``8*zeta`` vertices
   and the network keeps a constant spectral gap (>= (1-lambda)^2/8).
@@ -361,7 +360,7 @@ class StaggeredOp:
         """Move one of ``donor``'s vertices to the fresh node ``u``; False
         when ``donor`` no longer qualifies (a token of the same wave
         drained it)."""
-        if donor == u or donor not in self:
+        if donor not in self:
             return False
         if self.kind == "deflate" and self.phase == 1:
             self._donate_guarantee(donor, u)
