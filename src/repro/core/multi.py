@@ -700,9 +700,11 @@ FALLBACK_WAVE = 4
 
 INSERTIONS = TokenKind(
     type2="inflate",
-    targets=lambda dex, _wave: dex.staggered or dex.overlay.old.spare,
+    targets=lambda dex, _wave: (
+        dex.overlay.old.spare if dex.staggered is None else dex.staggered
+    ),
     resolve=lambda dex, u, w, _targets: (
-        dex.staggered.give(u, w) if dex.staggered else resolve_insertion(dex, u, w)
+        resolve_insertion(dex, u, w) if dex.staggered is None else dex.staggered.give(u, w)
     ),
     failure="batched insertions not healed",
 )
@@ -714,14 +716,14 @@ def _adopted(layer: Layer) -> TokenKind:
     return TokenKind(
         type2="deflate",
         targets=lambda dex, wave: (
-            dex.staggered.seats(layer, wave >= FALLBACK_WAVE)
-            if dex.staggered
-            else dex.overlay.old.low
+            dex.overlay.old.low
+            if dex.staggered is None
+            else dex.staggered.seats(layer, wave >= FALLBACK_WAVE)
         ),
         resolve=lambda dex, z, w, targets: (
-            dex.staggered.seat(layer, z, w, targets)
-            if dex.staggered
-            else resolve_redistribution(dex, z, w)
+            resolve_redistribution(dex, z, w)
+            if dex.staggered is None
+            else dex.staggered.seat(layer, z, w, targets)
         ),
         failure="adopted vertices not redistributed",
     )
