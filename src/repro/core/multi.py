@@ -778,12 +778,15 @@ def _heal_in_waves(
         healed = decide_type2(dex, kind.type2, pending, ledger, wave)
         if healed is not None:
             return healed, ticked, forced
-    if pending and (dex.staggered is None or kind is INSERTIONS):
+    op = dex.staggered
+    if pending and (op is None or kind is INSERTIONS):
         raise RecoveryError(
             f"{len(pending)} {kind.failure} within "
             f"{dex.config.max_type1_retries} token waves"
         )
-    if any(dex.overlay.total_load(v) > dex.config.stagger_max_load for _z, v in pending):
-        dex.staggered.force_complete(ledger)
+    if op is not None and any(
+        dex.overlay.total_load(v) > dex.config.stagger_max_load for _z, v in pending
+    ):
+        op.force_complete(ledger)
         forced = True
     return recovery, ticked, forced

@@ -746,7 +746,8 @@ def bench_trace_overhead(
             finally:
                 if traced:
                     _trace.uninstall()
-                    spans_per_event = len(recorder.spans) / max(row["events"], 1)
+            if traced:
+                spans_per_event = len(recorder.spans) / max(row["events"], 1)
             soak[traced].append(row["events_per_s"])
     churn_off, churn_on = median(churn[False]), median(churn[True])
     off_eps, on_eps = median(soak[False]), median(soak[True])
