@@ -317,14 +317,18 @@ def cmd_serve(argv: list[str]) -> int:
                 for row in summary["per_shard"]
             )
         )
-    if summary.get("final_checkpoint"):
+    # A drain that wrote no final checkpoint leaves every ack since the
+    # previous one non-durable: a failed run, not a missing note.
+    lost = args.checkpoint_dir is not None and not summary["final_checkpoint"]
+    if args.checkpoint_dir is not None:
         table.add_note(
             f"checkpoints: {summary['checkpoints_written']} written "
             f"({summary['checkpoint_errors']} errors), "
-            f"final {summary['final_checkpoint']}"
+            f"final {summary['final_checkpoint'] or 'NOT WRITTEN'}"
+            + (" (in-flight type-2 op completed first)" if summary["op_completed"] else "")
         )
     print(table.render())
-    return 0 if audit["ok"] else 1
+    return 0 if audit["ok"] and not lost else 1
 
 
 def _soak_parser() -> argparse.ArgumentParser:

@@ -183,7 +183,7 @@ def _soak_worker(cfg: dict) -> None:
     root = Path(cfg["root"])
     net = DexNetwork.bootstrap(
         cfg["n0"],
-        DexConfig(seed=cfg["seed"], type2_mode="simplified"),
+        DexConfig(seed=cfg["seed"]),
         seed=cfg["seed"],
     )
     pending: list[dict] = []

@@ -152,7 +152,7 @@ DEFAULT_SWEEP_SEEDS = (11,)
 
 
 def _build(n: int, seed: int, **overrides) -> DexNetwork:
-    config = DexConfig(validate_every_step=False, **overrides)
+    config = DexConfig(**overrides)
     return DexNetwork.bootstrap(n, config=config, seed=seed)
 
 

@@ -360,8 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         "comparison; single-node steps do no batch validation)")
     parser.add_argument("--type2-mode", choices=["staggered", "simplified"],
                         default=None,
-                        help="override DEX's type-2 mode (Corollary 2's batch "
-                        "bounds assume the simplified procedures)")
+                        help="override DEX's type-2 mode (default staggered, "
+                        "the paper's worst-case mode; simplified is Corollary "
+                        "1's amortized one)")
     parser.add_argument("--label", default="campaigns",
                         help="label for the BENCH_perf.json campaigns entry")
     parser.add_argument("--out", type=Path, default=None,

@@ -98,8 +98,8 @@ async def open_service(
         from repro.core.config import DexConfig
         from repro.core.dex import DexNetwork
 
-        config = DexConfig(seed=seed, type2_mode="simplified")
-        gateway = MembershipGateway(DexNetwork.bootstrap(n0, config, seed=seed), **shared)
+        net = DexNetwork.bootstrap(n0, DexConfig(seed=seed), seed=seed)
+        gateway = MembershipGateway(net, **shared)
     return await gateway.start()
 
 

@@ -52,6 +52,7 @@ from typing import (
 )
 
 from repro.errors import SnapshotError
+from repro.net.metrics import CostLedger
 from repro.obs import trace as _trace
 from repro.service.metrics import ServiceMetrics
 from repro.service.policy import AdmissionPolicy, make_policy
@@ -496,8 +497,8 @@ class FlushCore(Generic[R]):
         )
         self._last_flush_end = now
         # Checkpoints sit *between* flushes: the heal call above has
-        # returned, so the network is in a steady state (never mid-heal,
-        # never with a staggered layer in flight).
+        # returned, so the network is never mid-heal.  A staggered op may
+        # still be in flight; ``checkpoint`` then postpones.
         if self.checkpoint_dir is not None:
             self._flushes_since_checkpoint += 1
             if self._flushes_since_checkpoint >= self.checkpoint_every:
@@ -615,8 +616,15 @@ class FlushCore(Generic[R]):
         """A checkpoint attempt that cannot take the service down: a
         full disk or a snapshot refusal is counted
         (``checkpoint_errors``) and serving goes on -- losing durability
-        is strictly better than hanging every queued caller.  ``None``
-        when it failed or no ``checkpoint_dir`` is configured."""
+        is strictly better than hanging every queued caller.  A
+        staggered type-2 op advances one chunk per event, so it stays in
+        flight across flushes, and its two-layer state cannot be
+        snapshotted: while one is in flight the attempt is postponed --
+        nothing fired or counted, the checkpoint still due at the next
+        flush.  ``None`` when it failed, was postponed or no
+        ``checkpoint_dir`` is configured."""
+        if self.net.staggered is not None:
+            return None
         self._flushes_since_checkpoint = 0
         if self.checkpoint_dir is None:
             return None
@@ -625,3 +633,21 @@ class FlushCore(Generic[R]):
         except (SnapshotError, OSError):
             self._checkpoint_errors.inc()
             return None
+
+    def settle(self) -> dict:
+        """The last step of a drain, once the queue is empty: run an
+        in-flight staggered op to completion (``force_complete``; no
+        caller waits on it any more, so the per-step bound is not at
+        stake) and write the final checkpoint.  The op is left alone
+        when there is no ``checkpoint_dir`` to write to."""
+        op = self.net.staggered
+        completed = op is not None and self.checkpoint_dir is not None
+        if completed:
+            op.force_complete(CostLedger())
+        final = self.checkpoint()
+        return {
+            "final_checkpoint": str(final) if final is not None else None,
+            "op_completed": completed,
+            "checkpoints_written": self.checkpoints_written,
+            "checkpoint_errors": self.checkpoint_errors,
+        }

@@ -162,19 +162,14 @@ class MembershipGateway(FlushCore[Request]):
     async def drain(self) -> dict:
         """Graceful shutdown: stop accepting new requests, answer
         **every** queued future (the batcher keeps flushing until the
-        queue is empty -- no client is left hanging), then write one
-        final checkpoint.  Returns a small summary the caller can log.
+        queue is empty -- no client is left hanging), then settle: run
+        an in-flight staggered op to completion and write one final
+        checkpoint.  Returns a small summary the caller can log.
         The final checkpoint happens strictly *after* the last flush, so
         it captures every acknowledged request."""
         pending = len(self._queue)
         await self.close()
-        final = self.checkpoint()
-        return {
-            "pending_answered": pending,
-            "final_checkpoint": str(final) if final is not None else None,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_errors": self.checkpoint_errors,
-        }
+        return {"pending_answered": pending, **self.settle()}
 
     @classmethod
     def from_checkpoint(

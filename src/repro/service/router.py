@@ -476,10 +476,13 @@ class ShardRouter:
         for rid in list(self._pending_ctl):
             self._answer_ctl(rid)
         per_shard = [self._drained[i] for i in sorted(self._drained)]
-        finals = [row.get("last_checkpoint") for row in per_shard]
+        finals = [row.get("final_checkpoint") for row in per_shard]
         return {
             "pending_answered": pending,
-            "final_checkpoint": ", ".join(f for f in finals if f) or None,
+            "final_checkpoint": (
+                ", ".join(finals) if finals and all(finals) else None
+            ),
+            "op_completed": any(row.get("op_completed") for row in per_shard),
             "checkpoints_written": sum(row.get("checkpoints_written", 0) for row in per_shard),
             "checkpoint_errors": sum(row.get("checkpoint_errors", 0) for row in per_shard),
             "router": self.metrics.snapshot(),
@@ -1071,7 +1074,6 @@ async def start_cluster(
     checkpoint_every: int = 32,
     deadline_ms: float | None = None,
     handoff_ttl_s: float = 2.0,
-    config_overrides: dict | None = None,
     checkpoint_keep: int = 3,
     restore: bool = False,
 ) -> ShardRouter:
@@ -1108,7 +1110,6 @@ async def start_cluster(
             "checkpoint_every": checkpoint_every,
             "checkpoint_keep": checkpoint_keep,
             "restore": restore,
-            "config_overrides": config_overrides or {},
         }
         for index in range(shards)
     ]

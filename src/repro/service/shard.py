@@ -1,10 +1,11 @@
 """One shard of the sharded membership service: a contiguous id region
 with its own :class:`~repro.core.dex.DexNetwork` partition.
 
-DEX's coordinator/p-cycle structure heals *locally* (Corollary 2), which
-is what makes the overlay partitionable at all: a shard owns the
-contiguous id region ``[index * SHARD_STRIDE, (index+1) * SHARD_STRIDE)``
--- its own stretch of the p-cycle, bootstrapped via
+A cluster of S shards serves S independent DEX overlays: each shard
+heals only its own, no edge joins two shards, and the union is *not*
+one expander -- the cluster partitions the membership, not one overlay.
+A shard owns the contiguous id region
+``[index * SHARD_STRIDE, (index+1) * SHARD_STRIDE)``, bootstrapped via
 ``DexNetwork.bootstrap(id_base=...)`` so every id the shard ever mints
 (``fresh_id`` is monotone from the bootstrap ids) stays inside the
 region.  Ownership is therefore a pure function of the id
@@ -309,16 +310,16 @@ class ShardServer(FlushCore[_ShardRequest]):
             if ok:
                 self.handoffs_committed += 1
 
-    def drain(self) -> list[dict]:
+    def drain(self) -> tuple[list[dict], dict]:
         """Flush until the queue is empty (every queued request
-        answered, the backlog healed rather than shed), then write a
-        final covering checkpoint."""
+        answered, the backlog healed rather than shed), then settle (an
+        in-flight op completed, a final covering checkpoint written):
+        the backlog's acks and the settle summary."""
         self._closing = True
         acks = self.take_acks()
         while self._queue:
             acks.extend(self.flush())
-        self.checkpoint()
-        return acks
+        return acks, self.settle()
 
     # ------------------------------------------------------------------
     # handoff control verbs
@@ -430,15 +431,9 @@ def build_shard(cfg: dict) -> ShardServer:
 
         net, restored_from, _skipped = restore_latest(checkpoint_dir)
     else:
-        config = DexConfig(
-            seed=cfg["seed"],
-            type2_mode="simplified",
-            validate_every_step=False,
-            **cfg.get("config_overrides", {}),
-        )
         net = DexNetwork.bootstrap(
             cfg["n_local"],
-            config,
+            DexConfig(seed=cfg["seed"]),
             seed=cfg["seed"],
             id_base=shard_map.id_base(index),
         )
@@ -521,11 +516,12 @@ def finish_drain(
     server: ShardServer, reply: Callable[[tuple[str, Any]], None]
 ) -> None:
     """Answer the ``drain`` verb: the backlog's acks, then the final
-    stats (sent strictly after the covering checkpoint)."""
-    acks = server.drain()
+    stats with the settle summary (sent strictly after the covering
+    checkpoint)."""
+    acks, settled = server.drain()
     if acks:
         reply((MSG_ACKS, acks))
-    reply((MSG_DRAINED, server.stats()))
+    reply((MSG_DRAINED, {**server.stats(), **settled}))
 
 
 def shard_worker_main(conn: Any, cfg: dict) -> None:

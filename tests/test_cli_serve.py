@@ -75,6 +75,16 @@ class TestServe:
         assert "restored step" in second
         assert "checkpoints:" in second  # the restored run keeps checkpointing
 
+    def test_no_final_checkpoint_is_a_failed_run(self, tmp_path, capsys):
+        # A file where the checkpoint directory should go: every attempt
+        # fails, so no ack since the start is durable.
+        blocker = tmp_path / "blocked"
+        blocker.write_text("not a directory")
+        assert main(self.SERVE + ["--checkpoint-dir", str(blocker)]) == 1
+        out = capsys.readouterr().out
+        assert "cluster audit | ok" in out
+        assert "final NOT WRITTEN" in out
+
     def test_cluster_mode_accepts_overload_flags(self, capsys):
         # --policy / --queue-limit travel in the worker config: every
         # shard runs the same flush core as the single gateway, so

@@ -35,9 +35,7 @@ def _noop_between_tests():
 
 
 def _bootstrap(n=64, seed=9):
-    config = DexConfig(
-        seed=seed, type2_mode="simplified", validate_every_step=False
-    )
+    config = DexConfig(seed=seed)
     return DexNetwork.bootstrap(n, config, seed=seed)
 
 
@@ -155,10 +153,7 @@ class TestCrossShardTrace:
         from repro.service.shard import ShardMap, ShardServer
 
         def make_server(index, shard_map):
-            config = DexConfig(
-                seed=7 + index, type2_mode="simplified",
-                validate_every_step=False,
-            )
+            config = DexConfig(seed=7 + index)
             net = DexNetwork.bootstrap(
                 16, config, seed=7 + index, id_base=shard_map.id_base(index)
             )

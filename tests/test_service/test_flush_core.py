@@ -54,8 +54,8 @@ class RecordingCore(FlushCore[Request]):
         self.failures.append((request.ticket, exc))
 
 
-def bootstrap(n0: int = 16, seed: int = 7) -> DexNetwork:
-    config = DexConfig(seed=seed, type2_mode="simplified", validate_every_step=False)
+def bootstrap(n0: int = 16, seed: int = 7, **config_kw) -> DexNetwork:
+    config = DexConfig(seed=seed, **config_kw)
     return DexNetwork.bootstrap(n0, config, seed=seed)
 
 
@@ -267,8 +267,14 @@ class TestGatewayShardDifferential:
 
         return asyncio.run(scenario())
 
-    def test_same_script_same_outcomes_same_network(self):
-        nets = [bootstrap(n0=32, seed=11), bootstrap(n0=32, seed=11)]
+    # The service builds the default (staggered) mode; ``bench/``'s
+    # gateway workloads still build simplified, so both stay covered.
+    @pytest.mark.parametrize("type2_mode", ["staggered", "simplified"])
+    def test_same_script_same_outcomes_same_network(self, type2_mode):
+        nets = [
+            bootstrap(n0=32, seed=11, type2_mode=type2_mode),
+            bootstrap(n0=32, seed=11, type2_mode=type2_mode),
+        ]
         assert state_fingerprint(nets[0]) == state_fingerprint(nets[1])
         script = scripted_requests(nets[0], seed=5)
         via_gateway = self._through_gateway(nets[0], script)

@@ -10,12 +10,24 @@ import asyncio
 
 from repro.core.config import DexConfig
 from repro.core.dex import DexNetwork
-from repro.persist import list_checkpoints, load_snapshot, state_fingerprint
-from repro.service import MembershipGateway, ServiceMetrics
+from repro.persist import (
+    list_checkpoints,
+    load_snapshot,
+    restore_latest,
+    state_fingerprint,
+)
+from repro.service import (
+    InlineShardHandle,
+    MembershipGateway,
+    ServiceMetrics,
+    ShardMap,
+    ShardRouter,
+    ShardServer,
+)
 
 
 def service_net(n0: int = 32, seed: int = 71) -> DexNetwork:
-    config = DexConfig(seed=seed, type2_mode="simplified", validate_every_step=False)
+    config = DexConfig(seed=seed)
     return DexNetwork.bootstrap(n0, config, seed=seed)
 
 
@@ -281,3 +293,132 @@ class TestFromCheckpoint:
         now[0] = 1002.0
         assert gateway.metrics.snapshot()["elapsed_s"] == 2.0
         assert gateway.metrics.window()["events"] == 0
+
+
+class TestStaggeredOpInFlight:
+    """A staggered type-2 op advances one chunk per event, so it stays
+    in flight across several flushes, and its two-layer state cannot be
+    snapshotted.  The periodic checkpoint waits the op out -- still due,
+    nothing fired, nothing counted -- and a drain completes it before the
+    final checkpoint.  From n0 = 16, one-join flushes start an op within
+    about 50 joins and keep it in flight for a few flushes."""
+
+    JOINS = 400
+
+    @staticmethod
+    def assert_postponed_while_in_flight(rows, hooked, errors):
+        """``rows`` holds ``(op in flight, checkpoints written)`` after
+        each one-join flush with ``checkpoint_every=1``."""
+        assert any(flight for flight, _ in rows), "no op started"
+        assert any(a and not b for (a, _), (b, _) in zip(rows, rows[1:])), (
+            "no op completed"
+        )
+        assert errors == 0
+        assert not any(hooked)  # on_before_checkpoint never saw an op
+        for (_, before), (flight, after) in zip(rows, rows[1:]):
+            # nothing while in flight; every other flush writes, the
+            # first one after the op completes included
+            assert after == before + (0 if flight else 1)
+
+    def test_periodic_checkpoint_waits_out_an_in_flight_op(self, tmp_path):
+        hooked: list[bool] = []
+        rows: list[tuple[bool, int]] = []
+
+        async def scenario():
+            net = service_net(n0=16)
+            gateway = MembershipGateway(
+                net,
+                max_batch=1,
+                batch_window_ms=0.0,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1,
+                checkpoint_keep=1,
+                on_before_checkpoint=lambda _step: hooked.append(
+                    net.staggered is not None
+                ),
+            )
+            async with gateway:
+                for _ in range(100):
+                    assert (await gateway.join()).ok
+                    rows.append((net.staggered is not None, gateway.checkpoints_written))
+            return gateway
+
+        gateway = run(scenario())
+        self.assert_postponed_while_in_flight(rows, hooked, gateway.checkpoint_errors)
+
+    def test_drain_completes_an_in_flight_op_then_checkpoints(self, tmp_path):
+        async def scenario():
+            net = service_net(n0=16)
+            gateway = MembershipGateway(
+                net,
+                max_batch=1,
+                batch_window_ms=0.0,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=10_000,  # only the drain's checkpoint
+            )
+            await gateway.start()
+            for _ in range(self.JOINS):
+                assert (await gateway.join()).ok
+                if net.staggered is not None:
+                    break
+            assert net.staggered is not None, "no op started"
+            members = sorted(net.nodes())
+            return net, members, await gateway.drain()
+
+        net, members, summary = run(scenario())
+        assert summary["checkpoint_errors"] == 0
+        assert summary["final_checkpoint"] is not None
+        assert summary["op_completed"] is True
+        assert net.staggered is None
+        restored, path, _skipped = restore_latest(tmp_path)
+        assert str(path) == summary["final_checkpoint"]
+        assert sorted(restored.nodes()) == members
+        assert state_fingerprint(restored) == state_fingerprint(net)
+        restored.check_invariants()
+
+    def test_shard_postpones_then_drains_an_in_flight_op(self, tmp_path):
+        """The shard twin, through the worker protocol: one shard behind
+        an inline handle, joined until a second op is in flight after a
+        first one completed, then drained by the router."""
+        hooked: list[bool] = []
+        rows: list[tuple[bool, int]] = []
+
+        async def scenario():
+            shard_map = ShardMap(1)
+            net = DexNetwork.bootstrap(16, DexConfig(seed=7), seed=7)
+            server = ShardServer(
+                0,
+                net,
+                shard_map=shard_map,
+                max_batch=1,
+                window_ms=0.0,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1,
+                checkpoint_keep=1,
+            )
+            server.on_before_checkpoint = lambda _step: hooked.append(
+                net.staggered is not None
+            )
+            router = ShardRouter([InlineShardHandle(server)], shard_map=shard_map)
+            await router.start()
+            for _ in range(self.JOINS):
+                assert (await router.join()).ok
+                rows.append((net.staggered is not None, server.checkpoints_written))
+                completed = any(a and not b for (a, _), (b, _) in zip(rows, rows[1:]))
+                if completed and net.staggered is not None:
+                    break
+            assert net.staggered is not None, "no second op started"
+            members = sorted(net.nodes())
+            return net, server, members, await router.drain()
+
+        net, server, members, summary = run(scenario())
+        # the flushes before the drain: the last row's op is the drain's
+        self.assert_postponed_while_in_flight(rows, hooked, server.checkpoint_errors)
+        assert summary["checkpoint_errors"] == 0
+        assert summary["final_checkpoint"] is not None
+        assert summary["op_completed"] is True
+        assert net.staggered is None
+        restored, path, _skipped = restore_latest(tmp_path)
+        assert str(path) == summary["final_checkpoint"]
+        assert sorted(restored.nodes()) == members
+        assert state_fingerprint(restored) == state_fingerprint(net)

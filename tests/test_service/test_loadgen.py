@@ -23,7 +23,7 @@ from repro.service.loadgen import LoadStats
 
 
 def service_net(n0: int = 48, seed: int = 81) -> DexNetwork:
-    config = DexConfig(seed=seed, type2_mode="simplified", validate_every_step=False)
+    config = DexConfig(seed=seed)
     return DexNetwork.bootstrap(n0, config, seed=seed)
 
 

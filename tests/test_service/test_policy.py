@@ -26,7 +26,7 @@ from repro.service import (
 
 
 def service_net(n0: int = 32, seed: int = 71) -> DexNetwork:
-    config = DexConfig(seed=seed, type2_mode="simplified", validate_every_step=False)
+    config = DexConfig(seed=seed)
     return DexNetwork.bootstrap(n0, config, seed=seed)
 
 

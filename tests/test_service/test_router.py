@@ -36,9 +36,7 @@ class FakeClock:
 
 
 def make_server(index: int, shard_map: ShardMap, *, clock, n0: int = 16):
-    config = DexConfig(
-        seed=7 + index, type2_mode="simplified", validate_every_step=False
-    )
+    config = DexConfig(seed=7 + index)
     net = DexNetwork.bootstrap(
         n0, config, seed=7 + index, id_base=shard_map.id_base(index)
     )

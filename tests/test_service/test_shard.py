@@ -34,9 +34,7 @@ class FakeClock:
 
 def shard_net(index: int, *, shards: int = 2, n0: int = 16, seed: int = 7):
     shard_map = ShardMap(shards)
-    config = DexConfig(
-        seed=seed, type2_mode="simplified", validate_every_step=False
-    )
+    config = DexConfig(seed=seed)
     net = DexNetwork.bootstrap(
         n0, config, seed=seed, id_base=shard_map.id_base(index)
     )
